@@ -24,7 +24,7 @@ retire fewer instructions per cycle than SPEC compute apps
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import CmpConfig
 from repro.core.controller import Rubik
@@ -86,7 +86,10 @@ class ChipLevelAllocator:
 
     Every ``period_s`` it observes what each core is running (an LC
     request or its batch app), models each occupant's instruction
-    throughput versus frequency, and assigns per-core frequencies:
+    throughput versus frequency, and assigns per-core frequencies. An
+    LC occupant is modeled by ``lc_demand``, the LC app's mean
+    ``(compute cycles, memory seconds)`` per request, so the
+    assignment is a function of occupant types alone:
 
     * objective ``"throughput"`` (HW-T): greedy marginal-IPS-per-watt
       ascent until the TDP is exhausted;
@@ -102,23 +105,29 @@ class ChipLevelAllocator:
         cmp_config: CmpConfig,
         power: CorePowerModel,
         objective: str = "throughput",
-        lc_ips_model: Optional[Callable[[Core, float], float]] = None,
+        lc_demand: Optional[Tuple[float, float]] = None,
         period_s: float = HW_SCHEME_PERIOD_S,
         horizon_s: Optional[float] = None,
     ) -> None:
         if objective not in ("throughput", "tpw"):
             raise ValueError("objective must be 'throughput' or 'tpw'")
+        if lc_demand is not None and (lc_demand[0] <= 0
+                                      or lc_demand[1] < 0):
+            raise ValueError("lc_demand needs positive mean cycles and "
+                             "non-negative mean memory time")
         self.sim = sim
         self.cores = list(cores)
         self.cmp = cmp_config
         self.power = power
         self.objective = objective
-        self.lc_ips_model = lc_ips_model or _default_lc_ips_model
+        self.lc_demand = lc_demand
         self.period_s = period_s
         self.horizon_s = horizon_s
         # The assignment depends only on each core's occupant *type*
-        # (which batch app, or the LC app), so allocations are memoized
-        # on that key — there are at most 2^cores distinct states.
+        # (which batch app, or the LC app): an LC occupant is modeled by
+        # its app's mean demand split, never by the request in service,
+        # so allocations are memoized on that key — there are at most
+        # 2^cores distinct states.
         self._cache: dict = {}
         sim.schedule_after(period_s, self._tick)
 
@@ -130,10 +139,16 @@ class ChipLevelAllocator:
         return "idle"
 
     # ------------------------------------------------------------------
+    def _lc_mean_demand(self) -> Tuple[float, float]:
+        if self.lc_demand is None:
+            raise ValueError("an LC request is in service but the "
+                             "allocator was built without lc_demand")
+        return self.lc_demand
+
     def _occupant_ips(self, core: Core, freq_hz: float) -> float:
         """Instruction throughput of whatever the core is running."""
         if core.current is not None:
-            return self.lc_ips_model(core, freq_hz)
+            return lc_ips(self._lc_mean_demand(), freq_hz)
         if core.background is not None:
             return core.background.profile.throughput(freq_hz)  # type: ignore[attr-defined]
         return 0.0
@@ -142,9 +157,9 @@ class ChipLevelAllocator:
         if core.current is None and core.background is None:
             return self.power.sleep_power_w
         if core.current is not None:
-            total = (core.current.compute_cycles / freq_hz
-                     + core.current.memory_time_s)
-            mem_frac = core.current.memory_time_s / total if total > 0 else 0.0
+            cycles, mem_s = self._lc_mean_demand()
+            total = cycles / freq_hz + mem_s
+            mem_frac = mem_s / total if total > 0 else 0.0
         else:
             mem_frac = core.background.mem_stall_frac(freq_hz)
         return self.power.busy_power(freq_hz, mem_frac)
@@ -229,22 +244,21 @@ class ChipLevelAllocator:
             self.sim.schedule_after(self.period_s, self._tick)
 
 
-def _default_lc_ips_model(core: Core, freq_hz: float) -> float:
+def lc_ips(lc_demand: Tuple[float, float], freq_hz: float) -> float:
     """Generic LC throughput model for the HW allocator.
 
-    Treats the in-service LC request as a stream of instructions whose
-    compute/memory split matches the request's demand split (so the model
-    depends only on the occupant type, keeping allocations memoizable).
-    Normalized units cancel in the allocator's marginal comparisons.
+    Treats an LC occupant as a stream of instructions whose
+    compute/memory split is the app's mean demand split
+    ``(mean cycles, mean memory seconds)``. It deliberately ignores the
+    request in service: per-request splits vary (the two demand
+    components are drawn independently), and a model reading them would
+    let whichever request was in service first fix the memoized
+    allocation for the whole run. Normalized units cancel in the
+    allocator's marginal comparisons.
     """
-    req = core.current
-    assert req is not None
-    total_cycles = req.compute_cycles
-    mem_s = req.memory_time_s
-    if total_cycles <= 0:
-        return 0.0
+    cycles, mem_s = lc_demand
     # Seconds per "cycle of demand": 1/f compute + proportional memory.
-    sec_per_cycle = 1.0 / freq_hz + mem_s / total_cycles
+    sec_per_cycle = 1.0 / freq_hz + mem_s / cycles
     return LC_IPC_FACTOR / sec_per_cycle
 
 

@@ -143,10 +143,9 @@ def run_colocated_server(
     """
     if not mix:
         raise ValueError("mix must contain at least one batch app")
+    lc_demand = app.mean_demands()
     if interference_factory is None:
-        mean_cycles = ((1.0 - app.mem_fraction) * app.mean_service_s
-                       * app.nominal_hz)
-        penalty = footprint_penalty_cycles(mean_cycles)
+        penalty = footprint_penalty_cycles(lc_demand[0])
         interference_factory = (
             lambda: MicroarchInterference(max_penalty_cycles=penalty))
     n_cores = cmp_config.num_cores
@@ -194,7 +193,8 @@ def run_colocated_server(
     if scheme_name in ("HW-T", "HW-TPW"):
         objective = "throughput" if scheme_name == "HW-T" else "tpw"
         ChipLevelAllocator(sim, cores, cmp_config, power_model,
-                           objective=objective, horizon_s=horizon)
+                           objective=objective, lc_demand=lc_demand,
+                           horizon_s=horizon)
 
     total = n_req * n_cores
     # The horizon cap is a safety net for a wedged run (completions

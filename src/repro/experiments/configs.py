@@ -111,7 +111,7 @@ CONFIGS: Dict[str, DriverConfig] = {cfg.name: cfg for cfg in (
         extras=(("load", 0.3),)),
     DriverConfig(
         "fig15", "Fig. 15: colocation tail latencies",
-        size_knob="requests_per_core",
+        version="2", size_knob="requests_per_core",
         extras=(("lc_load", 0.6), ("num_mixes", 20), ("seed", 5))),
     DriverConfig(
         "fig16", "Fig. 16: datacenter power & server count",

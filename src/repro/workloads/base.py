@@ -170,6 +170,16 @@ class AppProfile:
             raise ValueError("frequency must be positive")
         return cycles / freq_hz + memory_s
 
+    def mean_demands(self) -> Tuple[float, float]:
+        """Mean ``(compute cycles, memory seconds)`` of one request.
+
+        :meth:`sample_demands` draws both components with these means
+        (the long-request mixture rescales to keep them).
+        """
+        return ((1.0 - self.mem_fraction) * self.mean_service_s
+                * self.nominal_hz,
+                self.mem_fraction * self.mean_service_s)
+
     def mean_service_at(self, freq_hz: float) -> float:
         """Expected service time at ``freq_hz`` (analytic)."""
         compute_s = (1.0 - self.mem_fraction) * self.mean_service_s

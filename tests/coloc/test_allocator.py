@@ -11,6 +11,8 @@ from repro.config import DEFAULT_CMP, DEFAULT_DVFS
 from repro.power.model import DEFAULT_CORE_POWER
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
+from repro.sim.request import Request
+from repro.workloads.apps import MASSTREE
 
 
 def make_cores(batch_names, sim=None):
@@ -99,3 +101,46 @@ class TestTicking:
         with pytest.raises(ValueError):
             ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                DEFAULT_CORE_POWER, objective="nope")
+
+
+class TestLcOccupantModel:
+    """The LC occupant is modeled by its app's mean demand split, so an
+    allocation is a function of occupant types alone — the memo keyed on
+    those types is sound whichever request happens to be in service."""
+
+    MIX = ["namd", "mcf", "povray", "lbm", "hmmer", "libquantum"]
+
+    def _first_allocation(self, request, objective):
+        sim, cores = make_cores(self.MIX)
+        alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
+                                   DEFAULT_CORE_POWER, objective=objective,
+                                   lc_demand=MASSTREE.mean_demands())
+        cores[0].enqueue(request)
+        assert cores[0].current is request
+        alloc._tick()
+        assert list(alloc._cache) == [("lc",) + tuple(self.MIX[1:])]
+        return next(iter(alloc._cache.values()))
+
+    @pytest.mark.parametrize("objective", ["throughput", "tpw"])
+    def test_allocation_ignores_request_in_service(self, objective):
+        compute_heavy = Request(0, 0.0, compute_cycles=5e7,
+                                memory_time_s=1e-7)
+        memory_heavy = Request(0, 0.0, compute_cycles=1e3,
+                               memory_time_s=5e-3)
+        assert (self._first_allocation(compute_heavy, objective)
+                == self._first_allocation(memory_heavy, objective))
+
+    def test_lc_occupant_without_demand_model_rejected(self):
+        sim, cores = make_cores(["namd", "mcf"])
+        alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
+                                   DEFAULT_CORE_POWER, objective="tpw")
+        cores[0].enqueue(Request(0, 0.0, 1e6, 1e-5))
+        with pytest.raises(ValueError, match="lc_demand"):
+            alloc._assign_tpw()
+
+    @pytest.mark.parametrize("demand", [(0.0, 1e-5), (1e6, -1e-6)])
+    def test_rejects_bad_lc_demand(self, demand):
+        sim, cores = make_cores(["namd"])
+        with pytest.raises(ValueError, match="lc_demand"):
+            ChipLevelAllocator(sim, cores, DEFAULT_CMP,
+                               DEFAULT_CORE_POWER, lc_demand=demand)
