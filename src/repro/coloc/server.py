@@ -31,9 +31,10 @@ from repro.schemes.base import Scheme, SchemeContext
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
+from repro.sim.request import Request
 from repro.sim.server import ARRIVAL_PRIORITY
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile
+from repro.workloads.base import AppProfile, check_load
 
 #: The colocation schemes evaluated in Fig. 15.
 COLOC_SCHEME_NAMES = ("RubikColoc", "StaticColoc", "HW-T", "HW-TPW")
@@ -94,6 +95,22 @@ class ColocResult:
         return self.batch_instructions.get(name, 0.0) / self.duration_s
 
 
+class _CompletionCount:
+    """Core listener counting LC completions server-wide, so the run
+    loop's stop test costs O(1) per event instead of a sum over cores."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def on_arrival(self, core: Core, request: Request) -> None:
+        pass
+
+    def on_completion(self, core: Core, request: Request) -> None:
+        self.count += 1
+
+
 def make_coloc_scheme(name: str, lc_static_hz: Optional[float] = None) -> Scheme:
     """Factory for the per-core scheme of each colocation policy."""
     if name == "RubikColoc":
@@ -143,6 +160,7 @@ def run_colocated_server(
     """
     if not mix:
         raise ValueError("mix must contain at least one batch app")
+    check_load(load)
     lc_demand = app.mean_demands()
     if interference_factory is None:
         penalty = footprint_penalty_cycles(lc_demand[0])
@@ -162,6 +180,7 @@ def run_colocated_server(
             tuning_trace, context.latency_bound_s, context)
 
     sim = Simulator()
+    completions = _CompletionCount()
     cores: List[Core] = []
     tasks: List[BatchTask] = []
     interferences: List[MicroarchInterference] = []
@@ -179,6 +198,7 @@ def run_colocated_server(
         )
         scheme = make_coloc_scheme(scheme_name, lc_static_hz)
         scheme.setup(sim, core, context)
+        core.add_listener(completions)
         trace = Trace.generate_at_load(app, load, n_req, seed=seed * 100 + ci)
         for req in trace.to_requests():
             sim.schedule(req.arrival_time,
@@ -204,7 +224,7 @@ def run_colocated_server(
     # checked at arrival/completion/allocator-tick granularity only —
     # a capped run can process a few more of those than the event-driven
     # machinery would have.
-    while sum(len(c.completed) for c in cores) < total:
+    while completions.count < total:
         if not sim.step():
             break
         if sim.now > horizon:

@@ -36,7 +36,7 @@ from repro.schemes.replay import ReplayResult, replay
 from repro.schemes.static_oracle import StaticOracle
 from repro.sim.server import RunResult, run_trace
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile
+from repro.workloads.base import AppProfile, check_load
 
 #: Load at which the latency bound is defined (paper Sec. 5.2).
 BOUND_LOAD = 0.5
@@ -294,8 +294,7 @@ def compare_schemes(
     Seeds are independent and fan out over the parallel sweep executor
     (serial fallback on one CPU; identical results either way).
     """
-    if load <= 0:
-        raise ValueError("load must be positive")
+    check_load(load)
     per_seed = parallel_map(
         _compare_seed,
         [(app, load, seed, num_requests, tuple(include)) for seed in seeds],

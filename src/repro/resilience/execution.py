@@ -18,9 +18,10 @@ fault hooks). The parent polls the handles and worker liveness, and:
   pool discarded) and unexpired in-flight cells are re-dispatched
   *uncharged*;
 * a **lost worker** (SIGKILL, OOM, ``os._exit``) is detected by pid
-  liveness; every still-unfinished in-flight cell is charged a
-  ``worker-lost`` attempt (the pool API cannot attribute the death to
-  one cell) and the pool is rebuilt;
+  liveness. Each pooled attempt drops a start marker naming its
+  worker's pid, so only the cells that started on a dead pid are
+  charged a ``worker-lost`` attempt; unfinished neighbours on live
+  workers are re-dispatched uncharged, and the pool is rebuilt;
 * after ``max_pool_losses`` rebuilds the sweep **degrades to serial**
   in-process execution for the remaining cells — forward progress over
   parallelism.
@@ -42,6 +43,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
+import tempfile
 import time
 import traceback
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
@@ -201,8 +204,16 @@ def active_policy() -> Optional[RetryPolicy]:
     return _active_policy
 
 
+def _start_marker(start_dir: str, index: int, attempt: int,
+                  pid: int) -> str:
+    """Path of the marker attempt ``attempt`` of cell ``index`` leaves
+    when it starts on worker ``pid``."""
+    return os.path.join(start_dir, f"{index}.{attempt}.{pid}")
+
+
 def _run_cell(payload: Tuple[Callable[[Any], Any], Any, int, int,
-                             Optional[faults.FaultPlan]]) -> Tuple:
+                             Optional[faults.FaultPlan],
+                             Optional[str]]) -> Tuple:
     """Worker-side cell wrapper: run one cell, never raise.
 
     Returns ``("ok", value)`` or ``("error", etype, message,
@@ -220,8 +231,18 @@ def _run_cell(payload: Tuple[Callable[[Any], Any], Any, int, int,
     driver itself. In-parent runs pass ``plan=None`` and rely on the
     ambient plan instead, so parent-side consult counters keep their
     activation-wide ``nth`` semantics.
+
+    Pooled attempts also get ``start_dir``: before anything else runs,
+    the worker creates an empty marker there naming (cell, attempt,
+    own pid). A file is the one channel a pool forked before this sweep
+    shares with the parent, and it lets the parent charge a worker's
+    death to exactly the cells that started on it.
     """
-    fn, item, index, attempt, plan = payload
+    fn, item, index, attempt, plan, start_dir = payload
+    if start_dir is not None:
+        with contextlib.suppress(OSError):
+            open(_start_marker(start_dir, index, attempt, os.getpid()),
+                 "w").close()
     ctx = faults.activate(plan) if plan is not None \
         else contextlib.nullcontext()
     with ctx:
@@ -263,7 +284,7 @@ def _serial_run(fn: Callable[[Any], Any], items: Sequence[Any],
     for index, item in zip(indices, items):
         attempt = 0
         while True:
-            record = _run_cell((fn, item, index, attempt, None))
+            record = _run_cell((fn, item, index, attempt, None, None))
             value, failure = _outcome(record, index, attempt + 1)
             if failure is None:
                 results[index] = value
@@ -293,13 +314,15 @@ class _InFlight:
 
 def _pooled_run(fn: Callable[[Any], Any], items: Sequence[Any],
                 pool: "parallel.WorkerPool", policy: RetryPolicy,
-                stats: SweepStats, results: List[Any]) -> None:
+                stats: SweepStats, results: List[Any],
+                start_dir: str) -> None:
     """Polled per-cell dispatch with retry/timeout/lost-worker handling.
 
     The in-flight window is capped at ``pool.size`` so each dispatched
     cell starts immediately — its soft-timeout deadline is measured
     from dispatch, which only works when dispatch means "a worker
-    picked it up", not "queued behind the whole sweep".
+    picked it up", not "queued behind the whole sweep". Workers drop
+    their start markers in ``start_dir``.
     """
     plan = faults.active_plan()
     # (index, attempt, not_before) — cells awaiting dispatch; retries
@@ -333,7 +356,8 @@ def _pooled_run(fn: Callable[[Any], Any], items: Sequence[Any],
                 still.append((index, attempt, not_before))
                 continue
             handle = pool.submit(
-                _run_cell, (fn, items[index], index, attempt, plan))
+                _run_cell,
+                (fn, items[index], index, attempt, plan, start_dir))
             deadline = (None if policy.timeout_s is None
                         else _now() + policy.timeout_s)
             in_flight[index] = _InFlight(handle, attempt, deadline)
@@ -381,25 +405,24 @@ def _pooled_run(fn: Callable[[Any], Any], items: Sequence[Any],
 
         status = pool.worker_status()
         current = {pid for pid, _ in status}
-        dead = {pid for pid, ok in status if not ok}
-        lost_workers = bool(dead | (seen_pids - current))
+        lost_pids = {pid for pid, ok in status if not ok} | (
+            seen_pids - current)
         seen_pids |= current
         expired = [i for i, e in in_flight.items() if e.expired]
-        if not lost_workers and not expired:
+        if not lost_pids and not expired:
             continue
 
         # A worker died and/or a cell blew its soft timeout. Give the
-        # surviving in-flight cells a short grace window to finish (so
-        # innocent fast cells are not charged for a neighbour's crash),
-        # then classify whatever is left and rebuild the pool — a hung
-        # worker cannot be cancelled, and a dead worker's tasks are
-        # gone; either way this OS pool is done.
+        # surviving in-flight cells a short grace window to finish, then
+        # classify whatever is left and rebuild the pool — a hung worker
+        # cannot be cancelled, and a dead worker's tasks are gone;
+        # either way this OS pool is done.
         grace_end = _now() + policy.grace_s
         while in_flight and _now() < grace_end:
             time.sleep(policy.poll_interval_s)
             collect_ready()
 
-        if lost_workers:
+        if lost_pids:
             stats.worker_losses += 1
         remaining = dict(in_flight)
         in_flight.clear()
@@ -410,15 +433,14 @@ def _pooled_run(fn: Callable[[Any], Any], items: Sequence[Any],
                 stats.timeouts += 1
                 charge(index, entry.attempt, "timeout",
                        error=f"soft timeout after {policy.timeout_s}s")
-            elif lost_workers:
-                # The pool API cannot attribute a death to one cell:
-                # every unfinished cell is charged a worker-lost
-                # attempt. Keep cells fast relative to grace_s (or
-                # timeouts tight) to narrow the blast radius.
+            elif any(os.path.exists(_start_marker(
+                    start_dir, index, entry.attempt, pid))
+                    for pid in lost_pids):
                 charge(index, entry.attempt, "worker-lost",
                        error="pool worker died with cell in flight")
             else:
-                # Pure-timeout rebuild collateral: requeue uncharged.
+                # Rebuild collateral — a neighbour's timeout or crash,
+                # not this cell's: requeue uncharged.
                 pending.append((index, entry.attempt, 0.0))
         stats.pool_rebuilds += 1
         pool_losses += 1
@@ -471,5 +493,8 @@ def resilient_map(fn: Callable[[Any], Any], items: Sequence[Any],
             _serial_run(fn, items, list(range(len(items))), policy,
                         stats, results)
         else:
-            _pooled_run(fn, items, pool, policy, stats, results)
+            with tempfile.TemporaryDirectory(
+                    prefix="repro-cells-") as start_dir:
+                _pooled_run(fn, items, pool, policy, stats, results,
+                            start_dir)
     return results

@@ -86,7 +86,11 @@ class Trace:
         num_requests: Optional[int] = None,
         seed: int = 0,
     ) -> "Trace":
-        """Convenience: constant-load trace (load relative to saturation)."""
+        """Convenience: constant-load trace (load relative to saturation).
+
+        Raises ``ValueError`` unless ``load`` is finite and > 0 (see
+        :meth:`AppProfile.rate_for_load`).
+        """
         schedule = LoadSchedule.constant(app.rate_for_load(load))
         return cls.generate(app, schedule, num_requests, seed)
 

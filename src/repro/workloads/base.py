@@ -38,6 +38,16 @@ def lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
     return mu, math.sqrt(sigma2)
 
 
+def check_load(load: float) -> float:
+    """``load`` if it is a usable fraction of saturation, else a
+    ``ValueError`` naming it: finite and > 0 (overload, > 1, is legal)."""
+    if not (math.isfinite(load) and load > 0):
+        raise ValueError(
+            f"load must be a finite fraction of saturation > 0, "
+            f"got {load!r}")
+    return load
+
+
 @dataclasses.dataclass(frozen=True)
 class AppProfile:
     """A latency-critical application (paper Table 3 + Sec. 3 analysis).
@@ -99,10 +109,13 @@ class AppProfile:
         return 1.0 / self.mean_service_s
 
     def rate_for_load(self, load: float) -> float:
-        """Arrival rate (QPS) for a load fraction of saturation."""
-        if load < 0:
-            raise ValueError("load must be non-negative")
-        return load * self.saturation_qps
+        """Arrival rate (QPS) for a load fraction of saturation.
+
+        ``load`` must pass :func:`check_load`: a zero load never
+        generates an arrival, and a NaN one would otherwise surface as
+        an ``IndexError`` deep inside trace generation.
+        """
+        return check_load(load) * self.saturation_qps
 
     # ------------------------------------------------------------------
     def _component_params(self) -> Tuple[float, float, float, float]:

@@ -63,6 +63,19 @@ def _kill_once(args):
     return x * x
 
 
+def _slow_or_kill(args):
+    """Cell 0 outlives the grace window; cell 1 SIGKILLs its worker
+    on its first run (``marker`` absent), then succeeds."""
+    x, marker = args
+    if marker is None:
+        time.sleep(0.6)
+    elif not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write("killed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
 class TestRetryPolicy:
     def test_defaults_valid(self):
         policy = RetryPolicy()
@@ -211,6 +224,24 @@ class TestPooledExecution:
         assert pools_created() - before == 2  # initial + one rebuild
         assert stats.retries == 1  # the lost cell, exactly once
         assert stats.failures == 0 and not stats.degraded_serial
+
+    def test_slow_neighbour_of_a_crash_is_not_charged(self, tmp_path):
+        """A worker death is charged only to the cell that started on
+        the dead worker: a slow cell still running on a live worker
+        after the grace window is re-dispatched uncharged, even with
+        no retry budget at all."""
+        marker = tmp_path / "killed"
+        stats = SweepStats()
+        out = resilient_map(
+            _slow_or_kill, [(3, None), (4, str(marker))], processes=2,
+            policy=RetryPolicy(max_retries=0, grace_s=0.05), stats=stats)
+        assert marker.exists()
+        assert out[0] == 9  # the slow neighbour, never charged
+        failure = out[1]
+        assert isinstance(failure, CellFailure)
+        assert failure.kind == "worker-lost" and failure.attempts == 1
+        assert stats.worker_losses == 1 and stats.pool_rebuilds == 1
+        assert stats.failures == 1 and stats.retries == 0
 
     def test_crash_budget_exhaustion_degrades_to_serial(self):
         """A plan that kills every worker attempt forces rebuilds past
