@@ -125,7 +125,7 @@ class Rubik(Scheme):
         self._samples_at_last_update = 0
         self.table_updates = 0
         #: Refresh-subsystem counters: snapshots taken, table-cache
-        #: hits/misses, lazy columns carried over by reuse.
+        #: hits/misses, lazily built table cells carried over by reuse.
         self.refresh_stats = RefreshStats()
         # Pre-bound hot-path dispatch: the hooks run twice per simulated
         # event, and an if-dispatch per call is measurable there. The
@@ -266,8 +266,8 @@ class Rubik(Scheme):
         stats.snapshots += 1
         # A table pair is a pure function of the snapshot + parameters,
         # so an unchanged fingerprint reuses the previous build outright
-        # — including every lazy column / FFT power / row-list cache it
-        # has accumulated since (value-identical to rebuilding).
+        # — including every lazily built row / FFT power it has
+        # accumulated since (value-identical to rebuilding).
         key = snapshot_fingerprint(
             cycles, memory, self.context.tail_quantile,
             self.num_rows, self.max_explicit)
@@ -284,9 +284,8 @@ class Rubik(Scheme):
             stats.cache_misses += 1
         else:
             stats.cache_hits += 1
-            stats.columns_carried += (
-                (tables.cycles._built_cols - 1)
-                + (tables.memory._built_cols - 1))
+            stats.columns_carried += (tables.cycles.built_cells()
+                                      + tables.memory.built_cells())
         if tables is self.tables:
             # Steady state: the fingerprint re-resolved to the pair the
             # controller already holds — the decision kernel's per-queue

@@ -7,17 +7,18 @@ refreshes, and across experiment variants (ablations, scalar-vs-vector
 A/B runs, `compare_schemes` seeds) *identical* demand windows recur
 constantly — yet every refresh used to rebuild
 :class:`~repro.core.tail_tables.TargetTailTables` from scratch,
-discarding the conditioned histograms, FFT state, and row-list caches
-the previous identical build had accumulated.
+discarding the rows the previous identical build had already
+conditioned and convolved.
 
 A :class:`TailTableCache` memoizes built table pairs behind a
 **snapshot fingerprint**. A `TargetTailTables` is a pure function of
 ``(cycles histogram, memory histogram, quantile, num_rows,
 max_explicit)``, and a histogram is fully determined by its bucket width
 and pmf bytes — so the fingerprint is exactly that tuple, and an
-unchanged fingerprint reuses the previous object outright. Reuse carries
-over every lazily-built column, ``_fft_state`` transform power, and
-``_row_lists`` float cache, so work accumulated since the last miss is
+unchanged fingerprint reuses the previous object outright. Tables build
+each row on first read, to the depth read; reuse carries over every row
+built so far (its per-row tail list, at whatever length it reached) and
+the shared transform powers, so work accumulated since the last miss is
 never re-paid. The cache is bounded (LRU) and shared process-wide;
 worker processes each hold their own (results stay bitwise-identical
 either way — pinned by the runner equivalence tests).
@@ -56,9 +57,10 @@ class RefreshStats:
         snapshots: demand snapshots taken (accepted refreshes).
         cache_hits: refreshes that reused a cached table pair.
         cache_misses: refreshes that rebuilt tables from scratch.
-        columns_carried: explicit columns (beyond the always-built
-            column 0) already materialized in reused table pairs at hit
-            time — lazy build work the hit avoided re-paying.
+        columns_carried: explicit table cells (row x queue position)
+            already built in reused table pairs at hit time, summed
+            over both tables — lazy build work the hit avoided
+            re-paying.
         object_carries: refreshes whose cache hit re-resolved to the
             very table pair the controller already held (steady-state
             fingerprints). Everything keyed on table identity — notably
@@ -79,7 +81,7 @@ class RefreshStats:
 class TailTableCache:
     """Bounded LRU of ``TargetTailTables`` keyed by snapshot fingerprint.
 
-    Entries are *live* objects: lazy columns built through a cached pair
+    Entries are *live* objects: rows built through a cached pair
     accumulate in place, so later hits inherit them. Eviction only drops
     the cache's reference — controllers holding the pair keep it.
     """

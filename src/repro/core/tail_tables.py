@@ -18,11 +18,14 @@ Construction (periodic, not per-event):
   ``S_i ~ N(E[S_0] + i E[S], var[S_0] + i var[S])`` (paper: i >= 16).
 
 The build shares work across cells: cell ``(r, i)`` is the quantile of
-``cond_r * base^(*i)`` (``*`` denoting convolution), so one real FFT of
-the base and one per conditioned row suffice — the whole explicit table is
-an outer product in the frequency domain followed by a single batched
-inverse FFT, instead of ``rows x max_explicit`` sequential convolutions.
-This is what keeps the paper's periodic refresh at the ~0.2 ms scale.
+``cond_r * base^(*i)`` (``*`` denoting convolution), so each cell is one
+multiply by a shared power of the base's transform and one inverse FFT,
+instead of a chain of sequential convolutions. And it builds only what
+is read: construction computes the row bounds alone, and each row is
+conditioned and extended on first read, to the deepest position read —
+a refresh's controller typically reads one to three rows a few
+positions deep. This is what keeps the paper's periodic refresh at the
+~0.2 ms scale.
 
 Two tables are kept: compute cycles (c_i) and memory-bound time (m_i); the
 controller combines their tails via the paper's triangle-inequality
@@ -32,7 +35,9 @@ approximation (Eq. 2).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,7 +49,8 @@ DEFAULT_MAX_EXPLICIT = 16
 
 
 class TailTable:
-    """Precomputed tail-of-completion-work table for one demand type."""
+    """Tail-of-completion-work table for one demand type, built one row
+    at a time on first read."""
 
     def __init__(
         self,
@@ -68,152 +74,192 @@ class TailTable:
         self.quantile = quantile
         self.num_rows = num_rows
         self.max_explicit = max_explicit
-        self.base_mean = base.mean()
-        self.base_var = base.variance()
         self._z = _normal_quantile(quantile)
 
         # Row boundaries: elapsed-work quantiles of the base distribution.
         # Row r covers elapsed in [bounds[r], bounds[r+1]); row 0 is w = 0.
-        qs = [k / num_rows for k in range(1, num_rows)]
-        self.row_bounds = np.array([0.0] + [base.quantile(q) for q in qs])
+        # One searchsorted over the base CDF does Histogram.quantile's
+        # arithmetic for every bound at once (same epsilon, same cap at
+        # the last bucket, same upper bucket edge).
+        idx = base.cumulative().searchsorted(
+            np.arange(1, num_rows) / num_rows - 1e-12)
+        np.minimum(idx, base.pmf.size - 1, out=idx)
+        self.row_bounds = np.concatenate(([0.0],
+                                          (idx + 1) * base.bucket_width))
         # Python-float mirror for bisect in the per-event fast path (same
         # ordering semantics as np.searchsorted side="right").
         self._row_bounds_list = self.row_bounds.tolist()
 
-        conditioned = [base.condition_on_elapsed(e) for e in self.row_bounds]
-        self.row_means = np.array([c.mean() for c in conditioned])
-        self.row_vars = np.array([c.variance() for c in conditioned])
-
-        # Explicit table: rows x max_explicit tails, built lazily one
-        # *column* at a time (all rows batched per column). Column i is
-        # the quantile of ``cond_r * base^(*i)`` (``*`` = convolution):
-        # the base's transform powers accumulate across columns and each
-        # column needs only one batched irfft at the smallest power-of-two
-        # size covering its support — rows + depth transforms in total
-        # instead of rows x depth convolutions. Laziness matters because
-        # the controller only ever reads columns up to the queue depth it
-        # actually observes between refreshes: at low load most refreshed
-        # tables never see a deep queue, so deep columns are never paid
-        # for. Unbuilt cells hold NaN; all public accessors build on
-        # demand.
-        width = base.bucket_width
-        self._width = width
+        # Everything else is built per row on first read: a refresh's
+        # controller typically reads one to three rows a few positions
+        # deep, so conditioning and convolving all rows up front is
+        # mostly wasted work.
         self._base_len = base.pmf.size
-        self._conditioned = conditioned
-        self._cond_lens = [c.pmf.size for c in conditioned]
-        self._max_cond = max(self._cond_lens)
         self._eps_q = quantile - 1e-12
-        #: size -> [exponent, transform of base^(*exponent), stacked
-        #: conditioned-row transforms]
-        self._fft_state: dict = {}
-        #: row -> python-float list of built explicit tails (fast path).
-        self._row_lists: dict = {}
-        self.table = np.full((num_rows, max_explicit), np.nan)
+        #: row -> the base conditioned on the row's lower elapsed edge.
+        self._conditioned: Dict[int, Histogram] = {}
+        #: row -> (mean, variance) of the conditioned row (CLT use only).
+        self._moments: Dict[int, Tuple[float, float]] = {}
+        #: row -> python-float tails for positions 0, 1, ...: explicit
+        #: columns, then CLT extension past ``max_explicit``. Append-only,
+        #: so the list objects the per-event fast paths hold stay valid.
+        self._row_lists: Dict[int, List[float]] = {}
+        #: FFT size -> [transform of base^(*1), base^(*2), ...] at that
+        #: size, shared by every row's columns.
+        self._powers: Dict[int, List[np.ndarray]] = {}
 
-        # Column 0 is the conditioned distribution itself: read its
-        # quantile directly, no convolution needed.
-        for r, cond in enumerate(conditioned):
-            self.table[r, 0] = cond.quantile(quantile)
-        self._built_cols = 1
+    @functools.cached_property
+    def base_mean(self) -> float:
+        return self.base.mean()
 
-    def _ensure_columns(self, upto: int) -> None:
-        """Materialize explicit columns ``< upto`` (clamped to the table)."""
-        upto = min(upto, self.max_explicit)
+    @functools.cached_property
+    def base_var(self) -> float:
+        return self.base.variance()
+
+    def _condition(self, row: int) -> Histogram:
+        cond = self._conditioned.get(row)
+        if cond is None:
+            cond = self._conditioned[row] = self.base.condition_on_elapsed(
+                self._row_bounds_list[row])
+        return cond
+
+    def _row_moments(self, row: int) -> Tuple[float, float]:
+        moments = self._moments.get(row)
+        if moments is None:
+            cond = self._condition(row)
+            moments = self._moments[row] = (cond.mean(), cond.variance())
+        return moments
+
+    @property
+    def row_means(self) -> np.ndarray:
+        """Mean remaining work per row (conditions every row)."""
+        return np.array([self._row_moments(r)[0]
+                         for r in range(self.num_rows)])
+
+    @property
+    def row_vars(self) -> np.ndarray:
+        """Variance of remaining work per row (conditions every row)."""
+        return np.array([self._row_moments(r)[1]
+                         for r in range(self.num_rows)])
+
+    def _grow_row(self, row: int, count: int) -> List[float]:
+        """The row's tail list with at least ``min(count, max_explicit)``
+        explicit columns, building the missing ones.
+
+        Column 0 is the conditioned distribution's own quantile. Column
+        ``i`` is the quantile of ``cond * base^(*i)`` (``*`` =
+        convolution): one multiply by the shared transform power and one
+        ``irfft`` at the smallest power-of-two size covering the widest
+        row's support — the size a build over all rows uses, so every
+        cell comes out of the same float operations (a stacked
+        ``irfft`` over rows equals per-row calls bit for bit).
+        """
+        tails = self._row_lists.get(row)
+        if tails is None:
+            cond = self._condition(row)
+            tails = self._row_lists[row] = [cond.quantile(self.quantile)]
+        count = min(count, self.max_explicit)
+        if len(tails) >= count:
+            return tails
+        cond = self._conditioned[row]
         base = self.base
         base_len = self._base_len
-        while self._built_cols < upto:
-            i = self._built_cols
-            need = self._max_cond + i * (base_len - 1)
+        cond_len = cond.pmf.size
+        width = base.bucket_width
+        eps_q = self._eps_q
+        for i in range(len(tails), count):
+            # Row 0 conditions on zero elapsed work, so it is the base
+            # itself and the widest row: base_len bounds every row.
+            need = base_len + i * (base_len - 1)
             size = 1 << (need - 1).bit_length()
-            state = self._fft_state.get(size)
-            if state is None:
-                state = [1, base.rfft(size),
-                         np.stack([c.rfft(size) for c in self._conditioned])]
-                self._fft_state[size] = state
-            fbase = base.rfft(size)
-            while state[0] < i:
-                state[1] = state[1] * fbase
-                state[0] += 1
-            pmfs = np.fft.irfft(state[2] * state[1][None, :], size, axis=-1)
-            np.clip(pmfs, 0.0, None, out=pmfs)
-            cdfs = np.cumsum(pmfs, axis=-1)
-            # Per row: first bucket where the normalized CDF reaches q
-            # (same epsilon Histogram.quantile uses), capped at the cell's
-            # true support length.
-            for r in range(self.num_rows):
-                cdf = cdfs[r]
-                idx = int(cdf.searchsorted(self._eps_q * cdf[-1]))
-                support = self._cond_lens[r] + i * (base_len - 1)
-                self.table[r, i] = (min(idx, support - 1) + 1) * self._width
-            self._built_cols = i + 1
+            powers = self._powers.get(size)
+            if powers is None:
+                powers = self._powers[size] = [base.rfft(size)]
+            while len(powers) < i:
+                powers.append(powers[-1] * powers[0])
+            pmf = np.fft.irfft(cond.rfft(size) * powers[i - 1], size)
+            # np.clip(pmf, 0.0, None) without its Python wrapper.
+            np.maximum(pmf, 0.0, out=pmf)
+            cdf = pmf.cumsum()
+            # First bucket where the normalized CDF reaches q (same
+            # epsilon Histogram.quantile uses), capped at the cell's true
+            # support length.
+            idx = int(cdf.searchsorted(eps_q * cdf[-1]))
+            support = cond_len + i * (base_len - 1)
+            tails.append((min(idx, support - 1) + 1) * width)
+        return tails
 
     def materialize(self) -> np.ndarray:
-        """Force every explicit column and return the full table."""
-        self._ensure_columns(self.max_explicit)
-        return self.table
+        """Build every row to ``max_explicit`` columns and return the
+        full explicit table (``num_rows x max_explicit``)."""
+        m = self.max_explicit
+        return np.array([self._grow_row(r, m)[:m]
+                         for r in range(self.num_rows)])
+
+    @property
+    def table(self) -> np.ndarray:
+        """The full explicit table; materializes every row (tests and
+        benches only — the controller reads rows through the list
+        accessors)."""
+        return self.materialize()
+
+    def built_cells(self) -> int:
+        """Explicit cells built so far, over all rows."""
+        m = self.max_explicit
+        return sum(min(len(t), m) for t in self._row_lists.values())
 
     def _row_index(self, elapsed: float) -> int:
         """``row_for_elapsed`` without validation or ndarray dispatch —
         the controller calls this twice per simulated event."""
         return bisect.bisect_right(self._row_bounds_list, elapsed) - 1
 
-    def row_tails_list(self, row: int, count: int) -> list:
-        """First ``count`` explicit tails of ``row`` as python floats.
+    def row_tails_list(self, row: int, count: int) -> List[float]:
+        """The row's tails as python floats, at least ``count`` long
+        (``count`` must not exceed ``max_explicit``).
 
-        Cached per row so per-event scalar loops read plain floats
-        instead of boxing ndarray scalars; ``count`` must not exceed
-        ``max_explicit``.
+        The returned list is the row's own append-only cache: it may be
+        longer than ``count`` and grows in place when the row is later
+        read deeper, so per-event scalar loops can keep a reference.
         """
-        if count > self._built_cols:
-            self._ensure_columns(count)
-        cached = self._row_lists.get(row)
-        if cached is None:
-            cached = self.table[row, : self._built_cols].tolist()
-            self._row_lists[row] = cached
-        elif len(cached) < count:
-            # Columns grew (here or via tail()/tails_for_queue) since
-            # this row was cached: extend the list in place — built
-            # columns are append-only, so the prefix stays valid and
-            # other rows' caches survive the growth untouched.
-            cached.extend(
-                self.table[row, len(cached): self._built_cols].tolist())
-        return cached
+        tails = self._row_lists.get(row)
+        if tails is None or len(tails) < count:
+            return self._grow_row(row, count)
+        return tails
 
-    def tails_head_list(self, elapsed: float, count: int) -> list:
+    def tails_head_list(self, elapsed: float, count: int) -> List[float]:
         """``row_tails_list(_row_index(elapsed), count)`` in one call —
         the per-event controller lookup, minus one method dispatch."""
         return self.row_tails_list(
             bisect.bisect_right(self._row_bounds_list, elapsed) - 1, count)
 
-    def extended_row_list(self, row: int, count: int) -> list:
+    def extended_row_list(self, row: int, count: int) -> List[float]:
         """Row tails for positions ``0..count-1`` as python floats,
         CLT-extended past ``max_explicit``.
 
         Returns the *same* cached append-only list object as
         :meth:`row_tails_list`: once ``count`` exceeds the explicit
-        table, the full explicit prefix is forced and Gaussian tails are
-        appended with exactly the arithmetic :meth:`tail` uses
-        (bit-identical floats). Deep-queue controllers (the decision
+        table, the row's full explicit prefix is built and Gaussian
+        tails are appended with exactly the arithmetic :meth:`tail`
+        uses (bit-identical floats). Deep-queue controllers (the decision
         kernel) therefore read one flat list per demand type — and the
         extension travels with the table pair across ``TailTableCache``
-        hits, so deep columns built in one run are never re-paid by the
-        next.
+        hits, so deep positions built in one run are never re-paid by
+        the next.
         """
         max_explicit = self.max_explicit
-        cached = self.row_tails_list(
+        tails = self.row_tails_list(
             row, count if count <= max_explicit else max_explicit)
-        if count > len(cached):
-            row_mean = float(self.row_means[row])
-            row_var = float(self.row_vars[row])
+        if count > len(tails):
+            row_mean, row_var = self._row_moments(row)
             base_mean = self.base_mean
             base_var = self.base_var
             z = self._z
-            append = cached.append
-            for position in range(len(cached), count):
+            append = tails.append
+            for position in range(len(tails), count):
                 mean = row_mean + position * base_mean
                 var = row_var + position * base_var
                 append(max(0.0, float(mean + z * math.sqrt(max(var, 0.0)))))
-        return cached
+        return tails
 
     # ------------------------------------------------------------------
     def row_for_elapsed(self, elapsed: float) -> int:
@@ -235,36 +281,32 @@ class TailTable:
             raise ValueError("position must be non-negative")
         row = self.row_for_elapsed(elapsed)
         if position < self.max_explicit:
-            if position >= self._built_cols:
-                self._ensure_columns(position + 1)
-            return float(self.table[row, position])
+            return self.row_tails_list(row, position + 1)[position]
         # CLT extension (paper: i >= 16): Gaussian with accumulated
         # moments. math.sqrt, not np.sqrt: this runs per event past
         # max_explicit and ndarray scalar boxing is measurable there
         # (same bits — see Histogram.gaussian_tail).
-        mean = self.row_means[row] + position * self.base_mean
-        var = self.row_vars[row] + position * self.base_var
+        row_mean, row_var = self._row_moments(row)
+        mean = row_mean + position * self.base_mean
+        var = row_var + position * self.base_var
         return max(0.0, float(mean + self._z * math.sqrt(max(var, 0.0))))
 
     def tails_for_queue(self, queue_len: int,
                         elapsed: float = 0.0) -> np.ndarray:
-        """Tails for positions 0..queue_len-1 (single row lookup).
-
-        Returns a read-only view into the precomputed row when the queue
-        fits the explicit columns (the common case: one slice, no copies);
-        deeper queues get the vectorized CLT extension appended.
-        """
+        """Tails for positions 0..queue_len-1 (single row lookup), as a
+        fresh array: the row's explicit prefix, with the vectorized CLT
+        extension appended for queues deeper than ``max_explicit``."""
         row = self.row_for_elapsed(elapsed)
-        if queue_len <= self.max_explicit:
-            if queue_len > self._built_cols:
-                self._ensure_columns(queue_len)
-            return self.table[row, :queue_len]
-        self._ensure_columns(self.max_explicit)
-        positions = np.arange(self.max_explicit, queue_len)
-        mean = self.row_means[row] + positions * self.base_mean
-        var = self.row_vars[row] + positions * self.base_var
+        max_explicit = self.max_explicit
+        if queue_len <= max_explicit:
+            return np.array(self.row_tails_list(row, queue_len)[:queue_len])
+        explicit = self.row_tails_list(row, max_explicit)[:max_explicit]
+        positions = np.arange(max_explicit, queue_len)
+        row_mean, row_var = self._row_moments(row)
+        mean = row_mean + positions * self.base_mean
+        var = row_var + positions * self.base_var
         clt = np.maximum(0.0, mean + self._z * np.sqrt(np.maximum(var, 0.0)))
-        return np.concatenate([self.table[row], clt])
+        return np.concatenate([explicit, clt])
 
 
 class TargetTailTables:
