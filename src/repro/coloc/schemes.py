@@ -148,7 +148,7 @@ class ChipLevelAllocator:
     def _occupant_ips(self, core: Core, freq_hz: float) -> float:
         """Instruction throughput of whatever the core is running."""
         if core.current is not None:
-            return lc_ips(self._lc_mean_demand(), freq_hz)
+            return _lc_ips(self._lc_mean_demand(), freq_hz)
         if core.background is not None:
             return core.background.profile.throughput(freq_hz)  # type: ignore[attr-defined]
         return 0.0
@@ -244,7 +244,7 @@ class ChipLevelAllocator:
             self.sim.schedule_after(self.period_s, self._tick)
 
 
-def lc_ips(lc_demand: Tuple[float, float], freq_hz: float) -> float:
+def _lc_ips(lc_demand: Tuple[float, float], freq_hz: float) -> float:
     """Generic LC throughput model for the HW allocator.
 
     Treats an LC occupant as a stream of instructions whose

@@ -112,8 +112,8 @@ class AppProfile:
         """Arrival rate (QPS) for a load fraction of saturation.
 
         ``load`` must pass :func:`check_load`: a zero load never
-        generates an arrival, and a NaN one would otherwise surface as
-        an ``IndexError`` deep inside trace generation.
+        generates an arrival, and a NaN one breaks trace generation
+        far from the caller.
         """
         return check_load(load) * self.saturation_qps
 
