@@ -22,16 +22,15 @@ the repo's history:
   steady-state (constant-demand) run whose snapshot fingerprint never
   moves, and the incremental-vs-rebuild snapshot micro-benchmark.
 * ``decision_kernel``: the PR 5 incremental Eq. 2 kernel — same-trace
-  walls of the scalar/vectorized/kernel decision paths at moderate load
+  walls of the scalar/kernel/native decision paths at moderate load
   and in overload (where the O(1) event paths dominate), the kernel's
   decision-path counters, and the steady-state constant-demand guard
-  (refreshes must carry kernel state, never invalidate it). Since PR 6
-  the A/B includes the native C path when its library builds.
+  (refreshes must carry kernel state, never invalidate it). The native
+  C path joins the A/B when its library builds.
 * ``native_kernel``: the PR 6 native C decision/event kernel — build
   time and fallback status from the build-on-first-use loader, span
   engagement + decision counters of a default run, and the native
-  path's speedups over the Python kernel and the PR 5 trajectory
-  point (the headline: the overload wall vs BENCH_PR5's kernel).
+  path's same-run speedups over the Python kernel and the scalar path.
 * ``regenerate_cached``: the PR 7 content-addressed artifact store —
   the same regenerate subset cold (empty store: every cell computes and
   persists) then warm (every cell replays from disk), with the store's
@@ -100,102 +99,6 @@ from repro.workloads.apps import APPS
 
 #: Which PR this bench file tracks (bump per perf-relevant PR).
 PR_NUMBER = 10
-
-#: Seed-measured reference numbers for the same workloads, recorded on
-#: the machine that produced BENCH_PR1.json before the PR 1 fast paths
-#: landed (commit 94d2b32). Speedup fields compare against these.
-SEED_BASELINE = {
-    "table_build_pair_ms": 17.95,
-    "load_sweep_s": 7.97,
-    "rubik_run_s": 0.603,
-}
-
-#: PR 1's recorded numbers (BENCH_PR1.json), the previous trajectory
-#: point. PR 2's lever: lazy DVFS transitions (no heap event per change)
-#: and batched segment accounting.
-PR1_BASELINE = {
-    "rubik_run_s": 0.15761851400020532,
-    "rubik_run_events": 14685,
-    "load_sweep_s": 1.955133713000123,
-}
-
-#: PR 2's recorded numbers (BENCH_PR2.json). PR 3's lever: the unified
-#: runner (shared worker pool + memoized latency bounds); single-run hot
-#: paths are untouched, so ``rubik_run``/``load_sweep`` should hold
-#: steady and ``regenerate`` becomes the new tracked section.
-PR2_BASELINE = {
-    "rubik_run_s": 0.12004652299947338,
-    "load_sweep_s": 1.673809859999892,
-}
-
-#: PR 3's recorded numbers (BENCH_PR3.json). PR 4's lever: incremental
-#: demand profiling (O(new samples) snapshots) and the fingerprint-keyed
-#: ``TailTableCache`` — repeated/steady-state demand windows reuse
-#: built tables outright instead of rebuilding per refresh.
-PR3_BASELINE = {
-    "rubik_run_s": 0.1512239409985341,
-    "load_sweep_s": 1.7340111559988145,
-    "regenerate_s": 7.398183022000012,
-}
-
-#: PR 4's recorded numbers (BENCH_PR4.json). PR 5's lever: the
-#: incremental Eq. 2 decision kernel (lean/certificate folds + O(1)
-#: event paths) dispatched by default, plus fig01/02/10/11/12 flattened
-#: onto the parallel runner.
-PR4_BASELINE = {
-    "rubik_run_s": 0.09476325500145322,
-    "load_sweep_s": 1.5304093200011266,
-    "regenerate_s": 6.822867158000008,
-}
-
-#: PR 5's recorded numbers (BENCH_PR5.json). PR 6's lever: the native C
-#: decision/event kernel — the Eq. 2 folds plus the whole event-step
-#: inner loop in one shared library, dispatched by default when it
-#: builds. The decision walls are the same-trace A/B numbers from
-#: BENCH_PR5's ``decision_kernel`` section; the overload kernel wall is
-#: the reference the native path's headline speedup is measured against.
-PR5_BASELINE = {
-    "rubik_run_s": 0.08849415900112945,
-    "load_sweep_s": 1.4732989900003304,
-    "regenerate_s": 6.105114543999662,
-    "decision_moderate_kernel_s": 0.09099380199950247,
-    "decision_overload_kernel_s": 0.05173138600002858,
-    "decision_overload_scalar_s": 1.9314146699998673,
-}
-
-#: PR 6's recorded numbers (BENCH_PR6.json). PR 7's lever: the
-#: content-addressed artifact store — single-run hot paths are
-#: untouched (``rubik_run``/``load_sweep`` should hold steady), the
-#: uncached ``regenerate`` flow pays only fingerprint overhead, and the
-#: new ``regenerate_cached`` section tracks the warm-replay win.
-PR6_BASELINE = {
-    "rubik_run_s": 0.02402407299996412,
-    "load_sweep_s": 0.8808633009994082,
-    "regenerate_s": 6.873982521000471,
-}
-
-#: PR 7's recorded numbers (BENCH_PR7.json); PR 8 (the invariant
-#: checker) recorded no point — lint runs beside the hot paths, not in
-#: them. PR 9's lever is robustness, not speed: the resilient executor
-#: is opt-in, so the tracked walls should hold steady and the new
-#: ``resilience`` section guards that a fault-free ``resilient_map`` is
-#: bitwise-identical to ``parallel_map`` at small overhead.
-PR7_BASELINE = {
-    "rubik_run_s": 0.0265515190003498,
-    "load_sweep_s": 1.1242870790001689,
-    "regenerate_s": 7.254527476000476,
-}
-
-#: PR 9's recorded numbers (BENCH_PR9.json). PR 10's lever is scale,
-#: not single-run speed: the sharded fleet layer runs beside the hot
-#: paths (``rubik_run``/``load_sweep``/``regenerate`` should hold
-#: steady) and the new ``fleet`` section tracks cluster-scenario
-#: throughput in servers per second.
-PR9_BASELINE = {
-    "rubik_run_s": 0.0201195360004931,
-    "load_sweep_s": 0.7748254660000384,
-    "regenerate_s": 6.8051143849988875,
-}
 
 #: Events-per-request ceiling for the Rubik run: one arrival + one
 #: completion per request and nothing else (DVFS transitions no longer
@@ -273,7 +176,6 @@ def bench_table_build(reps: int) -> Dict[str, float]:
         "lazy_pair_ms": lazy_s * 1e3,
         "materialized_pair_ms": full_s * 1e3,
         "materialized_builds_per_s": 1.0 / full_s,
-        "speedup_vs_seed": SEED_BASELINE["table_build_pair_ms"] / (full_s * 1e3),
     }
 
 
@@ -298,7 +200,7 @@ def bench_controller_events(num_requests: int, load: float,
         t0 = time.perf_counter()
         result = run_trace(trace, Rubik(), context)
         wall = min(wall, time.perf_counter() - t0)
-    out = {
+    return {
         "wall_s": wall,
         "reps": reps,
         "events": result.events_processed,
@@ -306,19 +208,6 @@ def bench_controller_events(num_requests: int, load: float,
         "events_per_s": result.events_processed / wall,
         "requests_per_s": len(result.requests) / wall,
     }
-    if num_requests == FULL["run_requests"]:
-        out["speedup_vs_seed"] = SEED_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr1"] = PR1_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr2"] = PR2_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr3"] = PR3_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr4"] = PR4_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr5"] = PR5_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr6"] = PR6_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr7"] = PR7_BASELINE["rubik_run_s"] / wall
-        out["speedup_vs_pr9"] = PR9_BASELINE["rubik_run_s"] / wall
-        out["events_vs_pr1"] = (result.events_processed
-                                / PR1_BASELINE["rubik_run_events"])
-    return out
 
 
 def bench_load_sweep(loads, num_requests: int) -> Dict[str, float]:
@@ -326,20 +215,7 @@ def bench_load_sweep(loads, num_requests: int) -> Dict[str, float]:
     t0 = time.perf_counter()
     run_load_sweep(BENCH_APP, loads=loads, num_requests=num_requests,
                    seed=BENCH_SEED)
-    wall = time.perf_counter() - t0
-    out = {"wall_s": wall, "points": len(loads)}
-    if tuple(loads) == FULL["sweep_loads"] and \
-            num_requests == FULL["sweep_requests"]:
-        out["speedup_vs_seed"] = SEED_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr1"] = PR1_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr2"] = PR2_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr3"] = PR3_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr4"] = PR4_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr5"] = PR5_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr6"] = PR6_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr7"] = PR7_BASELINE["load_sweep_s"] / wall
-        out["speedup_vs_pr9"] = PR9_BASELINE["load_sweep_s"] / wall
-    return out
+    return {"wall_s": time.perf_counter() - t0, "points": len(loads)}
 
 
 def bench_regenerate(experiments, num_requests: int) -> Dict[str, float]:
@@ -365,7 +241,7 @@ def bench_regenerate(experiments, num_requests: int) -> Dict[str, float]:
     pools = pools_created() - pools_before
     bounds = latency_bound.cache_info()
     serial = pools == 0
-    out = {
+    return {
         "wall_s": wall,
         "experiments": list(reports),
         "pools_created": pools,
@@ -373,15 +249,6 @@ def bench_regenerate(experiments, num_requests: int) -> Dict[str, float]:
         "latency_bound_requested":
             bounds.misses + bounds.hits if serial else None,
     }
-    if tuple(experiments) == FULL["regen_experiments"] and \
-            num_requests == FULL["regen_requests"]:
-        out["speedup_vs_pr3"] = PR3_BASELINE["regenerate_s"] / wall
-        out["speedup_vs_pr4"] = PR4_BASELINE["regenerate_s"] / wall
-        out["speedup_vs_pr5"] = PR5_BASELINE["regenerate_s"] / wall
-        out["speedup_vs_pr6"] = PR6_BASELINE["regenerate_s"] / wall
-        out["speedup_vs_pr7"] = PR7_BASELINE["regenerate_s"] / wall
-        out["speedup_vs_pr9"] = PR9_BASELINE["regenerate_s"] / wall
-    return out
 
 
 def bench_regenerate_cached(experiments, num_requests: int) -> Dict:
@@ -614,10 +481,9 @@ def bench_decision_kernel(num_requests: int, load: float,
                           reps: int = 3) -> Dict:
     """The PR 5 incremental Eq. 2 decision kernel, three ways.
 
-    * **path A/B**: the identical trace under the scalar, vectorized,
-      kernel, and (when the library builds) native decision paths,
-      best-of-``reps`` each with a fingerprint-warm table cache — the
-      kernel must at least match the vectorized path at moderate load.
+    * **path A/B**: the identical trace under the scalar, kernel, and
+      (when the library builds) native decision paths, best-of-``reps``
+      each with a fingerprint-warm table cache.
     * **overload A/B**: the same comparison on an overloaded trace
       (queue depths past ``CERT_MIN_QUEUE``), where the certificate
       fold + O(1) event paths are the operating point.
@@ -636,26 +502,22 @@ def bench_decision_kernel(num_requests: int, load: float,
     run_trace(trace, Rubik(), context)            # warm the table cache
     run_trace(over_trace, Rubik(), over_context)
 
-    paths = {
-        "scalar": dict(vectorized=False),
-        "vectorized": dict(kernel=False),
-        "kernel": dict(kernel=True),
-    }
+    paths = {"scalar": "scalar", "kernel": "kernel"}
     if native_build.available():
-        paths["native"] = dict(kernel="native")
+        paths["native"] = "auto"
     walls: Dict[str, float] = {p: float("inf") for p in paths}
     over_walls: Dict[str, float] = {p: float("inf") for p in paths}
     kernel_stats: Dict[str, Dict] = {}
     for _ in range(reps):
-        for path, flags in paths.items():
-            rubik = Rubik(**flags)
+        for path, selector in paths.items():
+            rubik = Rubik(path=selector)
             t0 = time.perf_counter()
             run_trace(trace, rubik, context)
             walls[path] = min(walls[path], time.perf_counter() - t0)
             if path in ("kernel", "native"):
                 kernel_stats[f"moderate_{path}"] = \
                     rubik.kernel_stats.as_dict()
-            rubik = Rubik(**flags)
+            rubik = Rubik(path=selector)
             t0 = time.perf_counter()
             run_trace(over_trace, rubik, over_context)
             over_walls[path] = min(over_walls[path],
@@ -679,10 +541,7 @@ def bench_decision_kernel(num_requests: int, load: float,
     out = {
         "moderate": {f"{p}_wall_s": w for p, w in walls.items()},
         "overload": {f"{p}_wall_s": w for p, w in over_walls.items()},
-        "kernel_speedup_vs_vectorized": walls["vectorized"] / walls["kernel"],
         "kernel_speedup_vs_scalar": walls["scalar"] / walls["kernel"],
-        "overload_speedup_vs_vectorized":
-            over_walls["vectorized"] / over_walls["kernel"],
         "overload_speedup_vs_scalar":
             over_walls["scalar"] / over_walls["kernel"],
         "kernel_stats": kernel_stats,
@@ -704,8 +563,8 @@ def bench_native_kernel(decision_kernel: Dict) -> Dict:
     same best-of estimator — no second measurement to drift from); this
     section adds the loader's build/fallback diagnostics, the span
     engagement proof of a default run (every decision must land in a
-    counted branch of the native kernel), and the trajectory headline:
-    the native overload wall vs BENCH_PR5's Python-kernel wall.
+    counted branch of the native kernel), and the same-run ratios of
+    the native walls to the Python kernel's and the scalar path's.
     """
     out: Dict[str, object] = {
         "available": native_build.available(),
@@ -715,7 +574,7 @@ def bench_native_kernel(decision_kernel: Dict) -> Dict:
         out["fallback"] = "python kernel serves all dispatches"
         return out
 
-    # Span engagement: a default (kernel="auto") run hands the whole
+    # Span engagement: a default (path="auto") run hands the whole
     # event loop to the C span kernel; the counters prove every decision
     # executed natively (one per arrival + one per completion).
     app = APPS[BENCH_APP]
@@ -743,8 +602,6 @@ def bench_native_kernel(decision_kernel: Dict) -> Dict:
         over["kernel_wall_s"] / over["native_wall_s"]
     out["speedup_vs_scalar_overload"] = \
         over["scalar_wall_s"] / over["native_wall_s"]
-    out["overload_speedup_vs_pr5"] = (
-        PR5_BASELINE["decision_overload_kernel_s"] / over["native_wall_s"])
     return out
 
 
@@ -778,15 +635,6 @@ def run_benchmarks(quick: bool = False) -> Dict:
             "platform": platform.platform(),
             "numpy": np.__version__,
         },
-        "seed_baseline": SEED_BASELINE,
-        "pr1_baseline": PR1_BASELINE,
-        "pr2_baseline": PR2_BASELINE,
-        "pr3_baseline": PR3_BASELINE,
-        "pr4_baseline": PR4_BASELINE,
-        "pr5_baseline": PR5_BASELINE,
-        "pr6_baseline": PR6_BASELINE,
-        "pr7_baseline": PR7_BASELINE,
-        "pr9_baseline": PR9_BASELINE,
         "table_build": bench_table_build(cfg["table_reps"]),
         "controller_events": bench_controller_events(
             cfg["run_requests"], cfg["run_load"]),

@@ -126,7 +126,6 @@ def test_quick_bench_emits_trajectory_point(tmp_path):
     dk = results["decision_kernel"]
     for section in ("moderate", "overload"):
         assert dk[section]["kernel_wall_s"] > 0
-        assert dk[section]["vectorized_wall_s"] > 0
         assert dk[section]["scalar_wall_s"] > 0
     # `decisions` is defined as the sum of the branch counters, so the
     # independent check is against the event count: one decision per
@@ -236,10 +235,6 @@ def test_quick_bench_emits_trajectory_point(tmp_path):
     assert shard["identical"] is True, (
         "2-shard routed fleet diverged bitwise from the 1-shard "
         "reference (invariant 21)")
-
-    # The seed reference the trajectory is measured against is recorded
-    # alongside every point.
-    assert results["seed_baseline"] == run_bench.SEED_BASELINE
 
 
 def test_dirty_tree_refuses_to_record(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@
 field-for-field (every field is 8 bytes wide, so there is no padding to
 disagree on; the constructor asserts ``sizeof`` against the library's
 ``rk_state_size()``).  :class:`NativeDecisionKernel` is the drop-in
-fourth decision path: it owns the numpy arrays the C side points into
+native decision path (``Rubik(path="auto")`` with the library loaded):
+it owns the numpy arrays the C side points into
 (DVFS grid, flattened tail-table row lists, the arrival-time ring),
 keeps them in sync with the controller between calls, and routes the
 decided frequency through ``core.request_frequency`` in Python so
@@ -196,9 +197,9 @@ class NativeDecisionKernel:
     """Native (C) evaluator of Eq. 2 with the DecisionKernel interface.
 
     Exposes the same surface the controller relies on — ``decide(core)``,
-    ``invalidate()``, ``note_refresh_carry()`` and ``stats`` — so the
-    four-way dispatch in :class:`repro.core.controller.Rubik` treats it
-    interchangeably with the Python kernel.
+    ``note_refresh_carry()`` and ``stats`` — so
+    :class:`repro.core.controller.Rubik` binds either kernel's
+    ``decide`` the same way.
     """
 
     def __init__(self, controller) -> None:
@@ -269,10 +270,6 @@ class NativeDecisionKernel:
             invalidations_epoch=st.st_inv_epoch,
             refresh_carries=self._refresh_carries,
         )
-
-    def invalidate(self) -> None:
-        """Drop all incremental state (next decision re-folds fully)."""
-        self._st.certs = 0
 
     def note_refresh_carry(self) -> None:
         """A refresh re-resolved to the same table pair; state survived."""

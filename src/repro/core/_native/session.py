@@ -197,10 +197,8 @@ class NativeRunSession:
         if core.dvfs.on_retarget is None or not core.dvfs._track_boundaries:
             return None
         kernel = rubik._kernel
-        if kernel is None:
-            kernel = rubik._kernel = NativeDecisionKernel(rubik)
-        elif not isinstance(kernel, NativeDecisionKernel):
-            return None
+        if not isinstance(kernel, NativeDecisionKernel):
+            return None  # setup() bound another path
         return cls(sim, core, rubik, kernel, trace)
 
     # ------------------------------------------------------------------

@@ -9,9 +9,9 @@ DVFS grid. Between table refreshes the constraint is a pure function of
 (tables, internal target, queue composition, head-request elapsed
 bucket): the per-position tail pairs ``(c_i, m_i)`` come from one row of
 each tail table, and the arrival times ``a_i`` are already maintained
-incrementally by the core. The scalar and vectorized paths nevertheless
-recompute every term per event — O(queue) subtract/divide/compare work
-even when a single request arrived into an otherwise unchanged queue.
+incrementally by the core. The scalar path nevertheless recomputes
+every term per event — O(queue) subtract/divide/compare work even when
+a single request arrived into an otherwise unchanged queue.
 
 The kernel exploits two structural facts:
 
@@ -171,10 +171,6 @@ class DecisionKernel:
         self._sigma_abs = -_INF
 
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop all incremental state (next decision re-folds fully)."""
-        self._certs = False
-
     def note_refresh_carry(self) -> None:
         """Count a refresh that re-resolved to the same table pair (the
         kernel's per-queue state survived it). Part of the kernel

@@ -226,12 +226,6 @@ class TailTable:
             return self._grow_row(row, count)
         return tails
 
-    def tails_head_list(self, elapsed: float, count: int) -> List[float]:
-        """``row_tails_list(_row_index(elapsed), count)`` in one call —
-        the per-event controller lookup, minus one method dispatch."""
-        return self.row_tails_list(
-            bisect.bisect_right(self._row_bounds_list, elapsed) - 1, count)
-
     def extended_row_list(self, row: int, count: int) -> List[float]:
         """Row tails for positions ``0..count-1`` as python floats,
         CLT-extended past ``max_explicit``.
@@ -290,23 +284,6 @@ class TailTable:
         mean = row_mean + position * self.base_mean
         var = row_var + position * self.base_var
         return max(0.0, float(mean + self._z * math.sqrt(max(var, 0.0))))
-
-    def tails_for_queue(self, queue_len: int,
-                        elapsed: float = 0.0) -> np.ndarray:
-        """Tails for positions 0..queue_len-1 (single row lookup), as a
-        fresh array: the row's explicit prefix, with the vectorized CLT
-        extension appended for queues deeper than ``max_explicit``."""
-        row = self.row_for_elapsed(elapsed)
-        max_explicit = self.max_explicit
-        if queue_len <= max_explicit:
-            return np.array(self.row_tails_list(row, queue_len)[:queue_len])
-        explicit = self.row_tails_list(row, max_explicit)[:max_explicit]
-        positions = np.arange(max_explicit, queue_len)
-        row_mean, row_var = self._row_moments(row)
-        mean = row_mean + positions * self.base_mean
-        var = row_var + positions * self.base_var
-        clt = np.maximum(0.0, mean + self._z * np.sqrt(np.maximum(var, 0.0)))
-        return np.concatenate([explicit, clt])
 
 
 class TargetTailTables:

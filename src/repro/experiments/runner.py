@@ -293,16 +293,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             resolve(args.refresh)  # surface bad --refresh names early
     except KeyError as exc:
         parser.error(str(exc.args[0]))
+    if args.num_requests is not None and args.num_requests <= 0:
+        parser.error("-n/--num-requests must be positive")
     use_cache = not args.no_cache
     # Any resilience flag activates the resilient executor; without
     # one, cells keep the exact parallel_map fail-fast semantics.
     policy: Optional[RetryPolicy] = None
     if args.keep_going or args.max_retries is not None \
             or args.cell_timeout is not None:
-        policy = RetryPolicy(
-            max_retries=(args.max_retries
-                         if args.max_retries is not None else 1),
-            timeout_s=args.cell_timeout)
+        try:
+            policy = RetryPolicy(
+                max_retries=(args.max_retries
+                             if args.max_retries is not None else 1),
+                timeout_s=args.cell_timeout)
+        except ValueError as exc:
+            parser.error(f"--max-retries/--cell-timeout: {exc}")
     print(f"Regenerating: {', '.join(s.name for s in specs)}")
     store = artifacts.default_store() if use_cache else None
     before = store.stats() if store else None

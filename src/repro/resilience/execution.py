@@ -93,6 +93,7 @@ class RetryPolicy:
     grace_s: float = 0.25
 
     def __post_init__(self) -> None:
+        faults.check_finite(self, ValueError)
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:

@@ -58,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import math
 import os
 import time
 from typing import Dict, Iterator, Optional, Set, Tuple
@@ -111,6 +112,15 @@ class InjectedFault(RuntimeError):
     handlers (the native loader's) treat it like the real failure."""
 
 
+def check_finite(obj: object, error: type = FaultPlanError) -> None:
+    """Raise ``error`` naming the first NaN or infinite float field of
+    dataclass ``obj`` (NaN slips past every ``<``/``>`` range check)."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{field.name} must be finite (got {value!r})")
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
     """One fault at one hook point with one deterministic trigger.
@@ -142,6 +152,7 @@ class FaultSpec:
             raise FaultPlanError(
                 f"unknown fault hook {self.hook!r}; known: "
                 + ", ".join(HOOKS))
+        check_finite(self)
         triggers = [t for t in (self.index, self.nth, self.p)
                     if t is not None]
         if len(triggers) != 1:

@@ -115,8 +115,8 @@ class Core:
         self.queue: Deque[Request] = deque()
         self.current: Optional[Request] = None
         #: Arrival times of current + queued requests, oldest first —
-        #: maintained incrementally so per-event controllers can read the
-        #: whole system state as one array without walking Request objects.
+        #: maintained incrementally so the per-event decision kernels read
+        #: them without walking Request objects.
         self._pending_arrivals: Deque[float] = deque()
         #: Monotone count of queue deltas (admissions + completions),
         #: bumped before the listener hooks fire. Controllers keeping
@@ -173,22 +173,6 @@ class Core:
             reqs.append(self.current)
         reqs.extend(self.queue)
         return reqs
-
-    def pending_arrival_times(self) -> np.ndarray:
-        """Arrival times of requests in the system, oldest first.
-
-        Served from an incrementally-maintained buffer: O(queue depth)
-        float copies, no per-Request attribute walks — the fast path for
-        vectorized per-event controllers (Rubik evaluates Eq. 2 over this
-        array on every arrival and completion).
-        """
-        pending = self._pending_arrivals
-        return np.fromiter(pending, dtype=float, count=len(pending))
-
-    @property
-    def pending_arrivals(self) -> "Deque[float]":
-        """Arrival-time buffer (oldest first). Treat as read-only."""
-        return self._pending_arrivals
 
     def add_listener(self, listener: CoreListener) -> None:
         self.listeners.append(listener)

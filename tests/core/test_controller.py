@@ -1,6 +1,8 @@
 """Tests for the Rubik controller: frequency selection and end-to-end
 behaviour (the paper's core claims at unit scale)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,10 @@ class TestFrequencyPolicy:
         assert rubik.table_updates <= duration / 0.05 + 2
 
     def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            Rubik(update_period_s=0.0)
+        # NaN fails every comparison, so a `<= 0` check lets it through.
+        for period in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                Rubik(update_period_s=period)
 
     def test_name_reflects_feedback(self):
         assert Rubik().name == "Rubik"

@@ -4,7 +4,7 @@ Every decision path must be *decision-equivalent* to the scalar oracle:
 each ``Core.request_frequency`` call — including redundant ones — must
 carry the identical float, event by event, and end-of-run meter totals
 must match bitwise. The randomized sweep below drives the scalar,
-vectorized, kernel, and (when the library builds) native C paths through
+Python-kernel and (when the library builds) native C paths through
 seeded random event sequences covering bursts, profiler-window
 evictions, overload, empty-queue churn, ``n == 1``, and queues past
 ``max_explicit``; dedicated regressions pin the hopeless/overload
@@ -12,7 +12,7 @@ nominal floor, mid-run trimmer-target shrink, and mid-run path toggles.
 
 The native path (``repro/core/_native``) joins the sweep automatically
 when its shared library is available; on boxes without a C compiler the
-sweep degrades to the three Python paths and the ``native``-marked
+sweep degrades to the two Python paths and the ``native``-marked
 canaries report the gap as skips.
 """
 
@@ -43,21 +43,20 @@ _NATIVE = native_available()
 skip_without_native = pytest.mark.skipif(
     not _NATIVE, reason="native Rubik kernel library unavailable")
 
-#: (vectorized, kernel) flags of the decision paths. The native C path
-#: is appended only when its library loads, so the sweep keeps pinning
-#: the three Python paths on compiler-less boxes.
+#: ``Rubik(path=...)`` per decision path. The native C path is appended
+#: only when its library loads, so the sweep keeps pinning the two
+#: Python paths on compiler-less boxes.
 PATHS = {
-    "scalar": dict(vectorized=False, kernel=False),
-    "vectorized": dict(vectorized=True, kernel=False),
-    "kernel": dict(vectorized=True, kernel=True),
+    "scalar": dict(path="scalar"),
+    "kernel": dict(path="kernel"),
 }
 if _NATIVE:
-    PATHS["native"] = dict(vectorized=True, kernel="native")
+    PATHS["native"] = dict(path="auto")
 
-#: Parametrize list covering all four paths, with the native entry
+#: Parametrize list covering all three paths, with the native entry
 #: visibly skipped (not silently dropped) when the library is missing.
 PATH_PARAMS = [
-    "scalar", "vectorized", "kernel",
+    "scalar", "kernel",
     pytest.param("native",
                  marks=[pytest.mark.native, skip_without_native]),
 ]
@@ -66,9 +65,9 @@ PATH_PARAMS = [
 @pytest.mark.native
 @skip_without_native
 def test_native_path_joins_the_sweep():
-    """Canary: with the library available, every sweep below is 4-path.
+    """Canary: with the library available, every sweep below is 3-path.
 
-    Without it this skips — making the 3-path degradation visible in
+    Without it this skips — making the 2-path degradation visible in
     the test report instead of silently shrinking coverage.
     """
     assert "native" in PATHS
@@ -305,57 +304,59 @@ class TestHopelessOverloadFloor:
 
 
 class TestMidRunToggles:
-    """Toggling Rubik.vectorized / Rubik.kernel re-binds ``_decide`` and
-    stays decision-equivalent from the toggle point on."""
+    """Setting ``Rubik.path`` re-binds ``_decide`` and stays
+    decision-equivalent from the switch point on."""
 
     def test_property_rebinding(self):
         r = Rubik()
-        assert r.kernel == "auto"
+        assert r.path == "auto"
         auto_path = "native" if _NATIVE else "kernel"
         assert r.decision_path == auto_path
-        if _NATIVE:
-            assert r._decide.__func__ is Rubik._update_frequency_native
-        else:
-            assert r._decide.__func__ is Rubik._update_frequency_kernel
-        r.vectorized = False
+        r.path = "scalar"
         assert r.decision_path == "scalar"
+        r.path = "kernel"
+        assert r.decision_path == "kernel"
+        assert r._decide is None and r.kernel_stats is None  # no setup yet
+        ctx = SchemeContext(latency_bound_s=1e-3)
+        sim = Simulator()
+        r.setup(sim, Core(sim, ctx.dvfs, DEFAULT_CORE_POWER), ctx)
+        assert type(r._kernel) is DecisionKernel
+        assert r._decide == r._kernel.decide
+        r.path = "scalar"
+        assert r._kernel is None
         assert r._decide.__func__ is Rubik._update_frequency_scalar
-        r.vectorized = True
-        assert r.decision_path == auto_path  # kernel mode still "auto"
-        r.kernel = True
-        assert r.decision_path == "kernel"
-        assert r._decide.__func__ is Rubik._update_frequency_kernel
-        r.kernel = False
-        assert r.decision_path == "vectorized"
-        assert r._decide.__func__ is Rubik._update_frequency_vectorized
-        # "native" falls back to the Python kernel when unavailable —
-        # decision_path reports the path actually taken, never the wish.
-        r.kernel = "native"
+        # "auto" falls back to the Python kernel when native is
+        # unavailable — decision_path reports the path actually taken.
+        r.path = "auto"
         assert r.decision_path == auto_path
-        r.kernel = True
-        assert r.decision_path == "kernel"
+        assert r._decide == r._kernel.decide
 
     def test_kernel_mode_validation(self):
-        with pytest.raises(ValueError):
-            Rubik(kernel="sometimes")
+        for bad in ("native", "vectorized", "", None, True, False, 1):
+            with pytest.raises(ValueError):
+                Rubik(path=bad)
+        with pytest.raises(TypeError):
+            Rubik(kernel=True)  # only `path` selects the decision path
+        with pytest.raises(TypeError):
+            Rubik(vectorized=False)
         r = Rubik()
         with pytest.raises(ValueError):
-            r.kernel = 1  # only the bools themselves, not truthy ints
-        assert r.kernel == "auto"  # rejected assignment left mode alone
+            r.path = "native"
+        assert r.path == "auto"  # rejected assignment left the path alone
 
     def test_first_kernel_decide_rebinds_to_kernel(self):
-        """The lazy wrapper must replace itself after building the
-        kernel (no per-event dispatch hop)."""
+        """setup() binds ``_decide`` straight to the kernel's own
+        ``decide`` (no per-event dispatch hop)."""
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
-        _, _, rubik = run_decisions(trace, Rubik(kernel=True), ctx)
+        _, _, rubik = run_decisions(trace, Rubik(path="kernel"), ctx)
         assert type(rubik._kernel) is DecisionKernel
         assert rubik._decide == rubik._kernel.decide
 
     @pytest.mark.native
     @skip_without_native
     def test_first_native_decide_rebinds_to_native(self):
-        """Same rebinding contract for the native wrapper."""
+        """Same binding contract for the native wrapper."""
         from repro.core._native.kernel import NativeDecisionKernel
 
         ctx = make_context(MASSTREE, 3, 300)
@@ -364,65 +365,53 @@ class TestMidRunToggles:
         assert isinstance(rubik._kernel, NativeDecisionKernel)
         assert rubik._decide == rubik._kernel.decide
 
-    @pytest.mark.parametrize("flips", [
-        [("vectorized", False)],                      # kernel -> scalar
-        [("kernel", False)],                          # kernel -> vectorized
-        [("vectorized", True), ("kernel", True)],     # scalar -> kernel
-    ])
-    def test_midrun_toggle_equivalent(self, flips):
+    @staticmethod
+    def _assert_switch_equivalent(start, flip_to):
+        """Run with ``path=start``, set ``path=flip_to`` mid-run, and
+        check every decision against the scalar oracle."""
         app = MASSTREE
         n = 800
         seed = 5
         ctx = make_context(app, seed, n)
         trace = Trace.generate_at_load(app, 0.6, n, seed)
         ref_calls, ref_core, _ = run_decisions(
-            trace, Rubik(vectorized=False, kernel=False), ctx)
-        start_scalar = flips[0] == ("vectorized", True)
+            trace, Rubik(path="scalar"), ctx)
         t_mid = float(trace.arrivals[n // 2])
-
-        def flip(rubik):
-            for attr, value in flips:
-                setattr(rubik, attr, value)
-
-        toggled = Rubik(vectorized=not start_scalar,
-                        kernel=not start_scalar)
-        calls, core, rubik = run_decisions(trace, toggled, ctx,
-                                           at=(t_mid, flip))
-        # Decision-equivalence makes the toggle invisible end to end —
-        # which in particular pins equivalence from the toggle point on.
+        calls, core, rubik = run_decisions(
+            trace, Rubik(path=start), ctx,
+            at=(t_mid, lambda r: setattr(r, "path", flip_to)))
+        # Decision-equivalence makes the switch invisible end to end —
+        # which in particular pins equivalence from the switch point on.
         assert calls == ref_calls
         assert meter_totals(core) == meter_totals(ref_core)
-        if flips[-1] == ("kernel", True):
+        return rubik
+
+    @pytest.mark.parametrize("flips", [
+        ("kernel", "scalar"),
+        ("scalar", "kernel"),
+        ("kernel", "kernel"),  # re-selecting rebuilds the kernel mid-run
+    ])
+    def test_midrun_toggle_equivalent(self, flips):
+        rubik = self._assert_switch_equivalent(*flips)
+        if flips[-1] == "kernel":
             stats = rubik.kernel_stats
             assert stats is not None and stats.decisions > 0
 
     @pytest.mark.native
     @skip_without_native
     @pytest.mark.parametrize("start,flip_to", [
-        (True, "native"),      # Python kernel -> native mid-run
-        ("native", True),      # native -> Python kernel mid-run
-        ("native", False),     # native -> plain vectorized
-        (False, "native"),     # vectorized -> native
+        ("kernel", "auto"),    # Python kernel -> native mid-run
+        ("auto", "kernel"),    # native -> Python kernel mid-run
+        ("auto", "scalar"),    # native -> scalar oracle
+        ("scalar", "auto"),    # scalar oracle -> native
     ])
     def test_midrun_native_toggle_equivalent(self, start, flip_to):
-        """Toggling to/from the native kernel mid-run is invisible: the
+        """Switching to/from the native kernel mid-run is invisible: the
         replacement kernel rebuilds its incremental state from the live
         queue and stays pinned to the scalar oracle."""
-        app = MASSTREE
-        n = 800
-        seed = 5
-        ctx = make_context(app, seed, n)
-        trace = Trace.generate_at_load(app, 0.6, n, seed)
-        ref_calls, ref_core, _ = run_decisions(
-            trace, Rubik(vectorized=False, kernel=False), ctx)
-        t_mid = float(trace.arrivals[n // 2])
-        calls, core, rubik = run_decisions(
-            trace, Rubik(kernel=start), ctx,
-            at=(t_mid, lambda r: setattr(r, "kernel", flip_to)))
-        assert calls == ref_calls
-        assert meter_totals(core) == meter_totals(ref_core)
+        rubik = self._assert_switch_equivalent(start, flip_to)
         assert rubik.decision_path == (
-            {True: "kernel", False: "vectorized"}.get(flip_to, "native"))
+            "native" if flip_to == "auto" else flip_to)
 
     def test_toggle_back_and_forth_same_run(self):
         app = MASSTREE
@@ -431,15 +420,11 @@ class TestMidRunToggles:
         ctx = make_context(app, seed, n)
         trace = Trace.generate_at_load(app, 0.8, n, seed)
         ref_calls, _, _ = run_decisions(
-            trace, Rubik(vectorized=False, kernel=False), ctx)
+            trace, Rubik(path="scalar"), ctx)
         t1 = float(trace.arrivals[n // 3])
         t2 = float(trace.arrivals[2 * n // 3])
         rubik = Rubik()
         sim_flip_done = []
-
-        def flip1(r):
-            r.kernel = False
-            r.vectorized = False
 
         calls = []
         sim = Simulator()
@@ -447,10 +432,10 @@ class TestMidRunToggles:
         orig = core.request_frequency
         core.request_frequency = lambda f: (calls.append(f), orig(f))[1]
         rubik.setup(sim, core, ctx)
-        sim.schedule_entry(t1, (lambda: flip1(rubik)), priority=0)
+        sim.schedule_entry(t1, (lambda: setattr(rubik, "path", "scalar")),
+                           priority=0)
         sim.schedule_entry(
-            t2, (lambda: (setattr(rubik, "vectorized", True),
-                          setattr(rubik, "kernel", True),
+            t2, (lambda: (setattr(rubik, "path", "kernel"),
                           sim_flip_done.append(True))), priority=0)
         for req in trace.to_requests():
             sim.schedule_entry(req.arrival_time,
@@ -478,7 +463,7 @@ class TestKernelInternals:
     def test_kernel_stats_none_when_kernel_off(self):
         ctx = make_context(MASSTREE, 3, 200)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 200, 3)
-        _, _, rubik = run_decisions(trace, Rubik(kernel=False), ctx)
+        _, _, rubik = run_decisions(trace, Rubik(path="scalar"), ctx)
         assert rubik.kernel_stats is None
 
     def test_steady_state_refresh_carries_kernel_state(self):
@@ -510,7 +495,7 @@ class TestKernelInternals:
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
         kern = Rubik()
-        scal = Rubik(vectorized=False)
+        scal = Rubik(path="scalar")
         run_decisions(trace, kern, ctx)
         run_decisions(trace, scal, ctx)
         first = kern._kernel

@@ -1,16 +1,17 @@
 """Equivalence guards for the PR 1 fast paths.
 
 The perf overhaul (cached histogram CDFs/FFTs, shared-convolution lazy
-tail-table builds, the vectorized/fast-path Rubik controller, the tuple
-event heap) must be *behaviorally invisible*: every scheme decision and
-figure output must match what the original scalar implementations
-produce. These tests pin that:
+tail-table builds, the fast-path Rubik controller, the tuple event heap)
+must be *behaviorally invisible*: every scheme decision and figure
+output must match what the original scalar implementations produce.
+These tests pin that:
 
 * a reference (seed-algorithm) tail-table build, kept here in test code,
   must match the shared-convolution build cell-for-cell;
 * seeded traces through the scalar ``_update_frequency`` loop and the
-  vectorized path must produce identical frequency-request sequences,
-  p95/p99 latencies, and energy (rel tol 1e-9 — observed: bitwise).
+  Python decision kernel must produce identical frequency-request
+  sequences, p95/p99 latencies, and energy (rel tol 1e-9 — observed:
+  bitwise).
 """
 
 import math
@@ -90,22 +91,6 @@ class TestSharedConvolutionTables:
             assert lazy.tail(pos) == eager.tail(pos)
         np.testing.assert_array_equal(lazy.materialize(), eager.table)
 
-    def test_tails_for_queue_is_row_slice(self):
-        h = lognormal_hist(6)
-        t = TailTable(h)
-        elapsed = h.quantile(0.4)
-        tails = t.tails_for_queue(10, elapsed)
-        assert isinstance(tails, np.ndarray)
-        expected = [t.tail(i, elapsed) for i in range(10)]
-        np.testing.assert_array_equal(tails, expected)
-
-    def test_tails_for_queue_clt_extension(self):
-        h = lognormal_hist(6)
-        t = TailTable(h, max_explicit=8)
-        tails = t.tails_for_queue(12)
-        expected = [t.tail(i) for i in range(12)]
-        np.testing.assert_allclose(tails, expected, rtol=1e-12)
-
     def test_row_index_fast_path_matches_public(self):
         h = lognormal_hist(8)
         t = TailTable(h)
@@ -144,7 +129,7 @@ class TestSharedConvolutionTables:
         assert grown is row0  # extended in place, not rebuilt
         assert t._row_lists[5] is row5  # other row's cache survived
         # Growth through a different accessor extends lazily on re-read.
-        t.tails_for_queue(16)
+        t.tail(15)
         full5 = t.row_tails_list(5, 16)
         assert full5 is row5
         np.testing.assert_array_equal(full5, t.table[5, :16])
@@ -159,40 +144,35 @@ class TestControllerEquivalence:
         (SPECJBB, 7, 2500, 0.4),
     ])
     def test_vectorized_matches_scalar(self, app, seed, n, load):
+        """The compiler-free fast path (``path="kernel"``) against the
+        scalar loop through ``run_trace``."""
         ctx = make_context(app, seed, n)
         trace = Trace.generate_at_load(app, load, n, seed)
-        runs = {}
-        for vectorized in (False, True):
-            # kernel=False: this test pins the *vectorized* NumPy path
-            # specifically (the kernel has its own oracle suite in
-            # tests/core/test_decision_kernel.py).
-            runs[vectorized] = run_trace(
-                trace, Rubik(vectorized=vectorized, kernel=False), ctx,
-                record_freq_history=True)
-        scalar, vector = runs[False], runs[True]
+        scalar, kernel = [
+            run_trace(trace, Rubik(path=path), ctx, record_freq_history=True)
+            for path in ("scalar", "kernel")]
         assert scalar.freq_history  # opt-in must actually record
 
         # Identical frequency *request* outcomes: the applied-transition
         # history must match event for event.
-        assert vector.freq_history == scalar.freq_history
-        assert vector.dvfs_transitions == scalar.dvfs_transitions
+        assert kernel.freq_history == scalar.freq_history
+        assert kernel.dvfs_transitions == scalar.dvfs_transitions
 
         s_lat = scalar.response_times()
-        v_lat = vector.response_times()
+        k_lat = kernel.response_times()
         for pct in (95, 99):
-            assert float(np.percentile(v_lat, pct)) == pytest.approx(
+            assert float(np.percentile(k_lat, pct)) == pytest.approx(
                 float(np.percentile(s_lat, pct)), rel=1e-9)
-        assert vector.energy_j == pytest.approx(scalar.energy_j, rel=1e-9)
+        assert kernel.energy_j == pytest.approx(scalar.energy_j, rel=1e-9)
 
     def test_deep_queue_path_matches_scalar(self):
-        """Force queue depths past max_explicit so the ndarray expression
-        (not just the shallow fast path) is exercised."""
+        """Force queue depths past max_explicit so the kernel's deep
+        path (CLT-extended rows, certificate folds) is exercised."""
         ctx = make_context(MASSTREE, 13, 2000)
         trace = Trace.generate_at_load(MASSTREE, 1.4, 2000, 13)
-        runs = [run_trace(trace,
-                          Rubik(vectorized=v, kernel=False, max_explicit=4),
+        runs = [run_trace(trace, Rubik(path=path, max_explicit=4),
                           ctx, record_freq_history=True)
-                for v in (False, True)]
+                for path in ("scalar", "kernel")]
         assert runs[0].freq_history  # opt-in must actually record
         assert runs[0].freq_history == runs[1].freq_history
         assert runs[0].energy_j == pytest.approx(runs[1].energy_j, rel=1e-9)

@@ -83,18 +83,6 @@ def expected_tail(ref, row, position):
     return max(0.0, float(mean + ref.z * math.sqrt(max(var, 0.0))))
 
 
-def expected_queue(ref, row, queue_len):
-    """``tails_for_queue``: vectorized CLT arithmetic past the table."""
-    m = ref.max_explicit
-    if queue_len <= m:
-        return ref.table[row, :queue_len]
-    positions = np.arange(m, queue_len)
-    mean = ref.row_means[row] + positions * ref.base_mean
-    var = ref.row_vars[row] + positions * ref.base_var
-    clt = np.maximum(0.0, mean + ref.z * np.sqrt(np.maximum(var, 0.0)))
-    return np.concatenate([ref.table[row], clt])
-
-
 def assert_row_list(got, ref, row):
     """Every cached entry of a row list is the eager value."""
     np.testing.assert_array_equal(
@@ -114,7 +102,7 @@ def histograms(draw):
 
 CALLS = st.lists(
     st.tuples(st.sampled_from(["row_tails_list", "extended_row_list",
-                               "tail", "tails_for_queue"]),
+                               "tail"]),
               st.integers(0, 40),
               st.floats(0.0, 1.2, allow_nan=False)),
     min_size=1, max_size=12)
@@ -147,16 +135,10 @@ def test_any_call_sequence_matches_eager_build(base, quantile, num_rows,
             got = t.extended_row_list(row, k + 1)
             assert len(got) >= k + 1
             assert_row_list(got, ref, row)
-        elif op == "tail":
-            elapsed = frac * support
-            row = int(np.searchsorted(ref.bounds, elapsed, side="right")) - 1
-            assert t.tail(k, elapsed) == expected_tail(ref, row, k)
         else:
             elapsed = frac * support
             row = int(np.searchsorted(ref.bounds, elapsed, side="right")) - 1
-            np.testing.assert_array_equal(
-                t.tails_for_queue(k + 1, elapsed),
-                expected_queue(ref, row, k + 1))
+            assert t.tail(k, elapsed) == expected_tail(ref, row, k)
     np.testing.assert_array_equal(t.materialize(), ref.table)
     np.testing.assert_array_equal(t.row_means, ref.row_means)
     np.testing.assert_array_equal(t.row_vars, ref.row_vars)
@@ -217,14 +199,14 @@ class TestLaziness:
                                        (t.row_bounds[5],)]
         # Re-reads, deeper reads and CLT reads reuse the conditioning.
         t.extended_row_list(5, 30)
-        t.tails_for_queue(20, float(t.row_bounds[1]))
+        t.tail(19, elapsed=float(t.row_bounds[1]))
         assert len(conditioned) == 2
 
     def test_rows_built_only_to_deepest_position_read(self):
         t = TailTable(lognormal_hist(4))
         t.row_tails_list(2, 3)
         t.tail(5, elapsed=float(t.row_bounds[4]))
-        t.tails_for_queue(2, float(t.row_bounds[2]))  # shallower: no-op
+        t.tail(1, elapsed=float(t.row_bounds[2]))  # shallower: no-op
         t.tail(1, elapsed=float(t.row_bounds[4]))
         assert {r: len(tails) for r, tails in t._row_lists.items()} == \
             {2: 3, 4: 6}
@@ -244,5 +226,5 @@ class TestLaziness:
         t.tail(9, elapsed=float(t.row_bounds[2]))  # CLT: row 2 + base
         assert len(means) == 2 and len(variances) == 2
         t.extended_row_list(2, 12)
-        t.tails_for_queue(7, float(t.row_bounds[2]))
+        t.tail(6, elapsed=float(t.row_bounds[2]))
         assert len(means) == 2 and len(variances) == 2

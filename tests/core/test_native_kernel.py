@@ -1,6 +1,6 @@
 """Native-kernel build gate, fallback, and whole-run span tests (PR 6).
 
-Three contracts beyond the 4-path decision-oracle sweep in
+Three contracts beyond the 3-path decision-oracle sweep in
 ``test_decision_kernel.py``:
 
 * the ``REPRO_NATIVE`` environment gate validates like
@@ -138,8 +138,8 @@ class TestFallback:
         assert "dlopen failure" in info["error"]
 
         # decision_path / kernel_stats report the path actually taken.
-        r = Rubik(kernel="native")
-        assert r.kernel == "native"  # the configured wish...
+        r = Rubik()
+        assert r.path == "auto"  # the configured wish...
         assert r.decision_path == "kernel"  # ...vs the actual path
         res = _small_run(r)
         assert len(res.requests) == 200
@@ -184,8 +184,8 @@ class TestNativeSpan:
         n = 500
         ctx = make_context(MASSTREE, seed, n)
         trace = Trace.generate_at_load(MASSTREE, load, n, seed)
-        res_py = run_trace(trace, Rubik(kernel=True), ctx)
-        res_nat = run_trace(trace, Rubik(kernel="native"), ctx)
+        res_py = run_trace(trace, Rubik(path="kernel"), ctx)
+        res_nat = run_trace(trace, Rubik(path="auto"), ctx)
         assert _fingerprint(res_nat) == _fingerprint(res_py)
 
     def test_span_with_instrumented_core(self):
@@ -194,8 +194,8 @@ class TestNativeSpan:
         ctx = make_context(MASSTREE, 11, n)
         trace = Trace.generate_at_load(MASSTREE, 0.8, n, 11)
         kwargs = dict(log_segments=True, record_freq_history=True)
-        res_py = run_trace(trace, Rubik(kernel=True), ctx, **kwargs)
-        res_nat = run_trace(trace, Rubik(kernel="native"), ctx, **kwargs)
+        res_py = run_trace(trace, Rubik(path="kernel"), ctx, **kwargs)
+        res_nat = run_trace(trace, Rubik(path="auto"), ctx, **kwargs)
         assert res_nat.segment_log  # instrumentation actually ran
         assert res_nat.freq_history
         assert _fingerprint(res_nat) == _fingerprint(res_py)
@@ -204,8 +204,8 @@ class TestNativeSpan:
         n = 500
         ctx = make_context(MASSTREE, 5, n)
         trace = Trace.generate_at_load(MASSTREE, 0.7, n, 5)
-        r_py = Rubik(kernel=True)
-        r_nat = Rubik(kernel="native")
+        r_py = Rubik(path="kernel")
+        r_nat = Rubik(path="auto")
         run_trace(trace, r_py, ctx)
         run_trace(trace, r_nat, ctx)
         assert r_nat.kernel_stats.as_dict() == r_py.kernel_stats.as_dict()

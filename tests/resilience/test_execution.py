@@ -7,6 +7,7 @@ SIGKILL (not a cooperative exit) is exactly what the executor must
 survive.
 """
 
+import math
 import os
 import signal
 import time
@@ -88,6 +89,13 @@ class TestRetryPolicy:
         dict(max_pool_losses=-1),
         dict(poll_interval_s=0),
         dict(grace_s=-0.1),
+        # Non-finite: a NaN timeout would never expire (`now > nan` is
+        # always false), silently turning timeouts off.
+        dict(timeout_s=math.nan),
+        dict(timeout_s=math.inf),
+        dict(backoff_s=math.inf),
+        dict(poll_interval_s=math.nan),
+        dict(grace_s=math.nan),
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -318,3 +326,22 @@ class TestRunnerPolicyFlags:
         assert runner.main(["fig06", "--keep-going"]) == 0
         assert captured["policy"] is not None
         assert captured["policy"].max_retries == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-retries", "-1"],
+        ["--cell-timeout", "0"],
+        ["--cell-timeout", "nan"],
+        ["-n", "0"],
+    ])
+    def test_bad_values_exit_through_parser_error(self, captured, capsys,
+                                                  argv):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig06", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [err.splitlines()[-1]]
+        assert "names" not in captured  # nothing ran

@@ -1,9 +1,12 @@
 """Fault-plane unit tests: spec validation, plan grammar, trigger
 determinism, and the never-ambient activation contract."""
 
+import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience import faults
 from repro.resilience.faults import (
@@ -38,6 +41,12 @@ class TestFaultSpecValidation:
         (dict(p=1.5), "p trigger"),
         (dict(index=0, times=0), "times"),
         (dict(index=0, delay_s=-0.1), "delay_s"),
+        # Non-finite: an infinite delay would make _fire's sleep raise
+        # OverflowError, and a NaN one would mean no delay at all.
+        (dict(index=0, delay_s=math.inf), "delay_s must be finite"),
+        (dict(index=0, delay_s=math.nan), "delay_s must be finite"),
+        (dict(p=math.nan), "p must be finite"),
+        (dict(index=0, times=math.inf), "times must be finite"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(FaultPlanError, match=match):
@@ -73,6 +82,9 @@ class TestPlanGrammar:
         "cell.raise@1:p",
         "worker.explode@1",
         "cell.raise",  # no trigger
+        "cell.raise@1:delay=inf",
+        "cell.raise@1:delay=nan",
+        "cell.raise:p=nan",
     ])
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(FaultPlanError):
@@ -81,6 +93,80 @@ class TestPlanGrammar:
     def test_for_hook_filters(self):
         plan = FaultPlan.parse("cell.raise@1;worker.hang@2;cell.raise@3")
         assert [f.index for f in plan.for_hook("cell.raise")] == [1, 3]
+
+
+@st.composite
+def fault_specs(draw):
+    """A random valid FaultSpec: one trigger, optional times/delay."""
+    trigger = draw(st.sampled_from(["index", "nth", "p"]))
+    kwargs = {}
+    if trigger == "index":
+        kwargs["index"] = draw(st.integers(0, 10**9))
+    elif trigger == "nth":
+        kwargs["nth"] = draw(st.integers(1, 10**9))
+    else:
+        kwargs["p"] = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        kwargs["times"] = draw(st.integers(1, 10**9))
+    if draw(st.booleans()):
+        kwargs["delay_s"] = draw(st.floats(0.0, 1e9))
+    return FaultSpec(draw(st.sampled_from(faults.HOOKS)), **kwargs)
+
+
+def format_clause(spec, draw):
+    """One grammar clause for ``spec``: options in a random order,
+    defaults written out or left implicit at random. ``repr`` of a
+    float parses back to the same float."""
+    head = spec.hook if spec.index is None else f"{spec.hook}@{spec.index}"
+    opts = []
+    if spec.nth is not None:
+        opts.append(f"nth={spec.nth}")
+    if spec.p is not None:
+        opts.append(f"p={spec.p!r}")
+    if spec.times != 1 or draw(st.booleans()):
+        opts.append(f"times={spec.times}")
+    if spec.delay_s != 0.0 or draw(st.booleans()):
+        opts.append(f"delay={spec.delay_s!r}")
+    opts = draw(st.permutations(opts))
+    return head + (":" + ",".join(opts) if opts else "")
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
+
+#: Clause tails that put one trigger or option out of range: negative
+#: index, nth < 1, p outside [0, 1], times < 1, negative delay, and NaN
+#: or infinite p or delay.
+BAD_TAILS = st.one_of(
+    st.integers(max_value=-1).map(lambda v: f"@{v}"),
+    st.integers(max_value=0).map(lambda v: f":nth={v}"),
+    st.one_of(NEGATIVE, st.floats(min_value=1.0, exclude_min=True),
+              NON_FINITE).map(lambda v: f":p={v!r}"),
+    st.integers(max_value=0).map(lambda v: f"@0:times={v}"),
+    st.one_of(NEGATIVE, NON_FINITE).map(lambda v: f"@0:delay={v!r}"),
+)
+
+
+class TestPlanGrammarProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(-2**63, 2**63 - 1),
+           specs=st.lists(fault_specs(), max_size=6),
+           data=st.data())
+    def test_parse_inverts_formatting(self, seed, specs, data):
+        clauses = [format_clause(spec, data.draw) for spec in specs]
+        clauses.insert(data.draw(st.integers(0, len(clauses))),
+                       f"seed={seed}")
+        plan = FaultPlan.parse(";".join(clauses))
+        assert plan == FaultPlan(seed=seed, faults=tuple(specs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hook=st.sampled_from(faults.HOOKS), tail=BAD_TAILS,
+           valid=st.lists(fault_specs(), max_size=2), data=st.data())
+    def test_out_of_range_values_raise(self, hook, tail, valid, data):
+        clauses = [format_clause(spec, data.draw) for spec in valid]
+        clauses.insert(data.draw(st.integers(0, len(clauses))), hook + tail)
+        with pytest.raises(FaultPlanError):
+            FaultPlan.parse(";".join(clauses))
 
 
 class TestUnitInterval:
