@@ -15,7 +15,7 @@ Dispatch is gated by the ``REPRO_NATIVE`` environment variable:
 * ``"auto"`` / unset — use it when it builds and loads (the default).
 
 Anything else warns once per distinct value (mirroring the
-``REPRO_MAX_WORKERS`` idiom in :mod:`repro.perf.parallel`) and is
+``REPRO_MAX_WORKERS`` idiom in :mod:`repro.resilience.execution`) and is
 treated as unset.  A failed build or load likewise warns once and the
 controller silently dispatches to the Python kernel — a box without
 ``cc`` must never fail collection, equivalence tests, or experiments.

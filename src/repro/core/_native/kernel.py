@@ -225,7 +225,6 @@ class NativeDecisionKernel:
             bisect_left(grid, dvfs.nominal_hz - 1e-9), len(grid) - 1)
         st.min_hz = dvfs.min_hz
         st.max_hz = dvfs.max_hz
-        st.trans_latency = dvfs.transition_latency_s
         st.cert_min_queue = CERT_MIN_QUEUE
 
         # Incremental-state keys: nothing cached yet.

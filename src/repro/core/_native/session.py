@@ -113,7 +113,10 @@ class NativeRunSession:
         st.completion_valid = 0
 
         # DVFS domain import (the lazy state machine continues in C).
+        # The latency is the core's: ``run_trace(dvfs_config=...)`` may
+        # override the context's.
         dvfs = core.dvfs
+        st.trans_latency = dvfs.config.transition_latency_s
         st.cur_hz = dvfs._current_hz
         st.pending_valid = int(dvfs._pending_target is not None)
         st.pending_target = (dvfs._pending_target

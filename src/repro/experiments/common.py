@@ -79,19 +79,13 @@ def make_cells(driver: str, fn: Callable[[Any], Any],
 
 def _compute_batch(fn: Callable[[Any], Any], batch: Sequence[Any],
                    indices: Sequence[int],
-                   processes: Optional[int], chunksize: int) -> List[Any]:
-    """Dispatch one batch of cells: exact ``parallel_map`` semantics
-    without an active :class:`~repro.resilience.RetryPolicy`, the
-    resilient per-cell executor with one. Failures come back as
+                   processes: Optional[int]) -> List[Any]:
+    """Dispatch one batch of cells under the active policy (strict
+    without one: the first failure raises). Failures come back as
     :class:`~repro.resilience.CellFailure` objects re-indexed to the
-    *original* cell positions (``resilient_map`` numbers within the
-    batch it was handed)."""
-    policy = execution.active_policy()
-    if policy is None:
-        return parallel_map(fn, batch, processes=processes,
-                            chunksize=chunksize)
-    computed = execution.resilient_map(fn, batch, processes=processes,
-                                       policy=policy)
+    *original* cell positions (the executor numbers within the batch it
+    was handed)."""
+    computed = execution.map_cells(fn, batch, processes=processes)
     return [dataclasses.replace(v, index=indices[j])
             if isinstance(v, CellFailure) else v
             for j, v in enumerate(computed)]
@@ -105,8 +99,7 @@ def _raise_if_failed(driver: str, results: Sequence[Any]) -> None:
 
 def run_cells(driver: str, fn: Callable[[Any], Any],
               items: Sequence[Any],
-              processes: Optional[int] = None,
-              chunksize: int = 1) -> List[Any]:
+              processes: Optional[int] = None) -> List[Any]:
     """``[fn(x) for x in items]`` through the artifact store.
 
     The store-free, policy-free path is exactly
@@ -120,8 +113,8 @@ def run_cells(driver: str, fn: Callable[[Any], Any],
     cold and warm results are bitwise-identical.
 
     With an active :func:`repro.resilience.use_policy` policy (the
-    runner's ``--keep-going``/``--max-retries`` flags), the batch runs
-    through :func:`repro.resilience.resilient_map` instead: one
+    runner's ``--keep-going``/``--max-retries`` flags), the same
+    dispatch runs under that policy instead of strict: one
     raising/hung/crashed cell no longer aborts the sweep. Every
     *successful* cell is persisted to the store first, and then a
     :class:`~repro.resilience.SweepFailure` reports exactly the failed
@@ -131,11 +124,7 @@ def run_cells(driver: str, fn: Callable[[Any], Any],
     """
     store = artifacts.active_store()
     if store is None:
-        if execution.active_policy() is None:
-            return parallel_map(fn, items, processes=processes,
-                                chunksize=chunksize)
-        results = _compute_batch(fn, items, list(range(len(items))),
-                                 processes, chunksize)
+        results = execution.map_cells(fn, items, processes=processes)
         _raise_if_failed(driver, results)
         return results
     cells = make_cells(driver, fn, items)
@@ -149,8 +138,7 @@ def run_cells(driver: str, fn: Callable[[Any], Any],
             missing.append(i)
     if missing:
         computed = _compute_batch(
-            fn, [cells[i].args for i in missing], missing,
-            processes, chunksize)
+            fn, [cells[i].args for i in missing], missing, processes)
         for i, value in zip(missing, computed):
             results[i] = value
             if isinstance(value, CellFailure):

@@ -1,21 +1,18 @@
-"""Performance subsystem: parallel experiment execution and benchmarks.
+"""Performance subsystem: the sweep executor's public names.
 
-This package hosts the infrastructure that keeps the repo's experiment
-matrix (load sweeps, datacenter comparisons, CDF studies) fast:
-
-* :mod:`repro.perf.parallel` — a ``multiprocessing``-based sweep executor
-  with a deterministic serial fallback plus a persistent shared
-  :class:`~repro.perf.parallel.WorkerPool`, used by every experiment
-  driver and by the ``python -m repro.experiments`` regenerate-all CLI.
+Every experiment driver and the ``python -m repro.experiments``
+regenerate-all CLI fan their cells out through :func:`parallel_map`
+and a persistent shared :class:`WorkerPool`. Pool lifetime and the one
+per-cell dispatch loop live in :mod:`repro.resilience.execution`, next
+to the retry policy and fault hooks that loop hosts; this package
+re-exports the names drivers and the repo benchmark import.
 
 The hot-path *algorithmic* fast paths (cached histogram CDFs/FFTs,
-shared-convolution tail-table builds, the vectorized Rubik controller)
-live with their subsystems under :mod:`repro.core`; ``benchmarks/
-run_bench.py`` times both layers and records the tracked perf trajectory
-(``BENCH_*.json``).
+per-row tail-table builds, the native decision kernel) live with their
+subsystems under :mod:`repro.core`.
 """
 
-from repro.perf.parallel import (
+from repro.resilience.execution import (
     WorkerPool,
     effective_workers,
     parallel_map,

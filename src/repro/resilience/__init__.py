@@ -6,11 +6,13 @@ Two halves (see ``docs/robustness.md``):
   plane: a seeded, declarative :class:`FaultPlan` firing at named hook
   points, activated explicitly (:func:`activate` context or the
   ``REPRO_FAULT_PLAN`` environment gate), never ambient.
-* :mod:`repro.resilience.execution` — the hardened executor:
-  :func:`resilient_map` with per-cell retry, soft timeouts,
-  crashed/hung-worker recovery, and serial degradation, plus the
-  :class:`RetryPolicy`/:class:`CellFailure`/:class:`SweepFailure`
-  vocabulary ``run_cells`` and the runner CLI speak.
+* :mod:`repro.resilience.execution` — the sweep executor: the shared
+  worker pool and the one per-cell loop behind ``parallel_map``
+  (strict: the first failure raises) and :func:`resilient_map`
+  (per-cell retry, soft timeouts, crashed/hung-worker recovery, serial
+  degradation), plus the :class:`RetryPolicy`/:class:`CellFailure`/
+  :class:`SweepFailure` vocabulary ``run_cells`` and the runner CLI
+  speak.
 """
 
 from repro.resilience.execution import (

@@ -16,6 +16,7 @@ sweep degrades to the two Python paths and the ``native``-marked
 canaries report the gap as skips.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -36,6 +37,7 @@ from repro.sim.arrivals import LoadSchedule
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
+from repro.sim.server import run_trace
 from repro.sim.trace import Trace
 from repro.workloads.apps import APPS, MASSTREE, MOSES, SPECJBB
 
@@ -210,6 +212,26 @@ class TestRandomizedDecisionOracle:
         ctx = make_context(MASSTREE, 3, 500)
         trace = Trace.generate_at_load(MASSTREE, 0.7, 500, 3)
         assert_paths_equivalent(trace, ctx, feedback=False)
+
+    @pytest.mark.parametrize("latency_s", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dvfs_latency_override(self, latency_s, seed):
+        """``run_trace(dvfs_config=...)`` overrides the context's
+        transition latency on every path, the native span loop
+        included."""
+        ctx = make_context(MASSTREE, seed, 700)
+        trace = Trace.generate_at_load(MASSTREE, 0.5, 700, seed)
+        dvfs = dataclasses.replace(ctx.dvfs, transition_latency_s=latency_s)
+        runs = {name: run_trace(trace, Rubik(**flags), ctx,
+                                dvfs_config=dvfs, record_freq_history=True)
+                for name, flags in PATHS.items()}
+        scalar = runs["scalar"]
+        assert scalar.dvfs_transitions > 0
+        for name, run in runs.items():
+            assert run.freq_history == scalar.freq_history, name
+            assert run.energy_j == scalar.energy_j, name
+            assert list(run.response_times(include_warmup=True)) == \
+                list(scalar.response_times(include_warmup=True)), name
 
 
 class TestHopelessOverloadFloor:

@@ -24,7 +24,7 @@ from repro.experiments.fig11_real_system import run_fig11
 from repro.experiments.fig12_system_power import run_fig12
 from repro.experiments.table1_correlations import run_table1
 from repro.perf import WorkerPool, pools_created
-from repro.perf.parallel import MAX_WORKERS_ENV
+from repro.resilience.execution import MAX_WORKERS_ENV
 from repro.workloads.apps import MASSTREE
 
 N = 400  # tiny but queueing-meaningful

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep executor (repro.perf)."""
 
 import os
+import signal
 import time
 import warnings
 
@@ -13,8 +14,8 @@ from repro.perf import (
     pools_created,
     shared_pool,
 )
-from repro.perf import parallel as parallel_mod
-from repro.perf.parallel import MAX_WORKERS_ENV
+from repro.resilience import execution
+from repro.resilience.execution import MAX_WORKERS_ENV
 
 
 def _square(x):
@@ -25,6 +26,14 @@ def _fail_on_three(x):
     if x == 3:
         raise ValueError("boom")
     return x
+
+
+def _kill_worker_on_two(x):
+    """SIGKILL the pool worker that runs cell 2."""
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.01)
+    return x * x
 
 
 def _slow_square(x):
@@ -78,9 +87,9 @@ class TestEnvValidation:
 
     @pytest.fixture(autouse=True)
     def _fresh_warn_state(self):
-        parallel_mod._warned_env_values.clear()
+        execution._warned_env_values.clear()
         yield
-        parallel_mod._warned_env_values.clear()
+        execution._warned_env_values.clear()
 
     @pytest.mark.parametrize("raw", ["", "-3", "abc"])
     def test_invalid_value_warns_and_is_unset(self, monkeypatch, raw):
@@ -174,6 +183,20 @@ class TestWorkerPool:
                 parallel_map(_fail_on_three, list(range(8)))
             assert not wp.spawned  # broken pool was dropped
             # The next dispatch lazily recreates a clean pool.
+            assert parallel_map(_square, list(range(6))) == \
+                [x * x for x in range(6)]
+            assert wp.spawned
+
+    def test_worker_death_raises_then_recovers(self):
+        """A cell that kills its worker fails the sweep within seconds
+        instead of waiting forever on a result that cannot arrive; the
+        dead pool is dropped and the next dispatch gets a fresh one."""
+        with WorkerPool(processes=2) as wp:
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="cell 2"):
+                parallel_map(_kill_worker_on_two, list(range(6)))
+            assert time.monotonic() - start < 20
+            assert not wp.spawned
             assert parallel_map(_square, list(range(6))) == \
                 [x * x for x in range(6)]
             assert wp.spawned

@@ -1,0 +1,61 @@
+"""The names the repo benchmark (``perfbench/``) binds to stay in place.
+
+``perfbench/tracing.py`` wraps ``WorkerPool.map`` to time pool
+dispatches, reads ``TABLE_CACHE.stats()`` and rebinds the cell functions
+it finds at ``run_cells``/``parallel_map`` call sites. A change to
+``src/`` that drops one of those names breaks the traced benchmark run,
+so this test runs a two-cell fig06 sweep under the tracer in a fresh
+process and checks the summary it reports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+SCRIPT = """
+import json, os, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import repro.experiments.runner  # noqa: F401 -- every driver, as perfbench
+import tracing
+from repro.perf import WorkerPool, pools_created
+from repro.workloads.apps import MASSTREE
+
+tracer = tracing.Tracer(Path(sys.argv[2]))
+tracing.install(tracer)
+# install rebinds module globals: look the cell function up afterwards.
+from repro.experiments import common
+
+items = [(MASSTREE, 0.3, seed, 300, ("Rubik",)) for seed in (1, 2)]
+before = pools_created()
+t0 = tracing.now()
+with WorkerPool(2):
+    rows = common.run_cells("fig06", common._compare_seed, items)
+wall = tracing.now() - t0
+assert len(rows) == 2 and pools_created() - before == 1
+print(json.dumps(tracing.summarize(tracer.collect(), os.getpid(), wall, 2)))
+"""
+
+
+def test_traced_sweep_reports_every_layer(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    for name in ("REPRO_MAX_WORKERS", "REPRO_ARTIFACT_CACHE",
+                 "REPRO_FAULT_PLAN"):
+        env.pop(name, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["perf.dispatches"] >= 1
+    assert metrics["experiments.cells"] == 2
+    assert metrics["sim.run_trace.calls"] == 2
+    assert metrics["share.sim"] > 0

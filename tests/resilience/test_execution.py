@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.perf import parallel_map, pools_created
-from repro.perf.parallel import MAX_WORKERS_ENV
 from repro.resilience import (
     CellFailure,
     FaultPlan,
@@ -26,6 +25,7 @@ from repro.resilience import (
     resilient_map,
     use_policy,
 )
+from repro.resilience.execution import MAX_WORKERS_ENV
 
 
 def _square(x):
@@ -51,6 +51,13 @@ def _fail_on_three(x):
     if x == 3:
         raise ValueError("boom")
     return x * x
+
+
+def _interrupt(path):
+    """Count the attempt in ``path``, then act like Ctrl-C."""
+    with open(path, "a") as fh:
+        fh.write("x")
+    raise KeyboardInterrupt
 
 
 def _kill_once(args):
@@ -163,6 +170,16 @@ class TestSerialExecution:
                                 stats=stats)
         assert out == [1, 4, 9]
         assert stats.retries == 1 and stats.failures == 0
+
+    def test_keyboard_interrupt_propagates_after_one_attempt(
+            self, tmp_path):
+        """Ctrl-C in an in-process cell stops the sweep: it is neither
+        recorded as a cell failure nor retried."""
+        counter = tmp_path / "attempts"
+        with pytest.raises(KeyboardInterrupt):
+            resilient_map(_interrupt, [str(counter), str(counter)],
+                          processes=1, policy=RetryPolicy(max_retries=2))
+        assert os.path.getsize(counter) == 1
 
     def test_serial_never_fires_process_hooks(self):
         """worker.crash / worker.hang are worker-gated: a serial run must
@@ -284,6 +301,21 @@ class TestPooledExecution:
         assert stats.timeouts == 2
         assert stats.pool_rebuilds == 2  # one per timed-out attempt
         assert stats.failures == 1
+
+
+class TestStrictPath:
+    """Without an active policy, sweeps fire no cell hooks."""
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_cell_hooks_inert_without_policy(self, processes):
+        from repro.experiments.common import run_cells
+
+        items = [1, 2, 3]
+        with faults.activate(FaultPlan.parse("cell.raise@0")):
+            assert parallel_map(_square, items, processes=processes) == \
+                [1, 4, 9]
+            assert run_cells("fig06", _square, items,
+                             processes=processes) == [1, 4, 9]
 
 
 class TestRunnerPolicyFlags:

@@ -112,7 +112,7 @@ class TestCmpConfig:
 class TestEnvGateHelpers:
     """The shared REPRO_* validation helpers the per-module gates
     delegate to (consolidated from three near-identical blocks in
-    perf.parallel, core._native.build, and experiments.artifacts)."""
+    resilience.execution, core._native.build, and experiments.artifacts)."""
 
     def test_nonneg_int_parses(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_INT", "4")
