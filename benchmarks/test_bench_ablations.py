@@ -1,13 +1,12 @@
 """Bench: Rubik design-choice ablations (DESIGN.md; not a paper figure)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import ablations
 
 N = 5000
 
 
-def test_ablations(benchmark):
-    res = run_once(benchmark, ablations.run_ablations, num_requests=N)
+def test_ablations():
+    res = ablations.run_ablations(num_requests=N)
     print("\n" + res.table())
     paper = res.rows["Rubik (paper config)"]
     # Every Rubik variant still honours the bound (the analytical model,

@@ -1,13 +1,12 @@
 """Bench: regenerate Fig. 2 (workload variability analysis)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig02_variability
 
 N = 6000
 
 
-def test_fig2a_instantaneous_qps(benchmark):
-    res = run_once(benchmark, fig02_variability.run_fig2a, num_requests=N)
+def test_fig2a_instantaneous_qps():
+    res = fig02_variability.run_fig2a(num_requests=N)
     print("\n" + res.table())
     # Instantaneous load varies substantially around the mean for every
     # app; the spread narrows with request rate (Poisson window counts
@@ -20,14 +19,14 @@ def test_fig2a_instantaneous_qps(benchmark):
     assert any(vals[0] < 0.4 for vals in res.per_app.values())
 
 
-def test_fig2b_masstree_trace(benchmark):
-    res = run_once(benchmark, fig02_variability.run_fig2b, num_requests=N)
+def test_fig2b_masstree_trace():
+    res = fig02_variability.run_fig2b(num_requests=N)
     print("\n" + res.table())
     assert len(res.times) > 4
 
 
-def test_fig2c_normalized_tail(benchmark):
-    res = run_once(benchmark, fig02_variability.run_fig2c, num_requests=N)
+def test_fig2c_normalized_tail():
+    res = fig02_variability.run_fig2c(num_requests=N)
     print("\n" + res.table())
     # Queueing dominates: normalized tail well above 1 by 50% load, and
     # specjbb is the most queueing-amplified app (paper Fig. 2c).

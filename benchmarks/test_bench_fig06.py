@@ -1,14 +1,12 @@
 """Bench: regenerate Fig. 6 (core power savings matrix)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig06_power_savings
 
 N = 4000  # per run; full paper counts are used in EXPERIMENTS.md runs
 
 
-def test_fig6_power_savings(benchmark):
-    res = run_once(benchmark, fig06_power_savings.run_fig6,
-                   num_requests=N, seeds=(21,))
+def test_fig6_power_savings():
+    res = fig06_power_savings.run_fig6(num_requests=N, seeds=(21,))
     print("\n" + res.table())
     # Headline shapes (paper Sec. 5.2):
     # 1. At 50% load StaticOracle saves nothing...

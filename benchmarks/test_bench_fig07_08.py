@@ -1,13 +1,12 @@
 """Bench: regenerate Figs. 7 and 8 (latency CDFs + frequency histograms)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig07_fig08_cdfs
 
 N = 5000
 
 
-def test_fig7_masstree(benchmark):
-    res = run_once(benchmark, fig07_fig08_cdfs.run_fig7, num_requests=N)
+def test_fig7_masstree():
+    res = fig07_fig08_cdfs.run_fig7(num_requests=N)
     print("\n" + res.table())
     rubik = res.cdf_quantiles_ms["Rubik"]
     static = res.cdf_quantiles_ms["StaticOracle"]
@@ -20,8 +19,8 @@ def test_fig7_masstree(benchmark):
     assert low > 0.5
 
 
-def test_fig8_xapian(benchmark):
-    res = run_once(benchmark, fig07_fig08_cdfs.run_fig8, num_requests=N)
+def test_fig8_xapian():
+    res = fig07_fig08_cdfs.run_fig8(num_requests=N)
     print("\n" + res.table())
     rubik = res.cdf_quantiles_ms["Rubik"]
     static = res.cdf_quantiles_ms["StaticOracle"]

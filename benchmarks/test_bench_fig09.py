@@ -5,7 +5,6 @@ representative apps (tight masstree, variable shore) over a reduced load
 grid — EXPERIMENTS.md records a full run.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig09_load_sweep
 
 LOADS = (0.2, 0.4, 0.5, 0.7)
@@ -17,8 +16,8 @@ def _sweep(app):
                                            num_requests=N)
 
 
-def test_fig9_masstree(benchmark):
-    res = run_once(benchmark, _sweep, "masstree")
+def test_fig9_masstree():
+    res = _sweep("masstree")
     print("\n" + res.table())
     idx = {ld: i for i, ld in enumerate(res.loads)}
     # Flat adaptive tail below 50% load vs rising fixed tail.
@@ -33,8 +32,8 @@ def test_fig9_masstree(benchmark):
         res.energy_mj["StaticOracle"][idx[0.4]]
 
 
-def test_fig9_shore(benchmark):
-    res = run_once(benchmark, _sweep, "shore")
+def test_fig9_shore():
+    res = _sweep("shore")
     print("\n" + res.table())
     idx = {ld: i for i, ld in enumerate(res.loads)}
     # With variable service times Rubik guards against long requests and

@@ -1,6 +1,5 @@
 """Bench: regenerate Fig. 10 (responsiveness to load steps)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig10_load_steps
 
 
@@ -9,8 +8,8 @@ def _run(app):
     return fig10_load_steps.run_step_response(app, total_time_s=6.0)
 
 
-def test_fig10_masstree(benchmark):
-    res = run_once(benchmark, _run, "masstree")
+def test_fig10_masstree():
+    res = _run("masstree")
     print("\n" + res.table())
     # After the 75% step the oracles tuned at 25% load blow past the
     # bound; Rubik degrades least (paper Sec. 5.4).
@@ -22,8 +21,8 @@ def test_fig10_masstree(benchmark):
     assert rubik < res.bound_ms * 2.0  # minimal degradation
 
 
-def test_fig10_xapian(benchmark):
-    res = run_once(benchmark, _run, "xapian")
+def test_fig10_xapian():
+    res = _run("xapian")
     print("\n" + res.table())
     assert res.max_tail_after_step("Rubik") < \
         res.max_tail_after_step("StaticOracle")

@@ -1,13 +1,12 @@
 """Bench: regenerate Fig. 11 (real-system evaluation, 130 us DVFS lag)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig11_real_system
 
 N = 4000
 
 
-def test_fig11_real_system(benchmark):
-    res = run_once(benchmark, fig11_real_system.run_fig11, num_requests=N)
+def test_fig11_real_system():
+    res = fig11_real_system.run_fig11(num_requests=N)
     print("\n" + res.table())
     assert res.rubik_meets_bound
     # masstree (short requests): DVFS lag erodes Rubik's edge as load

@@ -1,13 +1,12 @@
 """Bench: regenerate Fig. 12 (full-system power savings at 30% load)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig12_system_power
 
 N = 4000
 
 
-def test_fig12_system_power(benchmark):
-    res = run_once(benchmark, fig12_system_power.run_fig12, num_requests=N)
+def test_fig12_system_power():
+    res = fig12_system_power.run_fig12(num_requests=N)
     print("\n" + res.table())
     for app in res.per_app:
         # System savings are positive but much smaller than core savings

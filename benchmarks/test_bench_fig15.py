@@ -5,17 +5,16 @@ The full figure is 100 (app, mix) pairs x 4 schemes; the bench runs a
 scheme ordering. EXPERIMENTS.md records a fuller run.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig15_coloc_tails
 
 
-def test_fig15_coloc_tails(benchmark):
+def test_fig15_coloc_tails():
     # Three apps x 4 mixes at moderate run lengths; the heavy-tailed
     # apps (specjbb) need paper-scale run lengths for stable tail
     # estimates and are covered by the full run in EXPERIMENTS.md.
-    res = run_once(benchmark, fig15_coloc_tails.run_fig15,
-                   num_mixes=4, apps=("masstree", "shore", "xapian"),
-                   requests_per_core=1400)
+    res = fig15_coloc_tails.run_fig15(
+        num_mixes=4, apps=("masstree", "shore", "xapian"),
+        requests_per_core=1400)
     print("\n" + res.table())
     # Paper Sec. 7.1 ordering: HW schemes grossly violate, StaticColoc
     # violates for some mixes, RubikColoc holds everywhere.

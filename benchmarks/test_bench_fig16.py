@@ -1,14 +1,13 @@
 """Bench: regenerate Fig. 16 (datacenter power and server count)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import fig16_datacenter
 
 LOADS = (0.1, 0.3, 0.6)
 
 
-def test_fig16_datacenter(benchmark):
-    res = run_once(benchmark, fig16_datacenter.run_fig16,
-                   loads=LOADS, num_mixes=2, requests_per_core=700)
+def test_fig16_datacenter():
+    res = fig16_datacenter.run_fig16(loads=LOADS, num_mixes=2,
+                                     requests_per_core=700)
     print("\n" + res.table())
     low, mid, high = res.comparisons
     # Colocation always wins, and wins more at low LC load.

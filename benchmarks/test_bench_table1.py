@@ -1,14 +1,12 @@
 """Bench: regenerate Table 1 (latency-correlation analysis)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments import table1_correlations
 
 N = 6000
 
 
-def test_table1_correlations(benchmark):
-    res = run_once(benchmark, table1_correlations.run_table1,
-                   num_requests=N)
+def test_table1_correlations():
+    res = table1_correlations.run_table1(num_requests=N)
     print("\n" + res.table())
     for app, (svc, qps, queue) in res.per_app.items():
         # Queue length is the dominant predictor for every app.

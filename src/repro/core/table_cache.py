@@ -142,7 +142,7 @@ class TailTableCache:
 #: share builds. Pool workers hold their own copy (bitwise-invisible).
 #: The default bound must comfortably exceed one run's refresh count
 #: (~22 at bench scale) or a rerun evicts its own fingerprints and the
-#: warm-reuse guarantee quietly degrades — the ``perf_smoke`` guard
-#: asserts zero evictions across the cold+warm pair to keep that cliff
-#: self-diagnosing.
+#: warm-reuse guarantee quietly degrades —
+#: ``test_warm_run_hits_and_matches_cold_bitwise`` asserts zero
+#: evictions across a cold+warm pair to keep that cliff self-diagnosing.
 TABLE_CACHE = TailTableCache()

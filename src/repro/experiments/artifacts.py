@@ -137,8 +137,9 @@ def canonical(obj: Any) -> Any:
     """A hashable, repr-stable canonical form of a cell argument tree.
 
     Handles the types experiment cells are declared with: primitives
-    (floats via ``float.hex`` — exact, no repr rounding), tuples/lists,
-    dicts, numpy scalars/arrays (dtype + shape + raw bytes), frozen
+    (floats via ``float.hex`` — exact, no repr rounding; ``np.float64``
+    is a ``float``), tuples/lists, dicts, numpy scalars (dtype + raw
+    bytes) and non-object arrays (dtype + shape + raw bytes), frozen
     dataclasses (``AppProfile``, ``SchemeContext``, ``BatchMix`` ...)
     by field recursion, and function references. Anything else raises:
     a silently mis-canonicalized argument would alias distinct cells,
@@ -149,8 +150,8 @@ def canonical(obj: Any) -> Any:
     if isinstance(obj, float):
         return ("float", obj.hex())
     if isinstance(obj, np.generic):
-        return canonical(obj.item())
-    if isinstance(obj, np.ndarray):
+        return ("npscalar", obj.dtype.str, obj.tobytes())
+    if isinstance(obj, np.ndarray) and not obj.dtype.hasobject:
         return ("ndarray", obj.dtype.str, obj.shape,
                 np.ascontiguousarray(obj).tobytes())
     if isinstance(obj, (tuple, list)):

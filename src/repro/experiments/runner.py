@@ -295,6 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(exc.args[0]))
     if args.num_requests is not None and args.num_requests <= 0:
         parser.error("-n/--num-requests must be positive")
+    if args.processes is not None and args.processes < 1:
+        parser.error("--processes must be >= 1 (1 runs serially)")
     use_cache = not args.no_cache
     # Any resilience flag activates the resilient executor; without
     # one, cells keep the exact parallel_map fail-fast semantics.

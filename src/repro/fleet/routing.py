@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,23 +119,23 @@ def _anchor_worker(args: Tuple[str, float, int, int]) -> Tuple[float, float, flo
 def build_power_curves(
     seed: int,
     requests_per_core: int,
-    anchor_loads: Sequence[float] = ANCHOR_LOADS,
     processes: Optional[int] = None,
 ) -> Dict[str, PowerCurve]:
-    """Calibrate every app's curve (anchor cells fan out / cache)."""
+    """Calibrate every app's curve at ``ANCHOR_LOADS`` (anchor cells
+    fan out / cache)."""
     from repro.experiments.common import run_cells  # cycle-free import
 
     names = app_names()
-    tasks = [(name, float(load), seed, requests_per_core)
-             for name in names for load in anchor_loads]
+    tasks = [(name, load, seed, requests_per_core)
+             for name in names for load in ANCHOR_LOADS]
     rows = run_cells(FLEET_DRIVER, _anchor_worker, tasks,
                      processes=processes)
     curves: Dict[str, PowerCurve] = {}
     for i, name in enumerate(names):
-        chunk = rows[i * len(anchor_loads):(i + 1) * len(anchor_loads)]
+        chunk = rows[i * len(ANCHOR_LOADS):(i + 1) * len(ANCHOR_LOADS)]
         curves[name] = PowerCurve(
             app=name,
-            loads=tuple(float(load) for load in anchor_loads),
+            loads=ANCHOR_LOADS,
             powers_w=tuple(r[0] for r in chunk),
             tails_s=tuple(r[1] for r in chunk),
             freqs_hz=tuple(r[2] for r in chunk),
@@ -170,7 +171,6 @@ def route_epoch(
     app_idx: np.ndarray,
     eff: np.ndarray,
     curves: Sequence[PowerCurve],
-    cap: float = CAPACITY_CAP,
 ) -> Tuple[np.ndarray, float]:
     """Split each app's total demand power-optimally for one epoch.
 
@@ -178,7 +178,8 @@ def route_epoch(
     (slope x efficiency), cheapest first, ties by absolute server
     index, per-server segments strictly in order. Returns the routed
     per-server loads and the demand shed because the app group's total
-    exceeded ``cap`` per server.
+    exceeded what its servers can take: ``CAPACITY_CAP`` each, or the
+    curve's last anchor if lower (the router never extrapolates).
     """
     routed = np.zeros(demands.shape[0])
     shed = 0.0
@@ -186,14 +187,14 @@ def route_epoch(
         members = np.flatnonzero(app_idx == a)
         if members.size == 0:
             continue
+        pieces = [(lo, min(hi, CAPACITY_CAP), slope)
+                  for lo, hi, slope in curves[a].segments()
+                  if lo < CAPACITY_CAP]
         demand = float(demands[members].sum())
-        capacity = cap * members.size
+        capacity = pieces[-1][1] * members.size
         if demand > capacity:
             shed += demand - capacity
             demand = capacity
-        pieces = [(lo, min(hi, cap), slope)
-                  for lo, hi, slope in curves[a].segments()
-                  if lo < cap]
         # Heap of (marginal cost, server, piece index): popping yields
         # the globally cheapest *next* unit of capacity, and a server's
         # piece k+1 is pushed only when piece k fills.
@@ -220,11 +221,11 @@ def _integrate_shard(args) -> Dict[str, np.ndarray]:
     the routed/baseline load matrices the parent computed at the
     routing synchronization point.
     """
-    lo, hi, demands, routed, eff, curves, epoch_s, cap = args
+    lo, hi, demands, routed, eff, curves, epoch_s = args
     n = hi - lo
     app_idx = (np.arange(lo, hi) % len(curves)).astype(np.int32)
-    base_loads = np.minimum(demands, cap)
-    overload = demands > cap
+    base_loads = np.minimum(demands, CAPACITY_CAP)
+    overload = demands > CAPACITY_CAP
     base_power = np.empty_like(base_loads)
     routed_power = np.empty_like(routed)
     base_tail = np.empty_like(base_loads)
@@ -301,7 +302,6 @@ def run_routed_fleet(
     requests_per_core: int = 400,
     base_load: float = 0.35,
     demand_sigma: float = 0.6,
-    cap: float = CAPACITY_CAP,
     processes: Optional[int] = None,
 ) -> RoutedFleetResult:
     """Run the routed-fleet scenario (bitwise shard-count invariant).
@@ -309,9 +309,22 @@ def run_routed_fleet(
     Three stages: calibrate power curves (anchor cells), placement
     fan-out (shards draw their servers' demands), routing epochs in the
     parent, then integration fan-out (shards evaluate their SoA slice).
+    Raises ``ValueError`` naming the argument, before calibration, for
+    fewer than one server or epoch, a non-finite or non-positive
+    ``base_load``, or a non-finite or negative ``demand_sigma``.
     """
     from repro.experiments.common import run_cells  # cycle-free import
 
+    if num_servers < 1:
+        raise ValueError(f"num_servers must be >= 1, got {num_servers}")
+    if num_epochs < 1:
+        raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
+    if not (math.isfinite(base_load) and base_load > 0):
+        raise ValueError(
+            f"base_load must be finite and positive, got {base_load}")
+    if not (math.isfinite(demand_sigma) and demand_sigma >= 0):
+        raise ValueError(
+            f"demand_sigma must be finite and >= 0, got {demand_sigma}")
     curves_by_app = build_power_curves(seed, requests_per_core,
                                        processes=processes)
     curves = tuple(curves_by_app[name] for name in app_names())
@@ -330,14 +343,13 @@ def run_routed_fleet(
     routed = np.zeros_like(demands)
     routed_shed = 0.0
     for e in range(num_epochs):
-        routed[e], shed = route_epoch(demands[e], app_idx, eff, curves,
-                                      cap=cap)
+        routed[e], shed = route_epoch(demands[e], app_idx, eff, curves)
         routed_shed += shed
 
     parts = run_cells(
         FLEET_DRIVER, _integrate_shard,
         [(lo, hi, demands[:, lo:hi], routed[:, lo:hi], eff[lo:hi],
-          curves, EPOCH_S, cap) for lo, hi in bounds],
+          curves, EPOCH_S) for lo, hi in bounds],
         processes=processes)
 
     merged = {key: np.concatenate([p[key] for p in parts])
@@ -352,7 +364,7 @@ def run_routed_fleet(
     state.batch_deficit[:] = 0.0
     state.lc_tail_s[:] = merged["baseline_tail_s"]
 
-    base_clipped = np.minimum(demands, cap)
+    base_clipped = np.minimum(demands, CAPACITY_CAP)
     baseline_tails = merged["baseline_tail_s"]
     finite = baseline_tails[np.isfinite(baseline_tails)]
     return RoutedFleetResult(

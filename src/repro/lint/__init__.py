@@ -12,8 +12,6 @@ mechanically:
 * ``python -m repro.lint`` — report ``file:line: [rule] message``, exit
   nonzero on findings (``--rules``/``--list-rules`` filter/describe).
 * ``tests/lint/test_repo_clean.py`` — tier-1 asserts the tree is clean.
-* ``benchmarks/run_bench.py`` — refuses to record a bench point on a
-  dirty tree.
 
 Rules live in :mod:`repro.lint.rules` (one module each, registered via
 :func:`repro.lint.base.register`); the catalog with the invariant each

@@ -102,8 +102,8 @@ _active_pool: Optional["WorkerPool"] = None
 _in_worker = False
 
 #: Process-lifetime count of pools actually spawned (fresh + shared);
-#: the ``perf_smoke`` guard asserts the regenerate-all flow creates at
-#: most one.
+#: ``test_regenerate_subset_through_one_pool`` asserts a regenerate
+#: flow creates at most one.
 _pools_created = 0
 
 #: Env values already warned about (warn once per distinct value).
@@ -428,8 +428,9 @@ class CellFailure:
 class SweepStats:
     """Mutable counters one :func:`resilient_map` call fills in.
 
-    Pass an instance in to observe what the executor had to do; the
-    bench resilience smoke asserts all-zero on the fault-free path.
+    Pass an instance in to observe what the executor had to do;
+    ``test_fault_free_identical_to_parallel_map`` asserts all-zero on
+    the fault-free path.
     """
 
     cells: int = 0

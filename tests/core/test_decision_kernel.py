@@ -165,6 +165,7 @@ class TestRandomizedDecisionOracle:
         res = assert_paths_equivalent(trace, ctx)
         stats = res["kernel"][2].kernel_stats
         assert stats.cert_folds > 0  # deep queues exercised the cert path
+        assert stats.fast_arrivals + stats.fast_completions > 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_burst_schedule(self, seed):
@@ -500,6 +501,12 @@ class TestKernelInternals:
         assert rubik.refresh_stats.object_carries > 0
         assert stats.refresh_carries == rubik.refresh_stats.object_carries
         assert stats.invalidations_tables <= 1
+        # The window normalizes to one fingerprint: at most one rebuild,
+        # every other refresh a cache hit.
+        refresh = rubik.refresh_stats
+        assert refresh.snapshots >= 2
+        assert refresh.cache_misses <= 1
+        assert refresh.cache_hits == refresh.snapshots - refresh.cache_misses
 
     def test_cert_threshold_boundary(self):
         """Depths straddling CERT_MIN_QUEUE stay decision-equivalent."""

@@ -12,13 +12,14 @@ read, and CLT moments are computed only when a CLT position is read.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import Histogram, _normal_quantile
-from repro.core.tail_tables import TailTable
+from repro.core.tail_tables import TailTable, TargetTailTables
 
 
 @dataclasses.dataclass
@@ -228,3 +229,22 @@ class TestLaziness:
         t.extended_row_list(2, 12)
         t.tail(6, elapsed=float(t.row_bounds[2]))
         assert len(means) == 2 and len(variances) == 2
+
+    def test_construction_no_slower_than_materialized_build(self):
+        """Best of 5: a lazy pair (the controller's refresh) costs at
+        most a pair built and materialized."""
+        cycles = lognormal_hist(0, 1e6, 0.3, 2000)
+        memory = lognormal_hist(1, 1e-4, 0.3, 2000)
+
+        def best_of_5(materialize):
+            best = math.inf
+            for _ in range(5):
+                t0 = time.perf_counter()
+                tables = TargetTailTables(cycles, memory)
+                if materialize:
+                    tables.cycles.materialize()
+                    tables.memory.materialize()
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        assert best_of_5(False) <= best_of_5(True)

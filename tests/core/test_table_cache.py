@@ -111,11 +111,13 @@ class TestControllerReuse:
     def test_warm_run_hits_and_matches_cold_bitwise(self):
         """Reuse is the whole point — and must be bitwise-invisible."""
         TABLE_CACHE.clear()
+        TABLE_CACHE.reset_stats()
         cold_rubik = Rubik()
         cold = self._run(cold_rubik)
-        assert cold_rubik.refresh_stats.snapshots > 0
+        assert cold_rubik.refresh_stats.snapshots >= 2
         assert cold_rubik.refresh_stats.cache_misses == \
             cold_rubik.refresh_stats.snapshots
+        assert cold_rubik.refresh_stats.cache_hits == 0
 
         warm_rubik = Rubik()
         warm = self._run(warm_rubik)
@@ -130,6 +132,9 @@ class TestControllerReuse:
         assert warm.energy_j == cold.energy_j
         np.testing.assert_array_equal(warm.response_times(),
                                       cold.response_times())
+        # One run's fingerprints must fit the cache, or the cold run
+        # evicts its own entries and warm reuse degrades unseen.
+        assert TABLE_CACHE.stats()["evictions"] == 0
 
     def test_table_updates_counts_refreshes_not_rebuilds(self):
         TABLE_CACHE.clear()

@@ -8,10 +8,13 @@ version tag recomputes exactly that driver's cells.
 import dataclasses
 import pickle
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import artifacts, configs, runner
 from repro.experiments.artifacts import (
@@ -24,7 +27,7 @@ from repro.experiments.artifacts import (
     cell_fingerprint,
     default_store,
 )
-from repro.experiments.common import make_cells, run_cells
+from repro.experiments.common import latency_bound, make_cells, run_cells
 from repro.workloads.apps import MASSTREE
 
 N = 300  # tiny but queueing-meaningful
@@ -39,6 +42,71 @@ def _fn(args):
 def _other_fn(args):
     x, y = args
     return x - y
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    x: object
+    y: object
+
+
+#: Leaf groups whose members are equal, print alike, or share bytes
+#: across types; a drawn tree pair picks both leaves from one group.
+_CONFUSABLE = (
+    (0, False, 0.0, -0.0, np.int64(0), np.bool_(False), np.float32(0.0)),
+    (1, True, 1.0, np.float64(1.0), np.int64(1), np.int32(1),
+     np.uint8(1), np.bool_(True)),
+    (0.5, np.float32(0.5), np.float64(0.5), np.float16(0.5), "0.5",
+     float("nan")),
+    (None, "", b"", np.str_("")),
+    (np.array([1, 0]), np.array([1, 0], dtype=np.int32),
+     np.array([1.0, 0.0]), np.array([True, False]), np.array([[1, 0]]),
+     np.array(1), np.arange(4)[::2], np.array([0, 2])),
+    (_fn, _other_fn),
+)
+
+
+@st.composite
+def _tree_pair(draw, depth=0):
+    kind = draw(st.sampled_from(("leaf", "seq", "dict", "dataclass")
+                                if depth < 3 else ("leaf",)))
+    if kind == "leaf":
+        group = draw(st.sampled_from(_CONFUSABLE))
+        return draw(st.sampled_from(group)), draw(st.sampled_from(group))
+    if kind == "seq":
+        kids = draw(st.lists(_tree_pair(depth + 1), max_size=3))
+        ta, tb = draw(st.sampled_from((tuple, list))), \
+            draw(st.sampled_from((tuple, list)))
+        return ta(k[0] for k in kids), tb(k[1] for k in kids)
+    if kind == "dict":
+        keys = draw(st.lists(st.sampled_from("ab"), unique=True,
+                             max_size=2))
+        kids = [draw(_tree_pair(depth + 1)) for _ in keys]
+        return ({k: v[0] for k, v in zip(keys, kids)},
+                {k: v[1] for k, v in zip(keys, kids)})
+    (xa, xb), (ya, yb) = draw(_tree_pair(depth + 1)), \
+        draw(_tree_pair(depth + 1))
+    return _Pair(xa, ya), _Pair(xb, yb)
+
+
+def _identical(a, b):
+    """Type and value equal at every node: floats by ``float.hex``
+    (``np.float64`` is a float), numpy values by dtype, shape, bytes."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex()
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (np.ndarray, np.generic)):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _identical(a[k], b[k]) for k in a)
+    if isinstance(a, _Pair):
+        return _identical(a.x, b.x) and _identical(a.y, b.y)
+    return a == b
 
 
 class TestFingerprint:
@@ -84,10 +152,19 @@ class TestFingerprint:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):
             canonical(object())
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            canonical(np.array([1, "x"], dtype=object))  # pointer bytes
 
     def test_unknown_type_inside_tuple_raises(self):
         with pytest.raises(TypeError):
             cell_fingerprint("d", "1", _fn, (1, object()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tree_pair())
+    def test_shared_fingerprint_only_for_identical_trees(self, pair):
+        a, b = pair
+        assert (cell_fingerprint("d", "1", _fn, a)
+                == cell_fingerprint("d", "1", _fn, b)) == _identical(a, b)
 
 
 class TestEnvGates:
@@ -363,18 +440,29 @@ class TestColdWarmRegenerate:
 
     def test_warm_recomputes_zero_cells_bitwise(self):
         store = default_store()
-        cold = runner.regenerate(self.DRIVERS, num_requests=N,
-                                 processes=1, use_cache=True)
+
+        def timed_regenerate():
+            latency_bound.cache_clear()  # time the store, not the memo
+            t0 = time.perf_counter()
+            reports = runner.regenerate(self.DRIVERS, num_requests=N,
+                                        processes=1, use_cache=True)
+            return reports, time.perf_counter() - t0
+
+        cold, cold_wall = timed_regenerate()
         cold_stats = store.stats()
         assert cold_stats["hits"] == 0
         assert cold_stats["puts"] == cold_stats["misses"] > 0
+        assert cold_stats["errors"] == 0
         store.reset_stats()
-        warm = runner.regenerate(self.DRIVERS, num_requests=N,
-                                 processes=1, use_cache=True)
+        warm, warm_wall = timed_regenerate()
         warm_stats = store.stats()
         assert warm_stats["misses"] == 0 and warm_stats["puts"] == 0
         assert warm_stats["hits"] == cold_stats["puts"]
+        assert warm_stats["errors"] == 0
         assert warm == cold  # report strings identical char-for-char
+        # Replay is deserialization, not simulation.
+        assert warm_wall <= 0.2 * cold_wall, (
+            f"warm {warm_wall:.3f}s vs cold {cold_wall:.3f}s")
 
     def test_version_bump_recomputes_exactly_that_driver(self,
                                                          monkeypatch):

@@ -187,6 +187,14 @@ class TestLatencyBoundMemo:
         latency_bound(MASSTREE, 3, 301)  # num_requests differs
         assert latency_bound.cache_info().misses == 3
 
+    def test_serial_regenerate_flow_replays_one_bound(self):
+        """table1 needs no bound and every ablation point shares
+        (masstree, seed 21, 600): one replay, however many points ask."""
+        latency_bound.cache_clear()
+        runner.regenerate(["table1", "ablations"], num_requests=600,
+                          processes=1)
+        assert latency_bound.cache_info().misses == 1
+
 
 class TestRunnerRegistry:
     def test_all_experiments_registered(self):

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.experiments.common import _compare_seed
 from repro.perf import parallel_map, pools_created
 from repro.resilience import (
     CellFailure,
@@ -26,6 +27,7 @@ from repro.resilience import (
     use_policy,
 )
 from repro.resilience.execution import MAX_WORKERS_ENV
+from repro.workloads.apps import APPS
 
 
 def _square(x):
@@ -207,6 +209,21 @@ class TestPooledExecution:
                 stats.worker_losses, stats.pool_rebuilds) == (0,) * 5
         assert not stats.degraded_serial
 
+    def test_fault_free_policy_overhead_is_small(self):
+        """A default RetryPolicy over fig06-shaped cells costs under 2x
+        the plain sweep once a warm-up pass has run."""
+        points = [(APPS[name], load, 21, 200, ("Rubik",))
+                  for name in ("masstree", "xapian") for load in (0.3, 0.5)]
+        parallel_map(_compare_seed, points)  # warm-up
+        t0 = time.perf_counter()
+        parallel_map(_compare_seed, points)
+        baseline_wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        resilient_map(_compare_seed, points, policy=RetryPolicy())
+        resilient_wall = time.perf_counter() - t0
+        assert resilient_wall < 2.0 * baseline_wall, (
+            f"resilient {resilient_wall:.3f}s vs plain {baseline_wall:.3f}s")
+
     def test_pooled_terminal_failure_keeps_sweep_alive(self):
         stats = SweepStats()
         out = resilient_map(_always_fail, [1, 2, 3], processes=2,
@@ -364,6 +381,8 @@ class TestRunnerPolicyFlags:
         ["--cell-timeout", "0"],
         ["--cell-timeout", "nan"],
         ["-n", "0"],
+        ["--processes", "0"],
+        ["--processes", "-3"],
     ])
     def test_bad_values_exit_through_parser_error(self, captured, capsys,
                                                   argv):

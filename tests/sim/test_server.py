@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.controller import Rubik
+from repro.experiments.common import make_context
 from repro.schemes.base import SchemeContext
 from repro.schemes.fixed import FixedFrequency
 from repro.sim.server import run_trace
 from repro.sim.trace import Trace
 from repro.workloads.apps import MASSTREE
+
+#: Events-per-request ceiling for a Rubik run: one arrival plus one
+#: completion per request and nothing else (DVFS transitions apply
+#: lazily and consume no simulator events).
+EVENTS_PER_REQUEST_BUDGET = 2.05
 
 
 def run(n=1000, load=0.5, seed=0, **kw):
@@ -69,3 +76,13 @@ class TestRunResult:
     def test_segment_log_opt_in(self):
         assert run(n=100).segment_log is None
         assert run(n=100, log_segments=True).segment_log
+
+    def test_rubik_run_stays_within_event_budget(self):
+        """Event churn: per-transition (or other per-request) heap
+        traffic creeping back in trips the budget."""
+        n = 1200
+        trace = Trace.generate_at_load(MASSTREE, 0.5, n, 21)
+        res = run_trace(trace, Rubik(), make_context(MASSTREE, 21, n))
+        assert 0 < res.events_processed <= EVENTS_PER_REQUEST_BUDGET * n, (
+            f"event churn crept back in: {res.events_processed} events "
+            f"for {n} requests")
