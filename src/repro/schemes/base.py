@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 from typing import Optional
 
 from repro.config import DEFAULT_DVFS, TAIL_PERCENTILE, DvfsConfig
@@ -18,6 +19,16 @@ from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
 from repro.workloads.base import AppProfile
+
+
+def check_bound(bound_s: float) -> float:
+    """``bound_s`` if it is a usable latency bound, else a ``ValueError``
+    naming it: finite and > 0 (a NaN bound passes every ``<=``/``>``
+    check, and the oracles would each read it differently)."""
+    if not (math.isfinite(bound_s) and bound_s > 0):
+        raise ValueError(
+            f"latency bound must be finite and > 0, got {bound_s!r}")
+    return bound_s
 
 
 @dataclasses.dataclass
@@ -39,8 +50,7 @@ class SchemeContext:
     app: Optional[AppProfile] = None
 
     def __post_init__(self) -> None:
-        if self.latency_bound_s <= 0:
-            raise ValueError("latency bound must be positive")
+        check_bound(self.latency_bound_s)
         if not 0.0 < self.tail_percentile < 100.0:
             raise ValueError("tail percentile must be in (0, 100)")
 

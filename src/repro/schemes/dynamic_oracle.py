@@ -19,62 +19,23 @@ the whole trace.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from repro.power.model import DEFAULT_CORE_POWER, CorePowerModel
+from repro.power.model import DEFAULT_CORE_POWER
 from repro.schemes.base import SchemeContext
-from repro.schemes.replay import ReplayResult, lindley_finish_times, replay
+from repro.schemes.replay import (
+    ReplayResult,
+    lindley_finish_times,
+    replay,
+    service_times,
+)
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.trace import Trace
-
-
-def _busy_power_per_freq(grid, model: CorePowerModel) -> dict:
-    return {f: model.busy_power(f) for f in grid}
-
-
-def _propagate(
-    arr: List[float],
-    C: List[float],
-    M: List[float],
-    freqs: List[float],
-    finish: List[float],
-    i: int,
-    new_freq: float,
-) -> Tuple[List[Tuple[int, float]], int]:
-    """Finish-time updates caused by slowing request ``i`` to ``new_freq``.
-
-    Operates on plain Python lists: this loop runs once per candidate
-    reduction per round, and list indexing avoids the ndarray scalar
-    boxing that used to dominate the oracle's runtime. Returns (list of
-    (index, new_finish), first untouched index). The violation change is
-    computed against the *caller's* bound via the closure-free convention:
-    the caller compares old/new against it.
-    """
-    updates: List[Tuple[int, float]] = []
-    prev_finish = finish[i - 1] if i > 0 else -np.inf
-    start = arr[i] if arr[i] > prev_finish else prev_finish
-    new_f = start + C[i] / new_freq + M[i]
-    updates.append((i, new_f))
-    j = i + 1
-    n = len(arr)
-    prev = new_f
-    while j < n:
-        start = arr[j] if arr[j] > prev else prev
-        cand = start + C[j] / freqs[j] + M[j]
-        if cand == finish[j]:
-            break  # busy period drained; suffix unchanged
-        updates.append((j, cand))
-        prev = cand
-        j += 1
-    return updates, j
 
 
 def dynamic_oracle_schedule(
     trace: Trace,
     context: SchemeContext,
-    model: CorePowerModel = DEFAULT_CORE_POWER,
     max_rounds: int = 20,
 ) -> np.ndarray:
     """Compute DynamicOracle's per-request frequency schedule."""
@@ -85,24 +46,26 @@ def dynamic_oracle_schedule(
 
     static_hz = find_static_frequency(trace, bound, context)
     freqs = np.full(n, static_hz)
-    service = trace.compute_cycles / freqs + trace.memory_time_s
-    finish = lindley_finish_times(trace.arrivals, service)
-    viol = int(np.sum(finish - trace.arrivals > bound))
+    finish = lindley_finish_times(trace.arrivals, service_times(trace, freqs))
+    late = finish - trace.arrivals > bound
+    viol = int(np.sum(late))
 
     step_of = {f: i for i, f in enumerate(grid)}
-    power_at = _busy_power_per_freq(grid, model)
     grid_arr = np.asarray(grid, dtype=float)
-    power_arr = np.array([power_at[f] for f in grid])
+    power_arr = np.array([DEFAULT_CORE_POWER.busy_power(f) for f in grid])
 
-    # The accept loop below runs per candidate per round; plain lists keep
+    # The trial walk below runs per candidate per round; plain lists keep
     # its scalar indexing off the ndarray boxing path. ``freqs``/``finish``
     # live as lists inside the loop and are re-materialized as arrays for
-    # the vectorized ranking each round.
+    # the vectorized ranking each round. ``bad[j]`` is request ``j``'s
+    # violation flag, ``finish_l[j] - arr_l[j] > bound``, kept in step
+    # with ``finish_l``.
     arr_l = trace.arrivals.tolist()
     cyc_l = trace.compute_cycles.tolist()
     mem_l = trace.memory_time_s.tolist()
     finish_l = finish.tolist()
     freqs_l = freqs.tolist()
+    bad = late.tolist()
 
     for _ in range(max_rounds):
         freqs = np.asarray(freqs_l)
@@ -130,16 +93,32 @@ def dynamic_oracle_schedule(
             if s == 0:
                 continue
             lower = grid[s - 1]
-            updates, _ = _propagate(arr_l, cyc_l, mem_l, freqs_l,
-                                    finish_l, i, lower)
-            delta_viol = 0
-            for j, new_f in updates:
-                old_bad = finish_l[j] - arr_l[j] > bound
-                new_bad = new_f - arr_l[j] > bound
-                delta_viol += int(new_bad) - int(old_bad)
+            # Trial: slow request i to ``lower`` and walk the finish-time
+            # change down its busy period, counting the violation change
+            # as it goes. Nothing is written unless the trial is kept.
+            prev = finish_l[i - 1] if i > 0 else -np.inf
+            a = arr_l[i]
+            start = a if a > prev else prev
+            prev = start + cyc_l[i] / lower + mem_l[i]
+            new_finish = [prev]
+            new_bad = [prev - a > bound]
+            delta_viol = new_bad[0] - bad[i]
+            j = i + 1
+            while j < n:
+                a = arr_l[j]
+                start = a if a > prev else prev
+                new_f = start + cyc_l[j] / freqs_l[j] + mem_l[j]
+                if new_f == finish_l[j]:
+                    break  # busy period drained; suffix unchanged
+                flag = new_f - a > bound
+                delta_viol += flag - bad[j]
+                new_finish.append(new_f)
+                new_bad.append(flag)
+                prev = new_f
+                j += 1
             if viol + delta_viol <= budget:
-                for j, new_f in updates:
-                    finish_l[j] = new_f
+                finish_l[i:j] = new_finish
+                bad[i:j] = new_bad
                 freqs_l[i] = lower
                 viol += delta_viol
                 accepted += 1
@@ -151,9 +130,8 @@ def dynamic_oracle_schedule(
 def evaluate_dynamic_oracle(
     trace: Trace,
     context: SchemeContext,
-    model: CorePowerModel = DEFAULT_CORE_POWER,
     max_rounds: int = 20,
 ) -> ReplayResult:
     """Schedule + analytic replay of DynamicOracle on ``trace``."""
-    freqs = dynamic_oracle_schedule(trace, context, model, max_rounds)
-    return replay(trace, freqs, model)
+    freqs = dynamic_oracle_schedule(trace, context, max_rounds)
+    return replay(trace, freqs)

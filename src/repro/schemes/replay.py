@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from repro.power.model import DEFAULT_CORE_POWER, CorePowerModel
+from repro.power.model import DEFAULT_CORE_POWER
 from repro.sim.trace import Trace
 
 
@@ -81,38 +81,80 @@ def lindley_finish_times(arrivals: np.ndarray,
     return np.maximum.accumulate(offsets) + cs
 
 
+def service_times(trace: Trace,
+                  freqs_hz: Union[float, np.ndarray]) -> np.ndarray:
+    """Per-request service time ``C_i / f_i + M_i`` at ``freqs_hz`` (a
+    scalar, or one frequency per request)."""
+    return trace.compute_cycles / freqs_hz + trace.memory_time_s
+
+
+def meets_bound(response: np.ndarray, bound_s: float, pct: float) -> bool:
+    """``np.percentile(response, pct) <= bound_s``, decided by a count
+    where it can be.
+
+    NumPy's linear percentile lies between the sorted responses at
+    ``floor(h)`` and ``floor(h) + 1``, ``h = (n - 1) * pct / 100``. The
+    number of responses above the bound places the bound among the
+    sorted responses, so it decides the comparison unless the bound
+    falls between those two. One index of margin on each side covers a
+    different rounding of ``h`` inside NumPy; only that band calls
+    ``np.percentile``, so the answer is always the percentile's own.
+    Exact for a finite bound: ``response > nan`` counts nothing, which is
+    why the oracles reject non-finite bounds up front.
+    """
+    n = response.size
+    above = int(np.count_nonzero(response > bound_s))
+    k = int((n - 1) * pct / 100.0)
+    if above <= n - 1 - min(k + 2, n - 1):
+        return True  # sorted response min(floor(h) + 2, n - 1) in bound
+    if above >= n - max(k - 1, 0):
+        return False  # sorted response max(floor(h) - 1, 0) above it
+    return bool(np.percentile(response, pct) <= bound_s)
+
+
+def busy_energy(service: np.ndarray, memory_time_s: np.ndarray,
+                freq_hz: float) -> np.ndarray:
+    """Per-request busy energy of ``service`` run at ``freq_hz``.
+
+    ``memory_time_s`` is the frequency-independent stall part of each
+    service time; dynamic activity drops to the power model's stall
+    activity there.
+    """
+    model = DEFAULT_CORE_POWER
+    mem_frac = np.where(service > 0, memory_time_s / service, 0.0)
+    activity = (1.0 - mem_frac) + model.stall_activity * mem_frac
+    v = model.curve.voltage(freq_hz)
+    dyn = model.c_eff_farads * v * v * freq_hz * activity
+    leak = model.leak_w_per_vk * v ** model.leak_exponent
+    return (dyn + leak) * service
+
+
 def replay(
     trace: Trace,
     freqs_hz: Union[float, Sequence[float]],
-    power_model: CorePowerModel = DEFAULT_CORE_POWER,
 ) -> ReplayResult:
     """Replay ``trace`` with per-request frequencies ``freqs_hz``.
 
     Args:
         trace: the captured trace.
         freqs_hz: a scalar (static frequency) or one frequency per request.
-        power_model: busy-power model for per-request energy.
     """
     n = len(trace)
     freqs = np.broadcast_to(np.asarray(freqs_hz, dtype=float), (n,))
-    if np.any(freqs <= 0):
-        raise ValueError("frequencies must be positive")
+    ok = np.isfinite(freqs) & (freqs > 0)
+    if not ok.all():
+        raise ValueError("frequencies must be finite and positive, "
+                         f"got {float(freqs[~ok][0])!r}")
 
-    service = trace.compute_cycles / freqs + trace.memory_time_s
+    service = service_times(trace, freqs)
     finish = lindley_finish_times(trace.arrivals, service)
 
     response = finish - trace.arrivals
-    mem_frac = np.where(service > 0, trace.memory_time_s / service, 0.0)
-    # busy_power is scalar per unique frequency; vectorize over the grid.
     energy = np.empty(n)
     for f in np.unique(freqs):
         mask = freqs == f
-        activity = (1.0 - mem_frac[mask]) \
-            + power_model.stall_activity * mem_frac[mask]
-        v = power_model.curve.voltage(float(f))
-        dyn = power_model.c_eff_farads * v * v * float(f) * activity
-        leak = power_model.leak_w_per_vk * v ** power_model.leak_exponent
-        energy[mask] = (dyn + leak) * service[mask]
+        energy[mask] = busy_energy(service[mask], trace.memory_time_s[mask],
+                                   float(f))
 
     return ReplayResult(
         response_times=response,

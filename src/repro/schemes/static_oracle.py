@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.schemes.base import Scheme, SchemeContext
+from repro.schemes.base import Scheme, SchemeContext, check_bound
 from repro.schemes.fixed import FixedFrequency
-from repro.schemes.replay import ReplayResult, replay
+from repro.schemes.replay import (
+    ReplayResult,
+    lindley_finish_times,
+    meets_bound,
+    replay,
+    service_times,
+)
 from repro.sim.trace import Trace
 
 
@@ -25,11 +31,15 @@ def find_static_frequency(
     """Lowest grid frequency whose static replay meets the bound.
 
     Returns the maximum frequency when even it cannot meet the bound
-    (the shaded high-load region of Fig. 9).
+    (the shaded high-load region of Fig. 9). Each candidate runs only
+    the replay's tail: the same service and finish times, no energy.
     """
+    check_bound(bound_s)
     for f in context.dvfs.frequencies:
-        result = replay(trace, f)
-        if result.tail_latency(context.tail_percentile) <= bound_s:
+        finish = lindley_finish_times(trace.arrivals,
+                                      service_times(trace, f))
+        if meets_bound(finish - trace.arrivals, bound_s,
+                       context.tail_percentile):
             return f
     return context.dvfs.max_hz
 
