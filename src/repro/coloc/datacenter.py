@@ -10,32 +10,27 @@ Two datacenters run matching work (fixed-work methodology):
   throughput, extra batch-only servers are provisioned to match the
   segregated datacenter's per-app batch throughput.
 
-Per-server numbers come from the simulators in
-:mod:`repro.coloc.server` and :mod:`repro.sim.server`; this module only
-aggregates them into total power and server counts.
+The per-server computations are :func:`segregated_server` and
+:func:`colocated_server`; :mod:`repro.fleet.shards` runs both over the
+representative fleet, and :func:`compare_datacenters` aggregates that
+fleet into total power and server counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import DEFAULT_CMP, CmpConfig
-from repro.coloc.batch import BatchAppProfile, BatchTask, generate_mixes
-from repro.coloc.server import ColocResult, run_colocated_server
-from repro.power.model import (
-    DEFAULT_CORE_POWER,
-    DEFAULT_SYSTEM_POWER,
-    CorePowerModel,
-    SystemPowerModel,
-)
+from repro.config import DEFAULT_CMP
+from repro.coloc.batch import BatchAppProfile, generate_mixes
+from repro.coloc.server import run_colocated_server
+from repro.power.model import DEFAULT_CORE_POWER, DEFAULT_SYSTEM_POWER
 from repro.schemes.base import SchemeContext
 from repro.schemes.replay import replay
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.trace import Trace
-from repro.workloads.apps import APPS, app_names
 from repro.workloads.base import AppProfile
 
 #: Fleet shape of the paper's experiment (Fig. 14).
@@ -43,6 +38,9 @@ LC_SERVERS = 1000
 BATCH_SERVERS = 1000
 SERVERS_PER_APP = 200
 SERVERS_PER_MIX = 50
+
+#: The colocation scheme of the colocated datacenter (paper Sec. 7.2).
+COLOC_SCHEME = "RubikColoc"
 
 
 @dataclasses.dataclass
@@ -65,49 +63,73 @@ class DatacenterPoint:
         return self.num_lc_servers + self.num_batch_servers
 
 
-def batch_server_power(
-    mix: Sequence[BatchAppProfile],
-    system: SystemPowerModel = DEFAULT_SYSTEM_POWER,
-    core_power: CorePowerModel = DEFAULT_CORE_POWER,
-) -> float:
+def batch_server_power(mix: Sequence[BatchAppProfile]) -> float:
     """Power of a dedicated batch server running ``mix`` at best TPW."""
     per_core = []
     for profile in mix:
-        f = profile.best_tpw_frequency(DEFAULT_CMP.dvfs, core_power)
-        per_core.append(core_power.busy_power(f, profile.mem_stall_frac(f)))
+        f = profile.best_tpw_frequency(DEFAULT_CMP.dvfs, DEFAULT_CORE_POWER)
+        per_core.append(DEFAULT_CORE_POWER.busy_power(
+            f, profile.mem_stall_frac(f)))
     mean_core = float(np.mean(per_core))
-    return system.server_power(mean_core, utilization=1.0)
+    return DEFAULT_SYSTEM_POWER.server_power(mean_core, utilization=1.0)
 
 
 def batch_server_throughput(
-    mix: Sequence[BatchAppProfile],
-    core_power: CorePowerModel = DEFAULT_CORE_POWER,
-) -> Dict[str, float]:
+        mix: Sequence[BatchAppProfile]) -> Dict[str, float]:
     """Per-app instructions/second on a dedicated batch server (1 core/app)."""
     out: Dict[str, float] = {}
     for profile in mix:
-        f = profile.best_tpw_frequency(DEFAULT_CMP.dvfs, core_power)
+        f = profile.best_tpw_frequency(DEFAULT_CMP.dvfs, DEFAULT_CORE_POWER)
         out[profile.name] = out.get(profile.name, 0.0) + profile.throughput(f)
     return out
 
 
-def segregated_lc_server_power(
+def segregated_server(
     app: AppProfile,
     load: float,
-    seed: int = 21,
-    num_requests: Optional[int] = None,
-    system: SystemPowerModel = DEFAULT_SYSTEM_POWER,
-) -> float:
-    """Power of a segregated LC server (6 copies, StaticOracle DVFS)."""
+    seed: int,
+    num_requests: int,
+) -> Tuple[float, float, float]:
+    """One segregated LC server (6 copies, StaticOracle DVFS):
+    ``(server power W, 95th-pct tail s, StaticOracle frequency Hz)``."""
     from repro.experiments.common import latency_bound  # cycle-free import
 
     bound = latency_bound(app, seed, num_requests)
     context = SchemeContext(latency_bound_s=bound, app=app)
     trace = Trace.generate_at_load(app, load, num_requests, seed)
-    f = find_static_frequency(trace, bound, context)
-    result = replay(trace, f)
-    per_core = result.mean_core_power_w
-    return system.server_power(per_core, utilization=min(1.0, load))
+    freq = find_static_frequency(trace, bound, context)
+    result = replay(trace, freq)
+    power = DEFAULT_SYSTEM_POWER.server_power(
+        result.mean_core_power_w, utilization=min(1.0, load))
+    return power, result.tail_latency(), freq
+
+
+def colocated_server(
+    app: AppProfile,
+    mix: Sequence[BatchAppProfile],
+    load: float,
+    seed: int,
+    requests_per_core: int,
+) -> Tuple[float, float, float]:
+    """One LC server colocated with ``mix`` under ``COLOC_SCHEME``, at
+    the segregated server's latency bound: ``(server power W, batch
+    deficit, LC tail s)``. The deficit is the fraction of a dedicated
+    batch server (:func:`batch_server_throughput`) still needed."""
+    from repro.experiments.common import latency_bound  # cycle-free import
+
+    bound = latency_bound(app, seed, requests_per_core * 2)
+    context = SchemeContext(latency_bound_s=bound, app=app)
+    coloc = run_colocated_server(
+        app, load, mix, COLOC_SCHEME, context, seed=seed,
+        requests_per_core=requests_per_core)
+    util = min(1.0, coloc.core_utilization)
+    power = DEFAULT_SYSTEM_POWER.server_power(
+        coloc.mean_core_power_w / coloc.num_cores, util)
+    ratios = []
+    for name, seg_ips in batch_server_throughput(mix).items():
+        ratios.append(coloc.batch_throughput(name) / seg_ips)
+    deficit = max(0.0, 1.0 - float(np.mean(ratios)))
+    return power, deficit, coloc.tail_latency()
 
 
 @dataclasses.dataclass
@@ -132,11 +154,13 @@ def datacenter_defaults(
 ) -> Tuple[int, int]:
     """Resolve ``(num_mixes, requests_per_core)`` from ``CONFIGS["fig16"]``.
 
-    The single source of truth shared by :func:`compare_datacenters`,
-    :func:`reference_comparison` and ``run_fig16`` — direct library
-    calls with default arguments reproduce the driver's cells exactly
-    (they used to disagree: 4 mixes / 1200 requests here vs the
-    driver's 3 / 800).
+    The single source of the datacenter sizes for
+    :func:`compare_datacenters`,
+    :func:`~repro.fleet.shards.run_datacenter_fleet` and ``run_fig16``,
+    so direct library calls with default arguments reproduce the
+    driver's cells exactly. Raises ``ValueError`` naming the argument
+    when either value is below 1, so every caller rejects a bad size
+    before it dispatches a cell.
     """
     from repro.experiments.configs import CONFIGS  # leaf module; no cycle
 
@@ -145,7 +169,12 @@ def datacenter_defaults(
         num_mixes = config.extra("num_mixes")
     if requests_per_core is None:
         requests_per_core = config.extra("default_requests_per_core")
-    return int(num_mixes), int(requests_per_core)
+    num_mixes, requests_per_core = int(num_mixes), int(requests_per_core)
+    for name, value in (("num_mixes", num_mixes),
+                        ("requests_per_core", requests_per_core)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return num_mixes, requests_per_core
 
 
 def compare_datacenters(
@@ -153,8 +182,6 @@ def compare_datacenters(
     seed: int = 21,
     num_mixes: Optional[int] = None,
     requests_per_core: Optional[int] = None,
-    system: SystemPowerModel = DEFAULT_SYSTEM_POWER,
-    core_power: CorePowerModel = DEFAULT_CORE_POWER,
     num_shards: int = 1,
     processes: Optional[int] = None,
 ) -> DatacenterComparison:
@@ -166,23 +193,15 @@ def compare_datacenters(
     (:func:`datacenter_defaults`), so a default call reproduces the
     fig16 driver's cells.
 
-    The per-server work runs on the sharded fleet layer
-    (:func:`repro.fleet.run_datacenter_fleet` — ``num_shards`` slices
-    fan out over the shared pool/artifact store) and aggregates
-    bitwise-identically to :func:`reference_comparison`, the original
-    inline loop kept as the small-fleet oracle; the equivalence suite
-    pins the two paths against each other. Non-default power models
-    take the oracle path directly (fleet cells are fingerprinted on
-    scalar coordinates only).
+    The per-server work runs on the representative fleet
+    (:func:`repro.fleet.run_datacenter_fleet`, whose ``num_shards``
+    slices fan out over the shared pool), the only datacenter path;
+    this function averages its struct-of-arrays state. The test suite
+    pins it bitwise against an inline copy of the original
+    single-process loop (``tests/fleet/test_invariance.py``).
     """
     num_mixes, requests_per_core = datacenter_defaults(
         num_mixes, requests_per_core)
-    if system is not DEFAULT_SYSTEM_POWER \
-            or core_power is not DEFAULT_CORE_POWER:
-        return reference_comparison(
-            lc_load, seed=seed, num_mixes=num_mixes,
-            requests_per_core=requests_per_core,
-            system=system, core_power=core_power)
     from repro.fleet.shards import run_datacenter_fleet  # cycle-free import
 
     state = run_datacenter_fleet(
@@ -190,8 +209,7 @@ def compare_datacenters(
         requests_per_core=requests_per_core,
         num_shards=num_shards, processes=processes)
     mixes = generate_mixes(num_mixes=num_mixes, seed=0)
-    batch_powers = [batch_server_power(mix, system, core_power)
-                    for mix in mixes]
+    batch_powers = [batch_server_power(mix) for mix in mixes]
     mean_batch_power = float(np.mean(batch_powers))
     segregated = DatacenterPoint(
         lc_load=lc_load,
@@ -206,76 +224,5 @@ def compare_datacenters(
         batch_server_power_w=mean_batch_power,
         num_lc_servers=LC_SERVERS,
         num_batch_servers=BATCH_SERVERS * state.mean("batch_deficit"),
-    )
-    return DatacenterComparison(segregated=segregated, colocated=colocated)
-
-
-def reference_comparison(
-    lc_load: float,
-    seed: int = 21,
-    num_mixes: Optional[int] = None,
-    requests_per_core: Optional[int] = None,
-    system: SystemPowerModel = DEFAULT_SYSTEM_POWER,
-    core_power: CorePowerModel = DEFAULT_CORE_POWER,
-) -> DatacenterComparison:
-    """The small-fleet oracle: one inline loop, no sharding.
-
-    This is the original single-process implementation of
-    :func:`compare_datacenters`, kept verbatim as the reference the
-    fleet path is pinned against bitwise (tests/fleet). Per-server
-    values are pure functions of (app, mix, load, seed), so the fleet
-    layer reproduces this loop's float operations exactly — any
-    divergence is a fleet-layer bug, never tolerance.
-    """
-    from repro.experiments.common import latency_bound  # cycle-free import
-
-    num_mixes, requests_per_core = datacenter_defaults(
-        num_mixes, requests_per_core)
-    mixes = generate_mixes(num_mixes=num_mixes, seed=0)
-    apps = [APPS[name] for name in app_names()]
-
-    seg_lc_powers: List[float] = []
-    coloc_powers: List[float] = []
-    deficits: List[float] = []  # fraction of a batch server still needed
-    batch_powers: List[float] = []
-
-    for mix in mixes:
-        batch_powers.append(batch_server_power(mix, system, core_power))
-        seg_tput = batch_server_throughput(mix, core_power)
-        for app in apps:
-            seg_lc_powers.append(
-                segregated_lc_server_power(
-                    app, lc_load, seed, num_requests=requests_per_core * 2,
-                    system=system))
-            bound = latency_bound(app, seed, requests_per_core * 2)
-            context = SchemeContext(latency_bound_s=bound, app=app)
-            coloc = run_colocated_server(
-                app, lc_load, mix, "RubikColoc", context, seed=seed,
-                requests_per_core=requests_per_core,
-                power_model=core_power)
-            util = min(1.0, coloc.core_utilization)
-            coloc_powers.append(system.server_power(
-                coloc.mean_core_power_w / coloc.num_cores, util))
-            # Batch throughput shortfall vs a dedicated server, averaged
-            # over the mix's apps.
-            ratios = []
-            for name, seg_ips in seg_tput.items():
-                ratios.append(coloc.batch_throughput(name) / seg_ips)
-            deficits.append(max(0.0, 1.0 - float(np.mean(ratios))))
-
-    mean_batch_power = float(np.mean(batch_powers))
-    segregated = DatacenterPoint(
-        lc_load=lc_load,
-        lc_server_power_w=float(np.mean(seg_lc_powers)),
-        batch_server_power_w=mean_batch_power,
-        num_lc_servers=LC_SERVERS,
-        num_batch_servers=BATCH_SERVERS,
-    )
-    colocated = DatacenterPoint(
-        lc_load=lc_load,
-        lc_server_power_w=float(np.mean(coloc_powers)),
-        batch_server_power_w=mean_batch_power,
-        num_lc_servers=LC_SERVERS,
-        num_batch_servers=BATCH_SERVERS * float(np.mean(deficits)),
     )
     return DatacenterComparison(segregated=segregated, colocated=colocated)

@@ -10,11 +10,11 @@ modeled by :class:`~repro.coloc.schemes.ChipLevelAllocator`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import DEFAULT_CMP, CmpConfig
+from repro.config import DEFAULT_CMP
 from repro.coloc.batch import BatchAppProfile, BatchTask
 from repro.coloc.interference import (
     MicroarchInterference,
@@ -26,18 +26,21 @@ from repro.coloc.schemes import (
     RubikColocScheme,
     StaticColocScheme,
 )
-from repro.power.model import DEFAULT_CORE_POWER, CorePowerModel
+from repro.power.model import DEFAULT_CORE_POWER
 from repro.schemes.base import Scheme, SchemeContext
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
-from repro.sim.server import ARRIVAL_PRIORITY
+from repro.sim.server import feed_arrivals
 from repro.sim.trace import Trace
 from repro.workloads.base import AppProfile, check_load
 
 #: The colocation schemes evaluated in Fig. 15.
 COLOC_SCHEME_NAMES = ("RubikColoc", "StaticColoc", "HW-T", "HW-TPW")
+
+#: LC completions per core excluded from latency (queue fill-in).
+WARMUP_PER_CORE = 50
 
 
 @dataclasses.dataclass
@@ -73,12 +76,6 @@ class ColocResult:
         if self.duration_s <= 0:
             return 0.0
         return self.core_energy_j / self.duration_s
-
-    @property
-    def lc_utilization(self) -> float:
-        """Fraction of core-time spent on LC work."""
-        total = self.duration_s * self.num_cores
-        return self.lc_busy_time_s / total if total > 0 else 0.0
 
     @property
     def core_utilization(self) -> float:
@@ -135,12 +132,12 @@ def run_colocated_server(
     context: SchemeContext,
     seed: int = 0,
     requests_per_core: Optional[int] = None,
-    cmp_config: CmpConfig = DEFAULT_CMP,
-    power_model: CorePowerModel = DEFAULT_CORE_POWER,
-    interference_factory: Optional[Callable[[], MicroarchInterference]] = None,
-    warmup_per_core: int = 50,
 ) -> ColocResult:
     """Simulate one colocated server under one scheme.
+
+    The server is the paper's: ``DEFAULT_CMP`` cores with
+    ``DEFAULT_CORE_POWER`` each, and post-batch LC requests pay a
+    refill penalty scaled to the LC app's footprint.
 
     Args:
         app: the latency-critical application (one copy per core).
@@ -151,22 +148,13 @@ def run_colocated_server(
         seed: base RNG seed (core ``i`` uses ``seed*100 + i``).
         requests_per_core: LC requests per core (default: app's paper
             count split across cores, at least 500).
-        cmp_config: chip configuration (cores, TDP).
-        power_model: per-core power model.
-        interference_factory: builds the per-core microarch interference
-            model charged to post-batch LC requests (default: footprint-
-            scaled refill penalty for the LC app).
-        warmup_per_core: LC completions per core excluded from latency.
     """
     if not mix:
         raise ValueError("mix must contain at least one batch app")
     check_load(load)
     lc_demand = app.mean_demands()
-    if interference_factory is None:
-        penalty = footprint_penalty_cycles(lc_demand[0])
-        interference_factory = (
-            lambda: MicroarchInterference(max_penalty_cycles=penalty))
-    n_cores = cmp_config.num_cores
+    penalty = footprint_penalty_cycles(lc_demand[0])
+    n_cores = DEFAULT_CMP.num_cores
     n_req = requests_per_core
     if n_req is None:
         n_req = max(500, app.num_requests // n_cores)
@@ -187,12 +175,12 @@ def run_colocated_server(
     traces: List[Trace] = []
     for ci in range(n_cores):
         profile = mix[ci % len(mix)]
-        task = BatchTask(profile, context.dvfs, power_model)
-        interference = interference_factory()
+        task = BatchTask(profile, context.dvfs, DEFAULT_CORE_POWER)
+        interference = MicroarchInterference(max_penalty_cycles=penalty)
         core = Core(
             sim,
             context.dvfs,
-            power_model,
+            DEFAULT_CORE_POWER,
             background=task,
             interference_cycles=interference,
         )
@@ -200,10 +188,7 @@ def run_colocated_server(
         scheme.setup(sim, core, context)
         core.add_listener(completions)
         trace = Trace.generate_at_load(app, load, n_req, seed=seed * 100 + ci)
-        for req in trace.to_requests():
-            sim.schedule(req.arrival_time,
-                         (lambda r=req, c=core: c.enqueue(r)),
-                         priority=ARRIVAL_PRIORITY)
+        feed_arrivals(sim, core, trace.to_requests())
         cores.append(core)
         tasks.append(task)
         interferences.append(interference)
@@ -212,7 +197,7 @@ def run_colocated_server(
     horizon = max(t.arrivals[-1] for t in traces) + 100.0  # generous cap
     if scheme_name in ("HW-T", "HW-TPW"):
         objective = "throughput" if scheme_name == "HW-T" else "tpw"
-        ChipLevelAllocator(sim, cores, cmp_config, power_model,
+        ChipLevelAllocator(sim, cores, DEFAULT_CMP, DEFAULT_CORE_POWER,
                            objective=objective, lc_demand=lc_demand,
                            horizon_s=horizon)
 
@@ -233,7 +218,7 @@ def run_colocated_server(
         core.finalize()
 
     lc_latencies = np.concatenate([
-        np.array([r.response_time for r in core.completed[warmup_per_core:]])
+        np.array([r.response_time for r in core.completed[WARMUP_PER_CORE:]])
         for core in cores
     ])
     batch_instr: Dict[str, float] = {}

@@ -113,10 +113,6 @@ class DvfsConfig:
         # (object.__setattr__ because frozen).
         object.__setattr__(self, "_freq_set", frozenset(self.frequencies))
 
-    def on_grid(self, f_hz: float) -> bool:
-        """Whether ``f_hz`` is exactly one of the grid steps (O(1))."""
-        return f_hz in self._freq_set
-
     @property
     def min_hz(self) -> float:
         return self.frequencies[0]

@@ -117,11 +117,6 @@ class KernelStats:
                 + self.fast_arrivals + self.fast_completions
                 + self.lean_folds + self.cert_folds)
 
-    @property
-    def full_folds(self) -> int:
-        """All O(queue) re-folds (lean + certificate)."""
-        return self.lean_folds + self.cert_folds
-
 
 class DecisionKernel:
     """Incremental, allocation-free evaluator of Eq. 2 for one core."""

@@ -45,6 +45,7 @@ import contextlib
 import dataclasses
 import hashlib
 import itertools
+import multiprocessing
 import os
 import pickle
 import time
@@ -407,8 +408,12 @@ def active_store() -> Optional[ArtifactStore]:
 
     ``REPRO_ARTIFACT_CACHE=0`` beats everything (even an activation);
     ``1`` force-enables the default store with or without one; ``auto``
-    (the default) defers to :func:`activate`.
+    (the default) defers to :func:`activate`. Inside a pool worker it
+    is always ``None`` (invariant 18: store I/O stays in the parent
+    process), so a sweep nested in a cell computes without the store.
     """
+    if multiprocessing.parent_process() is not None:
+        return None
     mode = cache_mode()
     if mode == "0":
         return None

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import render_table
-from repro.coloc.datacenter import datacenter_defaults
 from repro.experiments.configs import CONFIGS
 from repro.fleet import RoutedFleetResult, run_routed_fleet
 

@@ -36,14 +36,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.coloc.datacenter import segregated_server
 from repro.fleet.seeding import server_rng
 from repro.fleet.shards import FLEET_DRIVER
 from repro.fleet.state import FleetState, shard_bounds
-from repro.power.model import DEFAULT_SYSTEM_POWER
-from repro.schemes.base import SchemeContext
-from repro.schemes.replay import replay
-from repro.schemes.static_oracle import find_static_frequency
-from repro.sim.trace import Trace
 from repro.workloads.apps import APPS, app_names
 
 #: Loads at which per-app power/tail curves are calibrated by
@@ -102,18 +98,8 @@ def _anchor_worker(args: Tuple[str, float, int, int]) -> Tuple[float, float, flo
     """One (app, anchor load) calibration cell: StaticOracle-tuned
     segregated server -> (server power W, 95th-pct tail s, freq Hz)."""
     app_name, load, seed, requests_per_core = args
-    from repro.experiments.common import latency_bound  # cycle-free import
-
-    app = APPS[app_name]
-    num_requests = requests_per_core * 2
-    bound = latency_bound(app, seed, num_requests)
-    context = SchemeContext(latency_bound_s=bound, app=app)
-    trace = Trace.generate_at_load(app, load, num_requests, seed)
-    freq = find_static_frequency(trace, bound, context)
-    result = replay(trace, freq)
-    power = DEFAULT_SYSTEM_POWER.server_power(
-        result.mean_core_power_w, utilization=min(1.0, load))
-    return power, result.tail_latency(), freq
+    return segregated_server(APPS[app_name], load, seed,
+                             requests_per_core * 2)
 
 
 def build_power_curves(

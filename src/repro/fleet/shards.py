@@ -11,36 +11,34 @@ shard count, because every per-server value is a pure function of the
 server's (app, mix, load, seed) coordinates and never of shard
 membership or worker identity.
 
+This is the only datacenter path (:mod:`repro.coloc.datacenter` holds
+the per-server computations and aggregates the state);
+``tests/fleet/test_invariance.py`` pins it bitwise against the original
+single-process loop.
+
 Shards dispatch as cells of the ``fleet`` driver through
 :func:`repro.experiments.common.run_cells`, so fleet sweeps inherit the
-artifact store's caching/resume and the PR 9 resilient executor
-(per-shard retry, crashed-worker recovery) without any fleet-specific
-plumbing. The per-server float operations deliberately replicate
-:func:`repro.coloc.datacenter.reference_comparison`'s loop body, op for
-op — that oracle pins this module bitwise.
+artifact store's caching/resume and the resilient executor (per-shard
+retry, crashed-worker recovery) without any fleet-specific plumbing.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.coloc.batch import generate_mixes
-from repro.coloc.server import COLOC_SCHEME_NAMES, run_colocated_server
+from repro.coloc.datacenter import (
+    COLOC_SCHEME,
+    colocated_server,
+    datacenter_defaults,
+    segregated_server,
+)
+from repro.coloc.server import COLOC_SCHEME_NAMES
 from repro.fleet.state import FleetState, shard_bounds
-from repro.power.model import DEFAULT_CORE_POWER, DEFAULT_SYSTEM_POWER
-from repro.schemes.base import SchemeContext
-from repro.schemes.replay import replay
-from repro.schemes.static_oracle import find_static_frequency
-from repro.sim.trace import Trace
 from repro.workloads.apps import APPS, app_names
 
 #: Registry name scoping fleet shard/anchor cells in the artifact store.
 FLEET_DRIVER = "fleet"
-
-#: The colocation scheme the datacenter fleet runs (paper Sec. 7.2).
-_COLOC_SCHEME = "RubikColoc"
 
 
 def representative_fleet_size(num_mixes: int) -> int:
@@ -52,55 +50,19 @@ def _datacenter_shard(args: Tuple[int, int, float, int, int, int]) -> FleetState
     """Simulate servers ``[lo, hi)`` of the representative fleet.
 
     Module-level and picklable (pool worker + artifact fingerprint).
-    Servers sharing a (mix, app) pair are identical at a fixed load, so
-    a shard-local memo computes each pair once; memoization is safe
-    because the per-server values are pure, and shard-invariant because
-    the cache never outlives the shard.
     """
     lo, hi, lc_load, seed, num_mixes, requests_per_core = args
-    from repro.coloc.datacenter import (  # cycle-free import
-        batch_server_throughput,
-    )
-    from repro.experiments.common import latency_bound  # cycle-free import
-
     mixes = generate_mixes(num_mixes=num_mixes, seed=0)
     apps = [APPS[name] for name in app_names()]
-    scheme_idx = COLOC_SCHEME_NAMES.index(_COLOC_SCHEME)
+    scheme_idx = COLOC_SCHEME_NAMES.index(COLOC_SCHEME)
     state = FleetState.empty(hi - lo)
-    cache = {}
     for j, server in enumerate(range(lo, hi)):
         mix_idx, app_idx = divmod(server, len(apps))
-        key = (mix_idx, app_idx)
-        if key not in cache:
-            app, mix = apps[app_idx], mixes[mix_idx]
-            num_requests = requests_per_core * 2
-            # Segregated server: StaticOracle DVFS (the float-op
-            # sequence of datacenter.segregated_lc_server_power, with
-            # the tuned frequency kept for the SoA record).
-            bound = latency_bound(app, seed, num_requests)
-            context = SchemeContext(latency_bound_s=bound, app=app)
-            trace = Trace.generate_at_load(app, lc_load, num_requests, seed)
-            freq = find_static_frequency(trace, bound, context)
-            seg = replay(trace, freq)
-            seg_power = DEFAULT_SYSTEM_POWER.server_power(
-                seg.mean_core_power_w, utilization=min(1.0, lc_load))
-            # Colocated server: RubikColoc, plus the batch-throughput
-            # deficit vs a dedicated batch server.
-            coloc = run_colocated_server(
-                app, lc_load, mix, _COLOC_SCHEME, context, seed=seed,
-                requests_per_core=requests_per_core,
-                power_model=DEFAULT_CORE_POWER)
-            util = min(1.0, coloc.core_utilization)
-            coloc_power = DEFAULT_SYSTEM_POWER.server_power(
-                coloc.mean_core_power_w / coloc.num_cores, util)
-            seg_tput = batch_server_throughput(mix, DEFAULT_CORE_POWER)
-            ratios = []
-            for name, seg_ips in seg_tput.items():
-                ratios.append(coloc.batch_throughput(name) / seg_ips)
-            deficit = max(0.0, 1.0 - float(np.mean(ratios)))
-            cache[key] = (freq, seg_power, coloc_power, deficit,
-                          coloc.tail_latency())
-        freq, seg_power, coloc_power, deficit, tail = cache[key]
+        app = apps[app_idx]
+        seg_power, _, freq = segregated_server(
+            app, lc_load, seed, requests_per_core * 2)
+        coloc_power, deficit, tail = colocated_server(
+            app, mixes[mix_idx], lc_load, seed, requests_per_core)
         state.load[j] = lc_load
         state.app_idx[j] = app_idx
         state.mix_idx[j] = mix_idx
@@ -116,18 +78,23 @@ def _datacenter_shard(args: Tuple[int, int, float, int, int, int]) -> FleetState
 def run_datacenter_fleet(
     lc_load: float,
     seed: int = 21,
-    num_mixes: int = 3,
-    requests_per_core: int = 800,
+    num_mixes: Optional[int] = None,
+    requests_per_core: Optional[int] = None,
     num_shards: int = 1,
     processes: Optional[int] = None,
 ) -> FleetState:
     """The representative datacenter fleet at one LC load.
 
-    Shards fan out as ``fleet`` cells over the shared worker pool (or
-    the artifact store / resilient executor when active); the returned
-    state is the shard slices concatenated in absolute-index order and
-    is bitwise-identical for any ``num_shards`` (invariant 21).
+    ``num_mixes``/``requests_per_core`` default from ``CONFIGS["fig16"]``
+    (:func:`~repro.coloc.datacenter.datacenter_defaults`, which rejects
+    sizes below 1 before any shard is dispatched). Shards fan out as
+    ``fleet`` cells over the shared worker pool (or the artifact store
+    / resilient executor when active); the returned state is the shard
+    slices concatenated in absolute-index order and is
+    bitwise-identical for any ``num_shards`` (invariant 21).
     """
+    num_mixes, requests_per_core = datacenter_defaults(
+        num_mixes, requests_per_core)
     num_servers = representative_fleet_size(num_mixes)
     bounds = shard_bounds(num_servers, num_shards)
     tasks = [(lo, hi, lc_load, seed, num_mixes, requests_per_core)

@@ -220,12 +220,6 @@ class AdrenalineOracle(Scheme):
                      else request.compute_cycles)
         return predicted >= self.setting.threshold_cycles
 
-    def _frequency_for(self, request: Request) -> float:
-        assert self.setting is not None
-        if self._is_long(request):
-            return self.setting.f_boost_hz
-        return self.setting.f_short_hz
-
     def _retarget(self, core: Core) -> None:
         """Run at the boost frequency iff any pending request is long.
 

@@ -16,7 +16,7 @@ the oracles' offline tuning sweeps affordable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -57,14 +57,6 @@ class ReplayResult:
         if self.duration_s <= 0:
             return 0.0
         return self.total_energy_j / self.duration_s
-
-    def busy_freq_hist(self) -> Dict[float, float]:
-        """Fraction of busy time per frequency."""
-        hist: Dict[float, float] = {}
-        for f, s in zip(self.freqs_hz, self.service_times):
-            hist[float(f)] = hist.get(float(f), 0.0) + float(s)
-        total = sum(hist.values())
-        return {f: t / total for f, t in sorted(hist.items())} if total else {}
 
 
 def lindley_finish_times(arrivals: np.ndarray,

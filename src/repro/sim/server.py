@@ -9,7 +9,7 @@ are statistically independent; a server run is therefore one core's run
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,32 @@ class RunResult:
         return self.energy_j / len(self.requests)
 
 
+def feed_arrivals(sim: Simulator, core: Core,
+                  requests: Sequence[Request]) -> None:
+    """Deliver the time-sorted ``requests`` to ``core`` as arrivals.
+
+    Arrivals are fed one at a time (each schedules its successor)
+    instead of heaping the whole trace upfront: the heap holds one
+    pending arrival per fed core, so every push/pop sifts over a few
+    entries instead of O(log n). A core's arrivals still fire in trace
+    order, because the trace is time-sorted and each chained event gets
+    a later sequence number than its predecessor.
+    """
+
+    def feed(index: int) -> None:
+        req = requests[index]
+        nxt = index + 1
+        if nxt < len(requests):
+            sim.schedule_entry(requests[nxt].arrival_time,
+                               (lambda: feed(nxt)),
+                               priority=ARRIVAL_PRIORITY)
+        core.enqueue(req)
+
+    if requests:
+        sim.schedule_entry(requests[0].arrival_time, (lambda: feed(0)),
+                           priority=ARRIVAL_PRIORITY)
+
+
 def run_trace(
     trace: Trace,
     scheme: Scheme,
@@ -134,26 +160,7 @@ def run_trace(
     if session is not None:
         session.run()
     else:
-        # Arrivals are fed one at a time (each schedules its successor)
-        # instead of heaping the whole trace upfront: the heap stays 2-3
-        # entries deep, so every push/pop sifts O(1) instead of O(log n).
-        # Order is unchanged — the trace is time-sorted, so chained
-        # events carry increasing sequence numbers exactly like the
-        # upfront loop.
-        requests = trace.to_requests()
-
-        def feed(index: int) -> None:
-            req = requests[index]
-            nxt = index + 1
-            if nxt < len(requests):
-                sim.schedule_entry(requests[nxt].arrival_time,
-                                   (lambda: feed(nxt)),
-                                   priority=ARRIVAL_PRIORITY)
-            core.enqueue(req)
-
-        if requests:
-            sim.schedule_entry(requests[0].arrival_time, (lambda: feed(0)),
-                               priority=ARRIVAL_PRIORITY)
+        feed_arrivals(sim, core, trace.to_requests())
         sim.run()
     # The event loop used to advance through trailing FREQ_CHANGE events;
     # with lazy transitions the fully-drained run settles explicitly.

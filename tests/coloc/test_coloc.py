@@ -11,7 +11,7 @@ from repro.coloc.datacenter import (
     batch_server_power,
     batch_server_throughput,
     compare_datacenters,
-    segregated_lc_server_power,
+    segregated_server,
 )
 from repro.coloc.interference import MicroarchInterference
 from repro.coloc.server import (
@@ -150,8 +150,8 @@ class TestDatacenterModel:
         assert all(v > 0 for v in t.values())
 
     def test_segregated_power_increases_with_load(self):
-        lo = segregated_lc_server_power(MASSTREE, 0.1, num_requests=1500)
-        hi = segregated_lc_server_power(MASSTREE, 0.5, num_requests=1500)
+        lo, _, _ = segregated_server(MASSTREE, 0.1, 21, 1500)
+        hi, _, _ = segregated_server(MASSTREE, 0.5, 21, 1500)
         assert hi > lo
 
     def test_comparison_shape(self):

@@ -27,7 +27,10 @@ from repro.experiments.artifacts import (
     cell_fingerprint,
     default_store,
 )
+from repro.experiments import fig16_datacenter
 from repro.experiments.common import latency_bound, make_cells, run_cells
+from repro.perf import WorkerPool, parallel_map
+from repro.resilience import execution
 from repro.workloads.apps import MASSTREE
 
 N = 300  # tiny but queueing-meaningful
@@ -42,6 +45,14 @@ def _fn(args):
 def _other_fn(args):
     x, y = args
     return x - y
+
+
+def _store_probe(_):
+    """Module-level pool probe: the worker's pid and whether it sees a
+    store."""
+    import os
+
+    return os.getpid(), active_store() is None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -431,6 +442,36 @@ class TestRunCells:
     def test_distinct_args_are_distinct_cells(self):
         cells = make_cells("table1", _fn, self.ITEMS)
         assert len({c.fingerprint for c in cells}) == len(self.ITEMS)
+
+
+class TestStoreStaysInParent:
+    """Invariant 18: store get/put happens in the parent process only."""
+
+    @pytest.fixture(autouse=True)
+    def real_pool(self, monkeypatch):
+        monkeypatch.delenv(execution.MAX_WORKERS_ENV, raising=False)
+
+    def test_pool_worker_sees_no_store_even_when_forced(self, monkeypatch):
+        import os
+
+        monkeypatch.setenv(artifacts.ARTIFACT_CACHE_ENV, "1")
+        assert active_store() is not None
+        seen = parallel_map(_store_probe, range(4), processes=2)
+        assert all(pid != os.getpid() for pid, _ in seen)
+        assert all(storeless for _, storeless in seen)
+
+    def test_nested_fleet_cells_are_not_stored(self, tmp_path):
+        # Each fig16 cell runs a nested fleet sweep inside its worker;
+        # only the parent's fig16 cells reach the disk.
+        store = ArtifactStore(tmp_path / "store")
+        with activate(store), WorkerPool(2):
+            fig16_datacenter.run_fig16(loads=(0.1, 0.3, 0.6), num_mixes=1,
+                                       requests_per_core=150)
+        drivers = [path.parent.name
+                   for path in store.root.rglob("*.pkl")]
+        assert drivers == ["fig16"] * store.stats()["puts"]
+        assert store.stats()["puts"] == 3
+        assert not (store.root / "fleet").exists()
 
 
 class TestColdWarmRegenerate:

@@ -4,10 +4,11 @@
 dispatches, reads ``TABLE_CACHE.stats()`` and rebinds the cell functions
 it finds at ``run_cells``/``parallel_map`` call sites. A change to
 ``src/`` that drops one of those names breaks the traced benchmark run,
-so this test runs a two-cell fig06 sweep and one fig09 cell under the
-tracer in a fresh process and checks the summary it reports. Between
-them the cells run all three oracle searches and the analytic replay,
-so the summary shows whether the tracer still reaches each of them.
+so this test runs a two-cell fig06 sweep, one fig09 cell and one fig16
+cell under the tracer in a fresh process and checks the summary it
+reports. Between them the cells run all three oracle searches, the
+analytic replay, the colocated server and the datacenter fleet, so the
+summary shows whether the tracer still reaches each of them.
 """
 
 import json
@@ -33,6 +34,7 @@ tracing.install(tracer)
 # install rebinds module globals: look the cell function up afterwards.
 from repro.experiments import common
 from repro.experiments import fig09_load_sweep as fig09
+from repro.experiments import fig16_datacenter as fig16
 
 schemes = ("Rubik", "StaticOracle", "AdrenalineOracle")
 items = [(MASSTREE, 0.3, seed, 300, schemes) for seed in (1, 2)]
@@ -43,8 +45,10 @@ with WorkerPool(2):
     bound = common.latency_bound(MASSTREE, 21, 300)
     points = common.run_cells("fig09", fig09._sweep_point,
                               [(MASSTREE, 0.5, bound, 300, 21, 8)])
+    datacenter = common.run_cells("fig16", fig16._fig16_point,
+                                  [(0.3, 21, 1, 100)])
 wall = tracing.now() - t0
-assert len(rows) == 2 and len(points) == 1
+assert len(rows) == 2 and len(points) == 1 and len(datacenter) == 1
 assert pools_created() - before == 1
 print(json.dumps(tracing.summarize(tracer.collect(), os.getpid(), wall, 2)))
 """
@@ -64,9 +68,13 @@ def test_traced_sweep_reports_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     assert metrics["perf.dispatches"] >= 1
-    assert metrics["experiments.cells"] == 3
+    assert metrics["experiments.cells"] == 4
     # One Rubik run per fig06 cell, Rubik and Rubik (No Feedback) in fig09's.
     assert metrics["sim.run_trace.calls"] == 4
     assert metrics["share.sim"] > 0
     for layer in ("static_oracle", "adrenaline", "dynamic_oracle", "replay"):
         assert metrics[f"schemes.{layer}.calls"] >= 1, layer
+    # fig16's cell: one fleet of 5 servers, one colocated run each.
+    assert metrics["coloc.run.calls"] == 5
+    assert metrics["fleet.datacenter.calls"] == 1
+    assert metrics["fleet.servers"] == 5

@@ -86,9 +86,3 @@ class TestReplay:
         rep = replay(trace, 2.4e9)
         bound = rep.tail_latency(95)
         assert rep.violation_rate(bound) == pytest.approx(0.05, abs=0.01)
-
-    def test_busy_freq_hist(self):
-        trace = Trace.generate_at_load(MASSTREE, 0.3, 100, seed=0)
-        rep = replay(trace, 2.4e9)
-        hist = rep.busy_freq_hist()
-        assert hist[2.4e9] == pytest.approx(1.0)
