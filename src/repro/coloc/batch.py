@@ -54,10 +54,6 @@ class BatchAppProfile:
         """Instructions per second at ``freq_hz``."""
         return 1.0 / self.seconds_per_instr(freq_hz)
 
-    def ipc(self, freq_hz: float) -> float:
-        """Instructions per core cycle at ``freq_hz``."""
-        return self.throughput(freq_hz) / freq_hz
-
     def mem_stall_frac(self, freq_hz: float) -> float:
         """Fraction of wall-clock time stalled on memory at ``freq_hz``."""
         total = self.seconds_per_instr(freq_hz)

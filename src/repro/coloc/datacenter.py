@@ -19,6 +19,7 @@ fleet into total power and server counts.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -159,8 +160,9 @@ def datacenter_defaults(
     :func:`~repro.fleet.shards.run_datacenter_fleet` and ``run_fig16``,
     so direct library calls with default arguments reproduce the
     driver's cells exactly. Raises ``ValueError`` naming the argument
-    when either value is below 1, so every caller rejects a bad size
-    before it dispatches a cell.
+    when either value is not finite, not a whole number or below 1, so
+    every caller rejects a bad size before it dispatches a cell; a
+    whole float or a NumPy integer is taken as the ``int`` it equals.
     """
     from repro.experiments.configs import CONFIGS  # leaf module; no cycle
 
@@ -169,12 +171,15 @@ def datacenter_defaults(
         num_mixes = config.extra("num_mixes")
     if requests_per_core is None:
         requests_per_core = config.extra("default_requests_per_core")
-    num_mixes, requests_per_core = int(num_mixes), int(requests_per_core)
+    sizes = []
     for name, value in (("num_mixes", num_mixes),
                         ("requests_per_core", requests_per_core)):
+        if not (math.isfinite(value) and int(value) == value):
+            raise ValueError(f"{name} must be a whole number, got {value}")
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    return num_mixes, requests_per_core
+            raise ValueError(f"{name} must be >= 1, got {int(value)}")
+        sizes.append(int(value))
+    return sizes[0], sizes[1]
 
 
 def compare_datacenters(

@@ -157,11 +157,6 @@ class CmpConfig:
         if self.tdp_watts <= 0:
             raise ValueError("tdp_watts must be positive")
 
-    @property
-    def per_core_power_budget_watts(self) -> float:
-        """TDP share per core, used by the HW-T colocation scheme."""
-        return self.tdp_watts / self.num_cores
-
 
 #: Default chip configuration used across experiments.
 DEFAULT_CMP = CmpConfig()

@@ -32,6 +32,7 @@ from repro.core.decision_kernel import CERT_MIN_QUEUE, KernelStats
 
 _DP = ctypes.POINTER(ctypes.c_double)
 _IP = ctypes.POINTER(ctypes.c_int64)
+_VP = ctypes.c_void_p
 
 # Return codes / phases (rubik_native.c).
 RK_OK = 0
@@ -176,7 +177,12 @@ def _iptr(arr: np.ndarray):
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Set prototypes once per loaded library and sanity-check the ABI."""
+    """Set prototypes once per loaded library and sanity-check the ABI.
+
+    The oracle entry points take plain addresses as ``c_void_p``: their
+    callers read each array's ``ctypes.data`` once per search instead of
+    building a typed pointer on every call.
+    """
     if not getattr(lib, "_repro_prototypes_bound", False):
         lib.rk_state_size.restype = ctypes.c_int64
         lib.rk_abi_version.restype = ctypes.c_int64
@@ -184,6 +190,15 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.rk_decide_entry.restype = ctypes.c_int64
         lib.rk_span.argtypes = [ctypes.POINTER(RKState)]
         lib.rk_span.restype = ctypes.c_int64
+        lib.rk_lindley.argtypes = [
+            ctypes.c_int64, _VP, _VP, _VP, _VP, ctypes.c_double,
+            _VP, _VP, _VP]
+        lib.rk_lindley.restype = ctypes.c_int64
+        lib.rk_dyn_round.argtypes = [
+            ctypes.c_int64, _VP, _VP, _VP, _VP, _VP, ctypes.c_int64,
+            ctypes.c_double, ctypes.c_int64, _VP, _VP, _VP, _VP, _VP,
+            _VP, _VP]
+        lib.rk_dyn_round.restype = ctypes.c_int64
         size = lib.rk_state_size()
         if size != ctypes.sizeof(RKState):
             raise RuntimeError(
@@ -191,6 +206,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
                 f"is {ctypes.sizeof(RKState)} — struct layouts drifted")
         lib._repro_prototypes_bound = True
     return lib
+
+
+def oracle_library() -> Optional[ctypes.CDLL]:
+    """The library with its prototypes bound, for the oracle searches'
+    per-request loops; None when :func:`build.load_library` gives none
+    (``REPRO_NATIVE=0``, no C compiler), and the searches run numpy."""
+    lib = build.load_library()
+    return None if lib is None else _bind(lib)
 
 
 class NativeDecisionKernel:

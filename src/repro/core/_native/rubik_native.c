@@ -859,3 +859,95 @@ i64 rk_span(rk_state *s) {
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* oracle searches (repro/schemes/adrenaline.py, dynamic_oracle.py)   */
+/* ------------------------------------------------------------------ */
+/* Only the sequential per-request loops live here; the per-round
+ * ranking and every reduction (sums, means, percentiles) stay in numpy.
+ * Each float operation repeats the Python one in the same order. */
+
+/* One FIFO replay of a two-level candidate: service svc_i = hi_i where
+ * mask_i, else lo_i.  Finish times follow
+ * replay.lindley_finish_times' own operations -- a sequential cumsum,
+ * arrival - (cs - svc), a running max, then + cs -- and not the
+ * max(arrival, prev) + svc recurrence, which can differ by an ulp.
+ * Writes svc, finish and response; returns the count of responses
+ * above bound. */
+i64 rk_lindley(i64 n, const double *arrival, const double *hi,
+               const double *lo, const uint8_t *mask, double bound,
+               double *svc, double *finish, double *response) {
+    double cs = 0.0;
+    double run = 0.0;
+    i64 above = 0;
+    for (i64 i = 0; i < n; i++) {
+        double s = mask[i] ? hi[i] : lo[i];
+        cs += s;
+        double offset = arrival[i] - (cs - s);
+        if (i == 0 || offset > run)
+            run = offset;
+        double f = run + cs;
+        double r = f - arrival[i];
+        svc[i] = s;
+        finish[i] = f;
+        response[i] = r;
+        above += r > bound;
+    }
+    return above;
+}
+
+/* One DynamicOracle round: try to slow each request of `order` (ranked
+ * by the caller) one grid step, walking the finish-time change down its
+ * busy period and counting the violation change as it goes; keep the
+ * trial when the violation count stays within budget.  `steps[i]` is
+ * request i's grid index, `bad[i]` its flag finish[i] - arrival[i] >
+ * bound.  On accept, finish, bad, freqs and steps are written in place;
+ * trial_finish / trial_bad ([n] each) hold a trial until then.
+ * `*viol` is the running violation count.  Returns the accepted count. */
+i64 rk_dyn_round(i64 n, const double *arrival, const double *cycles,
+                 const double *memory, const double *grid,
+                 const i64 *order, i64 norder, double bound, i64 budget,
+                 i64 *viol, double *freqs, i64 *steps, double *finish,
+                 uint8_t *bad, double *trial_finish, uint8_t *trial_bad) {
+    i64 accepted = 0;
+    for (i64 k = 0; k < norder; k++) {
+        i64 i = order[k];
+        i64 s = steps[i];
+        if (s == 0)
+            continue;
+        double lower = grid[s - 1];
+        double prev = i > 0 ? finish[i - 1] : -RK_INF;
+        double a = arrival[i];
+        double start = a > prev ? a : prev;
+        prev = start + cycles[i] / lower + memory[i];
+        uint8_t flag = prev - a > bound;
+        trial_finish[0] = prev;
+        trial_bad[0] = flag;
+        i64 delta = (i64)flag - (i64)bad[i];
+        i64 j = i + 1;
+        while (j < n) {
+            a = arrival[j];
+            start = a > prev ? a : prev;
+            double nf = start + cycles[j] / freqs[j] + memory[j];
+            if (nf == finish[j])
+                break;  /* busy period drained; suffix unchanged */
+            flag = nf - a > bound;
+            delta += (i64)flag - (i64)bad[j];
+            trial_finish[j - i] = nf;
+            trial_bad[j - i] = flag;
+            prev = nf;
+            j++;
+        }
+        if (*viol + delta <= budget) {
+            for (i64 m = i; m < j; m++) {
+                finish[m] = trial_finish[m - i];
+                bad[m] = trial_bad[m - i];
+            }
+            freqs[i] = lower;
+            steps[i] = s - 1;
+            *viol += delta;
+            accepted++;
+        }
+    }
+    return accepted;
+}

@@ -9,9 +9,13 @@ where, for each request ``R_i`` in the system, ``t_i`` is the time it has
 already spent in the system and ``(c_i, m_i)`` are the tail compute cycles
 and tail memory time until its completion, read from the precomputed
 target tail tables. The lowest DVFS step satisfying the constraint is
-requested; if no step can (``L - t_i - m_i <= 0`` or the required
-frequency exceeds the grid), the maximum frequency is used — latency is
-already compromised and Rubik recovers as fast as possible.
+requested, and the maximum frequency when the required one exceeds the
+grid. A term with ``L - t_i - m_i <= 0`` (a request that has already
+lost its tail budget) is dropped from the max instead, and any such term
+floors the request at the nominal frequency so the backlog still drains
+(see ``_update_frequency_scalar``); every decision path, the native C
+one included, does the same. What paper Sec. 4 prescribes for such
+terms is ROADMAP item 1's open question.
 
 Table refreshes are periodic (paper: every 100 ms, costing ~0.2 ms of idle
 time, which we treat as free) and piggyback on event processing; the PI

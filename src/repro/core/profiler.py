@@ -197,10 +197,6 @@ class DemandProfiler:
         """True once enough samples exist to build distributions."""
         return len(self._cycles) >= self.min_samples
 
-    @property
-    def sample_count(self) -> int:
-        return len(self._cycles)
-
     def snapshot(self) -> Optional[Tuple[Histogram, Histogram]]:
         """Current (compute-cycles, memory-time) histograms, or None.
 

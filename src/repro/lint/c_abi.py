@@ -1,25 +1,44 @@
-"""Lightweight C-source parser for the ``rk_state`` ABI cross-check.
+"""Lightweight C-source parser for the native library's ABI cross-check.
 
-Just enough C to read the one struct this repo ships: a
-``typedef struct { ... } <name>;`` whose members are scalar, pointer or
-fixed-array declarations of 8-byte base types (``double``, ``i64`` /
-``int64_t``). No compiler, no preprocessor — comments are stripped
-statefully line-by-line so every parsed field keeps its source line for
-findings.
+Just enough C to read what this repo ships:
+
+* the one struct, a ``typedef struct { ... } <name>;`` whose members are
+  scalar, pointer or fixed-array declarations of 8-byte base types
+  (``double``, ``i64`` / ``int64_t``);
+* the exported ``rk_*`` entry points: non-``static`` function
+  definitions that start at column 0, with their return and parameter
+  types.
+
+No compiler, no preprocessor — comments are stripped statefully
+line-by-line so every parsed field or function keeps its source line
+for findings.
 
 Canonical type strings (shared with the ctypes side of the
 ``native-abi`` rule): ``"double"``, ``"i64"``, ``"double*"``,
-``"i64*"``, ``"double[8]"`` ...
+``"i64*"``, ``"double[8]"`` ...; parameters add ``"u8"`` for
+``uint8_t``, ``"void"``, and any other base spelled as written
+(``"rk_state*"``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: 8-byte base types and their canonical spelling.
 _BASE_TYPES = {"double": "double", "i64": "i64", "int64_t": "i64"}
+
+#: Canonical spelling of function parameter and return base types.
+_PARAM_TYPES = {**_BASE_TYPES, "uint8_t": "u8"}
+
+_FUNC_RE = re.compile(
+    r"^(?!static\b)(?P<ret>[A-Za-z_][\w \t*]*?)\s*\b(?P<name>rk_\w+)"
+    r"\s*\((?P<params>[^)]*)\)\s*\{", re.MULTILINE)
+
+_PARAM_RE = re.compile(
+    r"^\s*(?P<base>[A-Za-z_]\w*)\s*(?P<ptr>(?:\*\s*)*)"
+    r"(?:[A-Za-z_]\w*)?\s*$")
 
 _DECL_RE = re.compile(
     r"^\s*(?P<base>[A-Za-z_]\w*)\s*"
@@ -41,6 +60,17 @@ class CField:
 class CStruct:
     name: str
     fields: Tuple[CField, ...]
+    line: int
+
+
+@dataclasses.dataclass(frozen=True)
+class CFunction:
+    """One exported function: name, canonical return and parameter
+    types, source line of the definition."""
+
+    name: str
+    restype: str
+    params: Tuple[str, ...]
     line: int
 
 
@@ -151,3 +181,33 @@ def parse_struct(source: str, name: str = "rk_state") -> Optional[CStruct]:
         raise CParseError(
             f"unterminated struct member {pending.strip()!r}", pending_line)
     return CStruct(name=name, fields=tuple(fields), line=start + 1)
+
+
+def _canon_param(decl: str, line: int) -> str:
+    """Canonical type of one parameter (or return type) declaration."""
+    m = _PARAM_RE.match(re.sub(r"\b(?:const|restrict)\b", " ", decl))
+    if not m:
+        raise CParseError(f"cannot parse declaration {decl.strip()!r}",
+                          line)
+    base = _PARAM_TYPES.get(m.group("base"), m.group("base"))
+    return base + "*" * m.group("ptr").count("*")
+
+
+def parse_functions(source: str) -> Dict[str, CFunction]:
+    """The exported ``rk_*`` function definitions in ``source``, by name.
+
+    Raises :class:`CParseError` on a parameter the grammar cannot read
+    (an unreadable argument could hide a binding drift).
+    """
+    text = "\n".join(strip_comments(source))
+    functions: Dict[str, CFunction] = {}
+    for m in _FUNC_RE.finditer(text):
+        line = text.count("\n", 0, m.start()) + 1
+        params = m.group("params").strip()
+        decls = [] if params in ("", "void") else params.split(",")
+        functions[m.group("name")] = CFunction(
+            name=m.group("name"),
+            restype=_canon_param(m.group("ret"), line),
+            params=tuple(_canon_param(d, line) for d in decls),
+            line=line)
+    return functions

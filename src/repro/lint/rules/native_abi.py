@@ -1,5 +1,6 @@
 """Rule ``native-abi`` — the ctypes ``RKState`` mirror must match the
-C ``rk_state`` struct, statically.
+C ``rk_state`` struct, and every ctypes prototype its C function,
+statically.
 
 ``rubik_native.c`` and the ctypes ``Structure`` in
 ``repro/core/_native/kernel.py`` declare the same struct by hand
@@ -16,9 +17,25 @@ field lists from source (no compiler needed) and verifies:
 * no field of a non-8-byte type on either side (padding would make the
   layouts disagree silently).
 
+The same goes for the entry points: a swapped pair of arguments in a
+``lib.rk_*.argtypes`` list passes ctypes and corrupts results silently.
+Each ``lib.rk_<name>.argtypes`` / ``.restype`` assignment is paired
+with the C definition of ``rk_<name>`` and checked for:
+
+* the argument count;
+* pointer versus scalar, per position;
+* the scalar type per position, and the return type (``None`` for
+  ``void``);
+* the pointee, where the ctypes side names one (``c_void_p`` matches
+  any pointer);
+* a ``restype`` wherever ``argtypes`` is set on a function that
+  returns a value (ctypes would read it as a C ``int``).
+
 The rule is project-scoped: it pairs any scanned ``.c`` file containing
 a ``rk_state`` typedef with any scanned Python file defining a ctypes
-``Structure`` carrying ``_fields_``.
+``Structure`` carrying ``_fields_``, and the ``rk_*`` definitions of
+every scanned ``.c`` file with the prototype assignments of every
+scanned Python file.
 """
 
 from __future__ import annotations
@@ -95,14 +112,91 @@ def _is_8byte(ctype: str) -> bool:
     return base in ("double", "i64", "double*", "i64*")
 
 
+def _prototype_assigns(tree: ast.AST) -> Iterator[Tuple[str, str, ast.Assign]]:
+    """(function name, ``argtypes``/``restype``, the assign) for every
+    ``<expr>.rk_<name>.argtypes = ...`` or ``.restype = ...``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target = node.targets[0]
+        if isinstance(target, ast.Attribute) \
+                and target.attr in ("argtypes", "restype") \
+                and isinstance(target.value, ast.Attribute) \
+                and target.value.attr.startswith("rk_"):
+            yield target.value.attr, target.attr, node
+
+
+def _arg_type(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """Canonical type of one ctypes prototype entry: ``"void"`` for
+    ``None``, ``"pointer"`` for a ``POINTER`` to a type the rule cannot
+    name (a ``Structure``), else :func:`_canon_ctype`'s spelling."""
+    if isinstance(node, ast.Constant) and node.value is None:
+        return "void"
+    canon = _canon_ctype(node, aliases)
+    if canon is None and isinstance(node, ast.Call) \
+            and (dotted_name(node.func) or "").split(".")[-1] == "POINTER":
+        return "pointer"
+    return canon
+
+
+def _is_pointer(ctype: str) -> bool:
+    return ctype.endswith("*") or ctype == "pointer"
+
+
+def _type_drift(c_type: str, py_type: str) -> Optional[str]:
+    """Why ctypes ``py_type`` cannot pass C ``c_type``, or None."""
+    if _is_pointer(c_type) != _is_pointer(py_type):
+        kinds = {True: "pointer", False: "scalar"}
+        return (f"C takes a {kinds[_is_pointer(c_type)]} ({c_type!r}) but "
+                f"ctypes passes a {kinds[_is_pointer(py_type)]} "
+                f"({py_type!r})")
+    if py_type in ("void*", "pointer") or py_type == c_type:
+        return None
+    return f"C declares {c_type!r} but ctypes declares {py_type!r}"
+
+
+def _prototype_drift(ctx: FileContext, kind: str, assign: ast.Assign,
+                     fn: c_abi.CFunction) -> Optional[str]:
+    """How the ``argtypes`` or ``restype`` ``assign`` in ``ctx`` departs
+    from C function ``fn``, or None."""
+    aliases = _alias_map(ctx.tree)
+    if kind == "restype":
+        py_type = _arg_type(assign.value, aliases)
+        if py_type is None:
+            return "unrecognized ctypes restype"
+        drift = _type_drift(fn.restype, py_type)
+        return None if drift is None else f"return type drift: {drift}"
+    if not isinstance(assign.value, (ast.List, ast.Tuple)):
+        return ("argtypes is not a literal list; the prototype cannot be "
+                "statically verified")
+    entries = assign.value.elts
+    if len(entries) != len(fn.params):
+        return (f"argument count drift: C takes {len(fn.params)}, "
+                f"argtypes lists {len(entries)}")
+    drifts = []
+    for idx, (c_type, entry) in enumerate(zip(fn.params, entries)):
+        py_type = _arg_type(entry, aliases)
+        drift = ("unrecognized ctypes type" if py_type is None
+                 else _type_drift(c_type, py_type))
+        if drift is not None:
+            drifts.append(f"#{idx} ({drift})")
+    return "argument drift at " + "; ".join(drifts) if drifts else None
+
+
 @register
 class NativeAbiRule(Rule):
     id = "native-abi"
-    title = "ctypes RKState mirror matches the C rk_state struct"
-    invariant = "docs/performance.md invariant 14 (struct mirror parity)"
+    title = ("ctypes RKState mirror and rk_* prototypes match the C "
+             "struct and functions")
+    invariant = ("docs/performance.md invariant 14 (struct mirror and "
+                 "prototype parity)")
     scope = "project"
 
     def check_project(self, project) -> Iterator[Finding]:
+        yield from self._check_struct(project)
+        yield from self._check_prototypes(project)
+
+    def _check_struct(self, project) -> Iterator[Finding]:
         c_ctxs = [f for f in project.files
                   if not f.is_python and STRUCT_NAME in f.source]
         py_ctxs = [f for f in project.files
@@ -215,3 +309,51 @@ class NativeAbiRule(Rule):
                     f"field {pname!r} type drift: C declares "
                     f"{cf.ctype!r} ({c_ctx.path}:{cf.line}) but the "
                     f"ctypes mirror declares {ptype!r}")
+
+    # ------------------------------------------------------------------
+    def _check_prototypes(self, project) -> Iterator[Finding]:
+        bindings = [(ctx, name, kind, assign)
+                    for ctx in project.files if ctx.is_python
+                    and ".rk_" in ctx.source
+                    for name, kind, assign in _prototype_assigns(ctx.tree)]
+        if not bindings:
+            return
+        functions: Dict[str, Tuple[FileContext, c_abi.CFunction]] = {}
+        for ctx in project.files:
+            if ctx.is_python or "rk_" not in ctx.source:
+                continue
+            try:
+                parsed = c_abi.parse_functions(ctx.source)
+            except c_abi.CParseError as exc:
+                yield Finding(ctx.path, exc.line, self.id, str(exc))
+                continue
+            for name, fn in parsed.items():
+                functions[name] = (ctx, fn)
+        if not functions:
+            ctx = bindings[0][0]
+            yield Finding(
+                ctx.path, bindings[0][3].lineno, self.id,
+                "found ctypes rk_* prototypes but no C source defining "
+                "rk_* functions in the scanned tree")
+            return
+        restyped = {(ctx.path, name) for ctx, name, kind, _ in bindings
+                    if kind == "restype"}
+        for ctx, name, kind, assign in bindings:
+            if name not in functions:
+                yield Finding(
+                    ctx.path, assign.lineno, self.id,
+                    f"ctypes binds {name}.{kind} but no C source defines "
+                    f"{name}")
+                continue
+            c_ctx, fn = functions[name]
+            where = f"{c_ctx.path}:{fn.line}"
+            drift = _prototype_drift(ctx, kind, assign, fn)
+            if drift is not None:
+                yield Finding(ctx.path, assign.lineno, self.id,
+                              f"{name} ({where}): {drift}")
+            if kind == "argtypes" and fn.restype != "void" \
+                    and (ctx.path, name) not in restyped:
+                yield Finding(
+                    ctx.path, assign.lineno, self.id,
+                    f"{name} ({where}) returns {fn.restype!r} but ctypes "
+                    "sets no restype, so the result is read as a C int")

@@ -111,18 +111,6 @@ class CorePowerModel:
         # frequency grid is small. object.__setattr__ because frozen.
         object.__setattr__(self, "_fl_cache", {})
 
-    def dynamic_power(self, freq_hz: float, activity: float = 1.0) -> float:
-        """Dynamic switching power at ``freq_hz`` with the given activity."""
-        if freq_hz <= 0:
-            raise ValueError("frequency must be positive")
-        v = self.curve.voltage(freq_hz)
-        return self.c_eff_farads * v * v * freq_hz * activity
-
-    def leakage_power(self, freq_hz: float) -> float:
-        """Static power at the voltage required for ``freq_hz``."""
-        v = self.curve.voltage(freq_hz)
-        return self.leak_w_per_vk * v ** self.leak_exponent
-
     def busy_power(self, freq_hz: float, mem_stall_frac: float = 0.0) -> float:
         """Average power while serving work at ``freq_hz``.
 

@@ -185,9 +185,6 @@ class FaultPlan:
     seed: int = 0
     faults: Tuple[FaultSpec, ...] = ()
 
-    def for_hook(self, hook: str) -> Tuple[FaultSpec, ...]:
-        return tuple(f for f in self.faults if f.hook == hook)
-
     @staticmethod
     def parse(spec: str) -> "FaultPlan":
         """Parse the compact clause grammar (see module docstring)."""

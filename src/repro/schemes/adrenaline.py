@@ -26,6 +26,7 @@ import numpy as np
 from repro.schemes.base import Scheme, SchemeContext, check_bound
 from repro.schemes.replay import (
     ReplayResult,
+    bound_met_by_count,
     busy_energy,
     lindley_finish_times,
     meets_bound,
@@ -76,6 +77,94 @@ def _frequency_columns(
     return service, energy
 
 
+_Run = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _CandidateReplays:
+    """The two-level candidates' replays of one training trace.
+
+    :meth:`feasible_run` returns a candidate's ``(service, finish,
+    response)``, the floats :func:`replay` computes, or None when its
+    tail misses the bound. This class runs them in numpy;
+    :class:`_NativeCandidateReplays` runs the per-request loop in C.
+    """
+
+    def __init__(self, trace: Trace, service: List[np.ndarray],
+                 bound_s: float, pct: float) -> None:
+        self.trace = trace
+        self.service = service
+        self.bound_s = bound_s
+        self.pct = pct
+        self.boosted: Optional[np.ndarray] = None  # set by classify()
+
+    def classify(self, threshold_cycles: float) -> None:
+        """Split the trace into boosted and short requests for the
+        candidates that follow."""
+        self.boosted = _classify(self.trace, threshold_cycles)
+
+    def feasible_run(self, bi: int, si: int) -> Optional[_Run]:
+        svc = np.where(self.boosted, self.service[bi], self.service[si])
+        finish = lindley_finish_times(self.trace.arrivals, svc)
+        response = finish - self.trace.arrivals
+        if not meets_bound(response, self.bound_s, self.pct):
+            return None
+        return svc, finish, response
+
+
+class _NativeCandidateReplays(_CandidateReplays):
+    """:class:`_CandidateReplays` with each replay one ``rk_lindley``
+    call into buffers reused across candidates; a feasible run returns
+    copies. Every address is taken once per tune or per threshold."""
+
+    def __init__(self, lib, trace: Trace, service: List[np.ndarray],
+                 bound_s: float, pct: float) -> None:
+        super().__init__(trace, service, bound_s, pct)
+        self._replay = lib.rk_lindley
+        self._arrivals = np.ascontiguousarray(trace.arrivals,
+                                              dtype=np.float64)
+        self._arrivals_at = self._arrivals.ctypes.data
+        self._service_at = [col.ctypes.data for col in service]
+        self._out = np.empty((3, len(trace)))
+        self._out_at = [row.ctypes.data for row in self._out]
+        self._boosted_at = 0
+
+    def classify(self, threshold_cycles: float) -> None:
+        super().classify(threshold_cycles)
+        self._boosted_at = self.boosted.ctypes.data
+
+    def feasible_run(self, bi: int, si: int) -> Optional[_Run]:
+        n = self._out.shape[1]
+        above = self._replay(
+            n, self._arrivals_at, self._service_at[bi],
+            self._service_at[si], self._boosted_at, self.bound_s,
+            *self._out_at)
+        met = bound_met_by_count(n, above, self.pct)
+        if met is None:
+            met = bool(np.percentile(self._out[2], self.pct) <= self.bound_s)
+        if not met:
+            return None
+        svc, finish, response = self._out.copy()
+        return svc, finish, response
+
+
+def _candidate_replays(traces: Sequence[Trace],
+                       service: List[List[np.ndarray]],
+                       bounds_s: Sequence[float],
+                       pct: float) -> List[_CandidateReplays]:
+    """Native replays when the library loads and every service column is
+    float64 (the C loop's type), else the numpy ones."""
+    # Imported on first use: the ctypes mirror costs start-up time in
+    # processes that never run an oracle.
+    from repro.core._native.kernel import oracle_library
+
+    lib = oracle_library()
+    native = lib is not None and all(
+        col.dtype == np.float64 for cols in service for col in cols)
+    return [_NativeCandidateReplays(lib, trace, cols, bound, pct) if native
+            else _CandidateReplays(trace, cols, bound, pct)
+            for trace, cols, bound in zip(traces, service, bounds_s)]
+
+
 def tune_adrenaline(
     traces: Sequence[Trace],
     context: SchemeContext,
@@ -91,8 +180,10 @@ def tune_adrenaline(
     everything-at-max when nothing is feasible (high load).
 
     A candidate's replay is assembled from per-frequency columns built
-    once per tune, and its energy is read only once its tail meets every
-    bound; the floats compared are those of a full :func:`replay`.
+    once per tune (its per-request loop in the native library when it
+    loads), its energy is read only once its tail meets every bound,
+    and the tail percentile is taken only for the setting kept; the
+    floats compared are those of a full :func:`replay`.
 
     Args:
         traces: training traces.
@@ -112,25 +203,25 @@ def tune_adrenaline(
     pct = context.tail_percentile
     grid = context.dvfs.frequencies
     columns = [_frequency_columns(trace, grid) for trace in traces]
-    best: Optional[AdrenalineSetting] = None
+    replays = _candidate_replays(
+        traces, [service for service, _ in columns], bounds_s, pct)
+    # (energy, threshold, f_short, f_boost, results) of the best so far.
+    best: Optional[Tuple[float, float, float, float,
+                         List[ReplayResult]]] = None
 
     for q in threshold_quantiles:
         threshold = float(np.quantile(traces[0].predicted_cycles, q))
-        masks = [_classify(trace, threshold) for trace in traces]
+        for candidates in replays:
+            candidates.classify(threshold)
         for bi, f_boost in enumerate(grid):
             for si, f_short in enumerate(grid[: bi + 1]):
                 runs = []
-                feasible = True
-                for trace, bound, boosted, (service, _) in zip(
-                        traces, bounds_s, masks, columns):
-                    svc = np.where(boosted, service[bi], service[si])
-                    finish = lindley_finish_times(trace.arrivals, svc)
-                    response = finish - trace.arrivals
-                    if not meets_bound(response, bound, pct):
-                        feasible = False
+                for candidates in replays:
+                    run = candidates.feasible_run(bi, si)
+                    if run is None:
                         break
-                    runs.append((svc, finish, response))
-                if not feasible:
+                    runs.append(run)
+                if len(runs) < len(replays):
                     continue
                 results = [
                     ReplayResult(
@@ -142,21 +233,12 @@ def tune_adrenaline(
                         freqs_hz=np.where(boosted, f_boost, f_short),
                     )
                     for (svc, finish, response), boosted, (_, busy)
-                    in zip(runs, masks, columns)
+                    in zip(runs, [c.boosted for c in replays], columns)
                 ]
                 energy = float(np.mean(
                     [r.energy_per_request_j for r in results]))
-                tail = float(np.max([r.tail_latency(pct) for r in results]))
-                candidate = AdrenalineSetting(
-                    threshold_cycles=threshold,
-                    f_short_hz=float(f_short),
-                    f_boost_hz=float(f_boost),
-                    energy_per_request_j=energy,
-                    tail_latency_s=tail,
-                )
-                if best is None or (candidate.energy_per_request_j
-                                    < best.energy_per_request_j):
-                    best = candidate
+                if best is None or energy < best[0]:
+                    best = (energy, threshold, f_short, f_boost, results)
                 # Assumes a larger f_short only costs more at this
                 # f_boost. Not so at the bottom of the grid: energy per
                 # cycle is 1.072 nJ at 0.8 GHz but 1.050 nJ at 1.0 GHz,
@@ -166,14 +248,21 @@ def tune_adrenaline(
     if best is None:
         f_max = context.dvfs.max_hz
         result = replay(traces[0], f_max)
-        best = AdrenalineSetting(
+        return AdrenalineSetting(
             threshold_cycles=0.0,
             f_short_hz=f_max,
             f_boost_hz=f_max,
             energy_per_request_j=result.energy_per_request_j,
             tail_latency_s=result.tail_latency(pct),
         )
-    return best
+    energy, threshold, f_short, f_boost, results = best
+    return AdrenalineSetting(
+        threshold_cycles=threshold,
+        f_short_hz=float(f_short),
+        f_boost_hz=float(f_boost),
+        energy_per_request_j=energy,
+        tail_latency_s=float(np.max([r.tail_latency(pct) for r in results])),
+    )
 
 
 class AdrenalineOracle(Scheme):

@@ -16,7 +16,7 @@ the oracles' offline tuning sweeps affordable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,28 +80,40 @@ def service_times(trace: Trace,
     return trace.compute_cycles / freqs_hz + trace.memory_time_s
 
 
-def meets_bound(response: np.ndarray, bound_s: float, pct: float) -> bool:
-    """``np.percentile(response, pct) <= bound_s``, decided by a count
-    where it can be.
+def bound_met_by_count(n: int, above: int, pct: float) -> Optional[bool]:
+    """Whether the ``pct`` percentile of ``n`` responses, ``above`` of
+    them over a finite bound, is within that bound; None when only the
+    percentile itself can tell.
 
     NumPy's linear percentile lies between the sorted responses at
     ``floor(h)`` and ``floor(h) + 1``, ``h = (n - 1) * pct / 100``. The
-    number of responses above the bound places the bound among the
-    sorted responses, so it decides the comparison unless the bound
-    falls between those two. One index of margin on each side covers a
-    different rounding of ``h`` inside NumPy; only that band calls
-    ``np.percentile``, so the answer is always the percentile's own.
-    Exact for a finite bound: ``response > nan`` counts nothing, which is
-    why the oracles reject non-finite bounds up front.
+    count places the bound among the sorted responses, so it decides
+    the comparison unless the bound falls between those two. One index
+    of margin on each side covers a different rounding of ``h`` inside
+    NumPy.
     """
-    n = response.size
-    above = int(np.count_nonzero(response > bound_s))
     k = int((n - 1) * pct / 100.0)
     if above <= n - 1 - min(k + 2, n - 1):
         return True  # sorted response min(floor(h) + 2, n - 1) in bound
     if above >= n - max(k - 1, 0):
         return False  # sorted response max(floor(h) - 1, 0) above it
-    return bool(np.percentile(response, pct) <= bound_s)
+    return None
+
+
+def meets_bound(response: np.ndarray, bound_s: float, pct: float) -> bool:
+    """``np.percentile(response, pct) <= bound_s``, decided by a count
+    where it can be (:func:`bound_met_by_count`).
+
+    Only the band the count cannot decide calls ``np.percentile``, so
+    the answer is always the percentile's own. Exact for a finite bound:
+    ``response > nan`` counts nothing, which is why the oracles reject
+    non-finite bounds up front.
+    """
+    met = bound_met_by_count(
+        response.size, int(np.count_nonzero(response > bound_s)), pct)
+    if met is None:
+        met = bool(np.percentile(response, pct) <= bound_s)
+    return met
 
 
 def busy_energy(service: np.ndarray, memory_time_s: np.ndarray,

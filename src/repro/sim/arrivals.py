@@ -91,10 +91,16 @@ def generate_poisson_arrivals(
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
+    steps: List[Tuple[float, float]] = list(schedule.steps)
+    if len(steps) == 1 and steps[0][1] > 0:
+        # One positive rate: the loop below is a sequential
+        # ``t += work / rate``, which is what cumsum computes, and one
+        # draw of n exponentials leaves the generator where n draws of
+        # one would.
+        return np.cumsum(rng.exponential(1.0, num_requests) / steps[0][1])
     arrivals = np.empty(num_requests)
     t = 0.0
     step_idx = 0
-    steps: List[Tuple[float, float]] = list(schedule.steps)
     for i in range(num_requests):
         # Exponential(1) work to consume at the current (varying) rate.
         work = rng.exponential(1.0)

@@ -133,10 +133,6 @@ class DvfsDomain:
         if self.on_retarget is not None:
             self.on_retarget()
 
-    def request_at_least(self, min_hz: float) -> None:
-        """Request the smallest grid frequency >= ``min_hz``."""
-        self.request(self.config.quantize_up(min_hz))
-
     def planned_transitions(self) -> Tuple[Tuple[float, float], ...]:
         """Future ``(apply_time, frequency)`` changes, soonest first.
 

@@ -77,16 +77,6 @@ class Request:
         self.progress = min(1.0, self.progress + duration / total)
 
     @property
-    def elapsed_compute_cycles(self) -> float:
-        """Cycles of compute demand already executed (Rubik's ``omega``)."""
-        return self.progress * self.compute_cycles
-
-    @property
-    def elapsed_memory_time_s(self) -> float:
-        """Memory-stall seconds already incurred."""
-        return self.progress * self.memory_time_s
-
-    @property
     def done(self) -> bool:
         return self.progress >= 1.0 - 1e-12
 

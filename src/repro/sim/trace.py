@@ -107,12 +107,6 @@ class Trace:
             for i in range(len(self))
         ]
 
-    def service_times_at(self, freq_hz: float) -> np.ndarray:
-        """Per-request service time at a fixed frequency."""
-        if freq_hz <= 0:
-            raise ValueError("frequency must be positive")
-        return self.compute_cycles / freq_hz + self.memory_time_s
-
     def duration(self) -> float:
         """Time span of the arrival process."""
         return float(self.arrivals[-1] - self.arrivals[0])

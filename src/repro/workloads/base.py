@@ -192,9 +192,3 @@ class AppProfile:
         return ((1.0 - self.mem_fraction) * self.mean_service_s
                 * self.nominal_hz,
                 self.mem_fraction * self.mean_service_s)
-
-    def mean_service_at(self, freq_hz: float) -> float:
-        """Expected service time at ``freq_hz`` (analytic)."""
-        compute_s = (1.0 - self.mem_fraction) * self.mean_service_s
-        memory_s = self.mem_fraction * self.mean_service_s
-        return compute_s * self.nominal_hz / freq_hz + memory_s

@@ -31,7 +31,7 @@ class TestBatchAppProfile:
 
     def test_ipc_range_realistic(self):
         """Nominal IPCs span the SPEC range (~0.2 to ~2.4)."""
-        ipcs = [a.ipc(2.4e9) for a in SPEC_APPS]
+        ipcs = [a.throughput(2.4e9) / 2.4e9 for a in SPEC_APPS]
         assert min(ipcs) < 0.4
         assert max(ipcs) > 1.5
 

@@ -57,9 +57,14 @@ class TestWindowing:
 
     def test_sample_count_capped(self):
         p = DemandProfiler(window=10, min_samples=2)
-        for _ in range(100):
-            p.observe(1e6, 0.0)
-        assert p.sample_count == 10
+        samples = [1e5 * k for k in range(1, 101)]
+        for c in samples:
+            p.observe(c, 0.0)
+        # Only the last 10 samples are left in the window.
+        cycles, _ = p.snapshot()
+        want = Histogram.from_samples(samples[-10:], p.num_buckets)
+        np.testing.assert_array_equal(cycles.pmf, want.pmf)
+        assert cycles.bucket_width == want.bucket_width
         assert p.total_observed == 100
 
 

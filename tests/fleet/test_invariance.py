@@ -165,6 +165,9 @@ class TestDefaultsFromConfig:
 
     def test_explicit_args_pass_through(self):
         assert datacenter_defaults(2, 500) == (2, 500)
+        sizes = datacenter_defaults(np.int64(2), 500.0)
+        assert sizes == (2, 500)
+        assert all(type(size) is int for size in sizes)
 
     def test_compare_datacenters_defaults_are_config_sourced(self):
         # Hard-coded defaults once disagreed with the fig16 driver's
@@ -179,6 +182,8 @@ class TestDefaultsFromConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(num_mixes=0), dict(num_mixes=-1), dict(requests_per_core=0),
+        dict(num_mixes=1.5), dict(requests_per_core=800.9),
+        dict(num_mixes=float("nan")), dict(requests_per_core=float("inf")),
     ], ids=str)
     @pytest.mark.parametrize("fn, first", [
         (fig16_datacenter.run_fig16, (LOAD,)),

@@ -157,3 +157,125 @@ class TestRealSources:
                               "rubik_native.c": mutated})
         assert any("type drift" in f.message and m.group(2) in f.message
                    for f in found)
+
+
+MINI_PROTO_C = textwrap.dedent("""\
+    static i64 rk_helper(double x) { return 0; }
+    i64 rk_walk(i64 n, const double *arr, uint8_t *mask, double bound,
+                rk_ctx *s) { return 0; }
+    void rk_reset(void) { }
+    """)
+
+MINI_PROTO_PY = textwrap.dedent("""\
+    import ctypes
+
+    _VP = ctypes.c_void_p
+
+    def bind(lib, State):
+        lib.rk_walk.argtypes = [ctypes.c_int64, _VP,
+                                ctypes.POINTER(ctypes.c_uint8),
+                                ctypes.c_double, ctypes.POINTER(State)]
+        lib.rk_walk.restype = ctypes.c_int64
+        lib.rk_reset.restype = None
+    """)
+
+
+class TestPrototypes:
+    """The ``lib.rk_*.argtypes`` / ``restype`` assignments against the C
+    definitions: a snippet and copies of the real sources."""
+
+    def test_matching_snippet_is_silent(self):
+        assert not abi_findings({"k.py": MINI_PROTO_PY,
+                                 "n.c": MINI_PROTO_C})
+
+    def test_snippet_pointee_drift_fires(self):
+        drifted = MINI_PROTO_PY.replace(
+            "ctypes.POINTER(ctypes.c_uint8)",
+            "ctypes.POINTER(ctypes.c_double)")
+        found = abi_findings({"k.py": drifted, "n.c": MINI_PROTO_C})
+        assert len(found) == 1
+        assert "#2 (C declares 'u8*'" in found[0].message
+
+    def test_bindings_without_c_source_reported(self):
+        found = abi_findings({"k.py": MINI_PROTO_PY})
+        assert len(found) == 1 and "no C source" in found[0].message
+
+    @pytest.fixture()
+    def real(self):
+        return {"kernel.py": KERNEL_PY.read_text(),
+                "rubik_native.c": NATIVE_C.read_text()}
+
+    @staticmethod
+    def _argtypes(source: str, name: str) -> re.Match:
+        m = re.search(rf"lib\.{name}\.argtypes = \[(?P<args>[^\]]*)\]",
+                      source)
+        assert m, f"fixture rot: no argtypes list for {name}"
+        return m
+
+    def _mutate(self, real, name, edit):
+        m = self._argtypes(real["kernel.py"], name)
+        args = [a.strip() for a in m.group("args").split(",")]
+        edit(args)
+        mutated = (real["kernel.py"][:m.start("args")] + ", ".join(args)
+                   + real["kernel.py"][m.end("args"):])
+        return abi_findings({"kernel.py": mutated,
+                             "rubik_native.c": real["rubik_native.c"]})
+
+    def test_parses_the_oracle_entry_points(self, real):
+        from repro.lint.c_abi import parse_functions
+
+        fns = parse_functions(real["rubik_native.c"])
+        assert fns["rk_lindley"].params == (
+            "i64", "double*", "double*", "double*", "u8*", "double",
+            "double*", "double*", "double*")
+        assert fns["rk_lindley"].restype == "i64"
+        assert fns["rk_span"].params == ("rk_state*",)
+        assert "rk_bisect_left" not in fns  # static: not exported
+
+    def test_swapping_a_scalar_and_a_pointer_fires_once(self, real):
+        def swap(args):
+            # rk_lindley(n, arrival, ...): the count and the first pointer
+            args[0], args[1] = args[1], args[0]
+
+        found = self._mutate(real, "rk_lindley", swap)
+        assert len(found) == 1
+        assert "argument drift at #0 (C takes a scalar" in found[0].message
+        assert "#1 (C takes a pointer" in found[0].message
+
+    def test_swapping_two_scalars_of_different_types_fires_once(self, real):
+        def swap(args):
+            # rk_dyn_round(..., norder, bound, budget, ...): i64, double
+            args[6], args[7] = args[7], args[6]
+
+        found = self._mutate(real, "rk_dyn_round", swap)
+        assert len(found) == 1
+        assert "#6 (C declares 'i64'" in found[0].message
+
+    def test_dropping_an_argument_fires_once(self, real):
+        found = self._mutate(real, "rk_dyn_round", lambda args: args.pop())
+        assert len(found) == 1
+        assert "argument count drift: C takes 16, argtypes lists 15" \
+            in found[0].message
+
+    def test_restype_drift_fires(self, real):
+        mutated = real["kernel.py"].replace(
+            "lib.rk_lindley.restype = ctypes.c_int64",
+            "lib.rk_lindley.restype = ctypes.c_double")
+        found = abi_findings({"kernel.py": mutated,
+                              "rubik_native.c": real["rubik_native.c"]})
+        assert len(found) == 1 and "return type drift" in found[0].message
+
+    def test_missing_restype_fires(self, real):
+        mutated = re.sub(r"\n *lib\.rk_lindley\.restype = [^\n]*", "",
+                         real["kernel.py"])
+        found = abi_findings({"kernel.py": mutated,
+                              "rubik_native.c": real["rubik_native.c"]})
+        assert len(found) == 1 and "no restype" in found[0].message
+
+    def test_binding_without_c_function_fires(self, real):
+        mutated = real["kernel.py"].replace("lib.rk_lindley.",
+                                            "lib.rk_lindley2.")
+        found = abi_findings({"kernel.py": mutated,
+                              "rubik_native.c": real["rubik_native.c"]})
+        assert found and all("no C source defines rk_lindley2"
+                             in f.message for f in found)

@@ -94,8 +94,6 @@ class TestCorePower:
             CorePowerModel(stall_activity=2.0)
         with pytest.raises(ValueError):
             DEFAULT_CORE_POWER.busy_power(2e9, mem_stall_frac=1.5)
-        with pytest.raises(ValueError):
-            DEFAULT_CORE_POWER.dynamic_power(0.0)
 
 
 class TestPlatformAndSystem:

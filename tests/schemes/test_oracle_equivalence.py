@@ -9,16 +9,25 @@ references below are the earlier searches, kept as test code: a full
 properties compare them on random traces whose bounds sit exactly on, or
 one ulp either side of, a tail or response time the search will meet,
 where any change of float operations or of tie handling would show.
+
+Adrenaline and DynamicOracle run their per-request loops in the native
+library when it loads, and in numpy or Python otherwise; their
+properties run once per path against the same references.
 """
 
+import contextlib
 from typing import List, Tuple
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_DVFS
+from repro.core._native import build, kernel
 from repro.power.model import DEFAULT_CORE_POWER
+from repro.schemes import adrenaline, dynamic_oracle
 from repro.schemes.adrenaline import (
     AdrenalineSetting,
     _classify,
@@ -32,6 +41,24 @@ from repro.sim.trace import Trace
 from repro.workloads.apps import APPS
 
 GRID = DEFAULT_DVFS.frequencies
+
+#: The oracle searches' two paths: the native library's loops, and the
+#: numpy/Python code that runs without it.
+PATHS = [
+    pytest.param("native", marks=[
+        pytest.mark.native,
+        pytest.mark.skipif(not build.available(),
+                           reason="native library unavailable")]),
+    "numpy",
+]
+
+
+def on_path(path):
+    """Run the searches on ``path``: ``"numpy"`` forces
+    ``build.load_library`` to None, as on a machine without ``cc``."""
+    if path == "native":
+        return contextlib.nullcontext()
+    return mock.patch.object(build, "load_library", lambda: None)
 
 
 # -- references: the searches as a full replay per candidate -----------
@@ -126,7 +153,6 @@ def reference_dynamic_schedule(trace, context, max_rounds):
     finish = lindley_finish_times(trace.arrivals, service)
     viol = int(np.sum(finish - trace.arrivals > bound))
 
-    step_of = {f: i for i, f in enumerate(grid)}
     power_at = {f: DEFAULT_CORE_POWER.busy_power(f) for f in grid}
     grid_arr = np.asarray(grid, dtype=float)
     power_arr = np.array([power_at[f] for f in grid])
@@ -151,28 +177,39 @@ def reference_dynamic_schedule(trace, context, max_rounds):
             break
         order = cand[np.lexsort((-cand, -saving[cand]))]
 
-        accepted = 0
-        for i in order.tolist():
-            s = step_of[freqs_l[i]]
-            if s == 0:
-                continue
-            lower = grid[s - 1]
-            updates, _ = _propagate(arr_l, cyc_l, mem_l, freqs_l,
-                                    finish_l, i, lower)
-            delta_viol = 0
-            for j, new_f in updates:
-                old_bad = finish_l[j] - arr_l[j] > bound
-                new_bad = new_f - arr_l[j] > bound
-                delta_viol += int(new_bad) - int(old_bad)
-            if viol + delta_viol <= budget:
-                for j, new_f in updates:
-                    finish_l[j] = new_f
-                freqs_l[i] = lower
-                viol += delta_viol
-                accepted += 1
+        accepted, viol = reference_round(arr_l, cyc_l, mem_l, freqs_l,
+                                         finish_l, order, grid, bound,
+                                         budget, viol)
         if accepted == 0:
             break
     return np.asarray(freqs_l)
+
+
+def reference_round(arr_l, cyc_l, mem_l, freqs_l, finish_l, order, grid,
+                    bound, budget, viol) -> Tuple[int, int]:
+    """One round of trial reductions in ``order``; updates ``freqs_l``
+    and ``finish_l`` in place and returns (accepted, violations)."""
+    step_of = {f: i for i, f in enumerate(grid)}
+    accepted = 0
+    for i in order.tolist():
+        s = step_of[freqs_l[i]]
+        if s == 0:
+            continue
+        lower = grid[s - 1]
+        updates, _ = _propagate(arr_l, cyc_l, mem_l, freqs_l,
+                                finish_l, i, lower)
+        delta_viol = 0
+        for j, new_f in updates:
+            old_bad = finish_l[j] - arr_l[j] > bound
+            new_bad = new_f - arr_l[j] > bound
+            delta_viol += int(new_bad) - int(old_bad)
+        if viol + delta_viol <= budget:
+            for j, new_f in updates:
+                finish_l[j] = new_f
+            freqs_l[i] = lower
+            viol += delta_viol
+            accepted += 1
+    return accepted, viol
 
 
 # -- inputs: random traces, bounds on engineered ties ------------------
@@ -221,9 +258,10 @@ def test_static_frequency_matches_full_replays(data):
             == reference_static_frequency(trace, bound, context))
 
 
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_adrenaline_setting_matches_full_replays(data):
+def test_adrenaline_setting_matches_full_replays(path, data):
     app, load, n, seed, trace = data.draw(traces(max_requests=200))
     training = [trace]
     if data.draw(st.booleans()):
@@ -234,15 +272,17 @@ def test_adrenaline_setting_matches_full_replays(data):
     bounds = [_tied(data.draw, _two_level_tail(data.draw, t, threshold))
               for t in training]
     context = SchemeContext(latency_bound_s=bounds[0])
-    got = tune_adrenaline(training, context, quantiles, bounds)
+    with on_path(path):
+        got = tune_adrenaline(training, context, quantiles, bounds)
     want = reference_tune_adrenaline(training, context, quantiles, bounds)
     for field in AdrenalineSetting.__dataclass_fields__:
         assert getattr(got, field) == getattr(want, field), field
 
 
+@pytest.mark.parametrize("path", PATHS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_dynamic_schedule_matches_propagate_loop(data):
+def test_dynamic_schedule_matches_propagate_loop(path, data):
     _, _, _, _, trace = data.draw(traces())
     if data.draw(st.booleans()):
         f = GRID[data.draw(st.integers(0, len(GRID) - 1))]
@@ -254,10 +294,103 @@ def test_dynamic_schedule_matches_propagate_loop(data):
         tie = _two_level_tail(data.draw, trace, threshold)
     context = SchemeContext(latency_bound_s=_tied(data.draw, tie))
     rounds = data.draw(st.integers(0, 8))
-    got = dynamic_oracle_schedule(trace, context, max_rounds=rounds)
+    with on_path(path):
+        got = dynamic_oracle_schedule(trace, context, max_rounds=rounds)
     want = reference_dynamic_schedule(trace, context, rounds)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dynamic_round_matches_reference_round(path, data):
+    """One round from a random schedule, with the bound on a response
+    time the round's first trial produces, so the walk's violation flags
+    meet exact ties."""
+    _, _, n, _, trace = data.draw(traces(max_requests=120))
+    steps = data.draw(st.lists(st.integers(0, len(GRID) - 1), min_size=n,
+                               max_size=n))
+    freqs = np.asarray([GRID[k] for k in steps])
+    finish = lindley_finish_times(trace.arrivals,
+                                  trace.compute_cycles / freqs
+                                  + trace.memory_time_s)
+    order = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+    order = order[:data.draw(st.integers(1, n))]
+    first = next((i for i in order.tolist() if steps[i] > 0), None)
+    assume(first is not None)
+    arr_l = trace.arrivals.tolist()
+    cyc_l = trace.compute_cycles.tolist()
+    mem_l = trace.memory_time_s.tolist()
+    updates, _ = _propagate(arr_l, cyc_l, mem_l, freqs.tolist(),
+                            finish.tolist(), first, GRID[steps[first] - 1])
+    j, new_f = data.draw(st.sampled_from(updates))
+    bound = _tied(data.draw, new_f - arr_l[j])
+    late = finish - trace.arrivals > bound
+    viol = int(np.sum(late))
+    budget = data.draw(st.sampled_from((n, viol, max(viol - 1, 0))))
+
+    want_freqs, want_finish = freqs.tolist(), finish.tolist()
+    want = reference_round(arr_l, cyc_l, mem_l, want_freqs, want_finish,
+                           order, GRID, bound, budget, viol)
+    if path == "native":
+        walks = dynamic_oracle._NativeWalks(
+            kernel.oracle_library(), trace, GRID, freqs, finish, late,
+            bound, budget)
+        got = walks.round(order), int(walks.viol[0])
+        got_finish, got_bad = walks.finish, walks.bad
+    else:
+        walks = dynamic_oracle._ListWalks(trace, GRID, freqs, finish, late,
+                                          bound, budget)
+        got = walks.round(order), walks.viol
+        got_finish, got_bad = np.asarray(walks.finish_l), walks.bad
+    assert got == want
+    assert np.array_equal(walks.freqs(), want_freqs)
+    assert np.array_equal(got_finish, want_finish)
+    assert np.array_equal(
+        got_bad, np.asarray(want_finish) - trace.arrivals > bound)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_each_path_runs_its_own_loops(path):
+    """The native loops run exactly when the library loads."""
+    trace = Trace.generate_at_load(APPS["masstree"], 0.4, 300, 3)
+    context = SchemeContext(latency_bound_s=replay(
+        trace, GRID[len(GRID) // 2]).tail_latency())
+    calls = []
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls.append(cls.__name__)
+            return real(self, *args)
+        return mock.patch.object(cls, name, wrapper)
+
+    with on_path(path), \
+            spy(adrenaline._NativeCandidateReplays, "feasible_run"), \
+            spy(dynamic_oracle._NativeWalks, "round"):
+        tune_adrenaline([trace], context)
+        dynamic_oracle_schedule(trace, context, max_rounds=2)
+    assert bool(calls) == (path == "native")
+    if calls:
+        assert set(calls) == {"_NativeCandidateReplays", "_NativeWalks"}
+
+
+def test_adrenaline_keeps_non_float64_columns_off_the_c_loop():
+    """The C replay reads float64; a float32 trace's service columns are
+    float32, so its tune runs the numpy replays on either path."""
+    trace = Trace.generate_at_load(APPS["masstree"], 0.4, 200, 5)
+    trace32 = Trace(*(np.asarray(column, dtype=np.float32) for column in (
+        trace.arrivals, trace.compute_cycles, trace.memory_time_s,
+        trace.predicted_cycles)))
+    context = SchemeContext(latency_bound_s=replay(
+        trace32, GRID[len(GRID) // 2]).tail_latency())
+    with mock.patch.object(adrenaline._NativeCandidateReplays,
+                           "feasible_run", side_effect=AssertionError):
+        got = tune_adrenaline([trace32], context)
+    with on_path("numpy"):
+        assert got == tune_adrenaline([trace32], context)
 
 
 # -- the tail-only check -----------------------------------------------

@@ -116,6 +116,56 @@ class TestPoissonArrivals:
         assert np.all(np.diff(arr) >= 0)
 
 
+def reference_arrivals(schedule, num_requests, rng):
+    """The generator's per-request loop, kept as the reference for its
+    one-draw constant-rate path."""
+    arrivals = np.empty(num_requests)
+    t = 0.0
+    step_idx = 0
+    steps = list(schedule.steps)
+    for i in range(num_requests):
+        work = rng.exponential(1.0)
+        while True:
+            rate = steps[step_idx][1]
+            next_change = (
+                steps[step_idx + 1][0] if step_idx + 1 < len(steps) else np.inf
+            )
+            if rate <= 0:
+                t = next_change
+                step_idx += 1
+                continue
+            dt = work / rate
+            if t + dt <= next_change:
+                t += dt
+                break
+            work -= (next_change - t) * rate
+            t = next_change
+            step_idx += 1
+        arrivals[i] = t
+    return arrivals
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       rate=st.floats(1e-3, 1e7),
+       n=st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_constant_rate_draws_equal_the_loop(seed, rate, n):
+    """One exponential draw of n, cumsummed, gives the loop's floats and
+    leaves the generator in the loop's state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_poisson_arrivals(LoadSchedule.constant(rate), n, rng)
+    want = reference_arrivals(LoadSchedule.constant(rate), n, ref_rng)
+    np.testing.assert_array_equal(got, want)
+    assert rng.random() == ref_rng.random()
+
+
+def test_stepped_schedule_equals_the_loop():
+    sched = TestPoissonZeroRateAndStepBoundaries.SCHED
+    got = generate_poisson_arrivals(sched, 3000, np.random.default_rng(17))
+    want = reference_arrivals(sched, 3000, np.random.default_rng(17))
+    np.testing.assert_array_equal(got, want)
+
+
 class TestPoissonZeroRateAndStepBoundaries:
     """Fig. 10 load-step path: zero-rate gaps and exact step boundaries,
     cross-checked against the schedule's own rate_at/mean_rate."""

@@ -40,11 +40,6 @@ class TestImmediateTransitions:
         with pytest.raises(ValueError):
             DvfsDomain(sim, cfg, 9e9)
 
-    def test_request_at_least(self):
-        sim, dom = make_domain()
-        dom.request_at_least(1.2e9)
-        assert dom.current_hz == 2e9
-
 
 class TestDelayedTransitions:
     def test_takes_effect_after_latency(self):

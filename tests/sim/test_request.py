@@ -74,12 +74,6 @@ class TestProgress:
         rem = r.remaining_time_at(2e9)
         assert rem == pytest.approx(r.service_time_at(2e9) / 2)
 
-    def test_elapsed_components(self):
-        r = make_request(cycles=2e6, mem=1e-3)
-        r.advance(r.service_time_at(1e9) * 0.25, 1e9)
-        assert r.elapsed_compute_cycles == pytest.approx(0.5e6)
-        assert r.elapsed_memory_time_s == pytest.approx(0.25e-3)
-
     def test_advance_clamps_at_one(self):
         r = make_request()
         r.advance(100.0, 1e9)

@@ -6,7 +6,7 @@ import pytest
 from repro.config import NOMINAL_FREQUENCY_HZ
 from repro.schemes.base import SchemeContext
 from repro.schemes.fixed import FixedFrequency
-from repro.schemes.replay import replay
+from repro.schemes.replay import replay, service_times
 from repro.sim.server import run_trace
 from repro.sim.trace import Trace
 from repro.workloads.apps import MASSTREE, SHORE
@@ -65,9 +65,9 @@ class TestGeneration:
         # Fresh objects per call (replays are independent).
         assert trace.to_requests()[0] is not reqs[0]
 
-    def test_service_times_at(self):
+    def test_service_times(self):
         trace = Trace.generate_at_load(MASSTREE, 0.5, 10, seed=1)
-        svc = trace.service_times_at(2.4e9)
+        svc = service_times(trace, 2.4e9)
         expected = trace.compute_cycles / 2.4e9 + trace.memory_time_s
         np.testing.assert_allclose(svc, expected)
 

@@ -97,9 +97,6 @@ class TestCmpConfig:
         assert DEFAULT_CMP.num_cores == 6
         assert DEFAULT_CMP.tdp_watts == pytest.approx(65.0)
 
-    def test_per_core_budget(self):
-        assert DEFAULT_CMP.per_core_power_budget_watts == pytest.approx(65 / 6)
-
     def test_rejects_bad_cores(self):
         with pytest.raises(ValueError):
             CmpConfig(num_cores=0)

@@ -125,13 +125,6 @@ class TestRates:
         with pytest.raises(ValueError):
             make_app().rate_for_load(-0.1)
 
-    def test_mean_service_at_lower_freq(self):
-        app = make_app(mem_fraction=0.25)
-        # at half frequency compute doubles, memory unchanged:
-        # 0.75*2 + 0.25 = 1.75x
-        assert app.mean_service_at(NOMINAL_FREQUENCY_HZ / 2) == \
-            pytest.approx(1.75e-3)
-
 
 class TestValidation:
     @pytest.mark.parametrize("kw", [
