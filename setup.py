@@ -4,8 +4,9 @@ Enables `pip install -e . --no-build-isolation` (legacy editable install)
 on machines where PEP 517 editable builds are unavailable offline.
 
 Also offers the native Rubik kernel as an *optional* install-time build:
-the shared library is compiled with the system C compiler when one is
-available, and skipped silently otherwise — the package is pure-Python
+the shared library is compiled with the system C compiler (and linked
+with libm, through the same ``build.ensure_built`` command the runtime
+uses) when one is available, and skipped silently otherwise — the package is pure-Python
 plus an optional accelerator, never a required extension (runtime falls
 back to build-on-first-use, and failing that to the Python kernel).
 

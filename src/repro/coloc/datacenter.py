@@ -19,7 +19,6 @@ fleet into total power and server counts.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.schemes.base import SchemeContext
 from repro.schemes.replay import replay
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile
+from repro.workloads.base import AppProfile, check_size
 
 #: Fleet shape of the paper's experiment (Fig. 14).
 LC_SERVERS = 1000
@@ -171,15 +170,8 @@ def datacenter_defaults(
         num_mixes = config.extra("num_mixes")
     if requests_per_core is None:
         requests_per_core = config.extra("default_requests_per_core")
-    sizes = []
-    for name, value in (("num_mixes", num_mixes),
-                        ("requests_per_core", requests_per_core)):
-        if not (math.isfinite(value) and int(value) == value):
-            raise ValueError(f"{name} must be a whole number, got {value}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {int(value)}")
-        sizes.append(int(value))
-    return sizes[0], sizes[1]
+    return (check_size("num_mixes", num_mixes),
+            check_size("requests_per_core", requests_per_core))
 
 
 def compare_datacenters(

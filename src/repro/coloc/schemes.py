@@ -24,7 +24,7 @@ retire fewer instructions per cycle than SPEC compute apps
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CmpConfig
 from repro.core.controller import Rubik
@@ -96,6 +96,10 @@ class ChipLevelAllocator:
     * objective ``"tpw"`` (HW-TPW): each core at the frequency maximizing
       its own occupant's throughput per watt (maximizing the aggregate
       ratio decomposes per-core when cores are independent).
+
+    Each occupant type's throughput and power at every grid step are
+    computed once per allocator (:meth:`_row`), and both greedy ascents
+    index those rows.
     """
 
     def __init__(
@@ -129,6 +133,15 @@ class ChipLevelAllocator:
         # so allocations are memoized on that key — there are at most
         # 2^cores distinct states.
         self._cache: dict = {}
+        self._grid = self.cores[0].dvfs.config.frequencies
+        #: Occupant type -> (IPS, power) at every grid step; the LC row
+        #: is built when an "lc" key first appears.
+        self._rows: Dict[str, Tuple[List[float], List[float]]] = {}
+        backgrounds = [core.background for core in self.cores
+                       if core.background is not None]
+        self._batch_by_name = {
+            task.profile.name: task  # type: ignore[attr-defined]
+            for task in backgrounds}
         sim.schedule_after(period_s, self._tick)
 
     def _occupant_key(self, core: Core) -> str:
@@ -138,6 +151,9 @@ class ChipLevelAllocator:
             return core.background.profile.name  # type: ignore[attr-defined]
         return "idle"
 
+    def _current_key(self) -> Tuple[str, ...]:
+        return tuple(self._occupant_key(c) for c in self.cores)
+
     # ------------------------------------------------------------------
     def _lc_mean_demand(self) -> Tuple[float, float]:
         if self.lc_demand is None:
@@ -145,41 +161,49 @@ class ChipLevelAllocator:
                              "allocator was built without lc_demand")
         return self.lc_demand
 
-    def _occupant_ips(self, core: Core, freq_hz: float) -> float:
-        """Instruction throughput of whatever the core is running."""
-        if core.current is not None:
-            return _lc_ips(self._lc_mean_demand(), freq_hz)
-        if core.background is not None:
-            return core.background.profile.throughput(freq_hz)  # type: ignore[attr-defined]
-        return 0.0
-
-    def _occupant_power(self, core: Core, freq_hz: float) -> float:
-        if core.current is None and core.background is None:
-            return self.power.sleep_power_w
-        if core.current is not None:
-            cycles, mem_s = self._lc_mean_demand()
-            total = cycles / freq_hz + mem_s
-            mem_frac = mem_s / total if total > 0 else 0.0
+    def _row(self, occupant: str) -> Tuple[List[float], List[float]]:
+        """(instruction throughput, power) of one occupant type at every
+        grid step: ``"idle"``, ``"lc"`` or a batch app's name."""
+        row = self._rows.get(occupant)
+        if row is not None:
+            return row
+        grid = self._grid
+        busy_power = self.power.busy_power
+        if occupant == "idle":
+            ips = [0.0] * len(grid)
+            power = [self.power.sleep_power_w] * len(grid)
+        elif occupant == "lc":
+            demand = self._lc_mean_demand()
+            cycles, mem_s = demand
+            ips = [_lc_ips(demand, f) for f in grid]
+            power = []
+            for f in grid:
+                total = cycles / f + mem_s
+                mem_frac = mem_s / total if total > 0 else 0.0
+                power.append(busy_power(f, mem_frac))
         else:
-            mem_frac = core.background.mem_stall_frac(freq_hz)
-        return self.power.busy_power(freq_hz, mem_frac)
+            task = self._batch_by_name[occupant]
+            ips = [task.profile.throughput(f) for f in grid]
+            power = [busy_power(f, task.mem_stall_frac(f)) for f in grid]
+        row = self._rows[occupant] = (ips, power)
+        return row
 
-    def _assign_throughput(self) -> List[float]:
-        """Greedy marginal IPS/W ascent under the package power budget."""
-        grid = self.cores[0].dvfs.config.frequencies
-        levels = [0] * len(self.cores)
+    def _assign_throughput(self, key: Sequence[str]) -> List[float]:
+        """Greedy marginal IPS/W ascent under the package power budget,
+        for the occupant types ``key``, one per core."""
+        grid = self._grid
+        rows = [self._row(k) for k in key]
+        levels = [0] * len(rows)
         budget = self.cmp.tdp_watts - PACKAGE_FIXED_POWER_W
-        spent = sum(self._occupant_power(c, grid[0]) for c in self.cores)
+        spent = sum(power[0] for _, power in rows)
         while True:
             best_gain, best_core = 0.0, -1
-            for ci, core in enumerate(self.cores):
+            for ci, (ips, power) in enumerate(rows):
                 li = levels[ci]
                 if li + 1 >= len(grid):
                     continue
-                d_ips = (self._occupant_ips(core, grid[li + 1])
-                         - self._occupant_ips(core, grid[li]))
-                d_p = (self._occupant_power(core, grid[li + 1])
-                       - self._occupant_power(core, grid[li]))
+                d_ips = ips[li + 1] - ips[li]
+                d_p = power[li + 1] - power[li]
                 if spent + d_p > budget or d_p <= 0:
                     continue
                 gain = d_ips / d_p
@@ -188,36 +212,35 @@ class ChipLevelAllocator:
             if best_core < 0:
                 break
             li = levels[best_core]
-            spent += (self._occupant_power(self.cores[best_core], grid[li + 1])
-                      - self._occupant_power(self.cores[best_core], grid[li]))
+            power = rows[best_core][1]
+            spent += power[li + 1] - power[li]
             levels[best_core] += 1
         return [grid[l] for l in levels]
 
-    def _assign_tpw(self) -> List[float]:
-        """Greedy ascent maximizing aggregate IPS per package watt.
+    def _assign_tpw(self, key: Sequence[str]) -> List[float]:
+        """Greedy ascent maximizing aggregate IPS per package watt, for
+        the occupant types ``key``, one per core.
 
         Raising a core one step improves the global ratio iff the step's
         marginal IPS/W exceeds the current aggregate ratio; the fixed
         package power keeps the optimum away from the bottom of the grid.
         """
-        grid = self.cores[0].dvfs.config.frequencies
-        levels = [0] * len(self.cores)
-        total_ips = sum(self._occupant_ips(c, grid[0]) for c in self.cores)
-        total_p = PACKAGE_FIXED_POWER_W + sum(
-            self._occupant_power(c, grid[0]) for c in self.cores)
+        grid = self._grid
+        rows = [self._row(k) for k in key]
+        levels = [0] * len(rows)
+        total_ips = sum(ips[0] for ips, _ in rows)
+        total_p = PACKAGE_FIXED_POWER_W + sum(power[0] for _, power in rows)
         improved = True
         while improved:
             improved = False
             ratio = total_ips / total_p
             best_gain, best_core, best_d = ratio, -1, (0.0, 0.0)
-            for ci, core in enumerate(self.cores):
+            for ci, (ips, power) in enumerate(rows):
                 li = levels[ci]
                 if li + 1 >= len(grid):
                     continue
-                d_ips = (self._occupant_ips(core, grid[li + 1])
-                         - self._occupant_ips(core, grid[li]))
-                d_p = (self._occupant_power(core, grid[li + 1])
-                       - self._occupant_power(core, grid[li]))
+                d_ips = ips[li + 1] - ips[li]
+                d_p = power[li + 1] - power[li]
                 if d_p <= 0:
                     continue
                 gain = d_ips / d_p
@@ -231,12 +254,12 @@ class ChipLevelAllocator:
         return [grid[l] for l in levels]
 
     def _tick(self) -> None:
-        key = tuple(self._occupant_key(c) for c in self.cores)
+        key = self._current_key()
         freqs = self._cache.get(key)
         if freqs is None:
-            freqs = (self._assign_throughput()
+            freqs = (self._assign_throughput(key)
                      if self.objective == "throughput"
-                     else self._assign_tpw())
+                     else self._assign_tpw(key))
             self._cache[key] = freqs
         for core, f in zip(self.cores, freqs):
             core.dvfs.request(f)

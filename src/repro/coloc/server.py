@@ -5,6 +5,13 @@ core plus a 6-app batch mix, one batch app per core, over a partitioned
 memory system. Partitioning makes cores independent except for (a) the
 chip-level HW-T/HW-TPW allocators and (b) the shared TDP; both are
 modeled by :class:`~repro.coloc.schemes.ChipLevelAllocator`.
+
+So only HW-T and HW-TPW step their cores through one coupled event
+loop. Under RubikColoc and StaticColoc each core runs alone, on its own
+simulator, through :func:`repro.sim.server.serve` (the C span loop for
+a native-path RubikColoc core); the cores share only the server's end,
+the latest of their last completions, where every core's last segment
+closes.
 """
 
 from __future__ import annotations
@@ -32,15 +39,18 @@ from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
-from repro.sim.server import feed_arrivals
+from repro.sim.server import feed_arrivals, serve
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile, check_load
+from repro.workloads.base import AppProfile, check_load, check_size
 
 #: The colocation schemes evaluated in Fig. 15.
 COLOC_SCHEME_NAMES = ("RubikColoc", "StaticColoc", "HW-T", "HW-TPW")
 
 #: LC completions per core excluded from latency (queue fill-in).
 WARMUP_PER_CORE = 50
+
+#: The schemes whose chip allocator couples the cores' event loops.
+_COUPLED_SCHEMES = ("HW-T", "HW-TPW")
 
 
 @dataclasses.dataclass
@@ -147,7 +157,8 @@ def run_colocated_server(
         context: latency bound and machine configuration.
         seed: base RNG seed (core ``i`` uses ``seed*100 + i``).
         requests_per_core: LC requests per core (default: app's paper
-            count split across cores, at least 500).
+            count split across cores, at least 500); a ``ValueError``
+            names it unless it is a whole number >= 1.
     """
     if not mix:
         raise ValueError("mix must contain at least one batch app")
@@ -155,9 +166,10 @@ def run_colocated_server(
     lc_demand = app.mean_demands()
     penalty = footprint_penalty_cycles(lc_demand[0])
     n_cores = DEFAULT_CMP.num_cores
-    n_req = requests_per_core
-    if n_req is None:
+    if requests_per_core is None:
         n_req = max(500, app.num_requests // n_cores)
+    else:
+        n_req = check_size("requests_per_core", requests_per_core)
 
     # StaticColoc's LC frequency is tuned interference-free (that blind
     # spot is the point of the comparison).
@@ -167,13 +179,13 @@ def run_colocated_server(
         lc_static_hz = find_static_frequency(
             tuning_trace, context.latency_bound_s, context)
 
-    sim = Simulator()
-    completions = _CompletionCount()
+    shared = Simulator() if scheme_name in _COUPLED_SCHEMES else None
     cores: List[Core] = []
     tasks: List[BatchTask] = []
     interferences: List[MicroarchInterference] = []
-    traces: List[Trace] = []
+    last_arrival = 0.0
     for ci in range(n_cores):
+        sim = shared if shared is not None else Simulator()
         profile = mix[ci % len(mix)]
         task = BatchTask(profile, context.dvfs, DEFAULT_CORE_POWER)
         interference = MicroarchInterference(max_penalty_cycles=penalty)
@@ -185,35 +197,51 @@ def run_colocated_server(
             interference_cycles=interference,
         )
         scheme = make_coloc_scheme(scheme_name, lc_static_hz)
-        scheme.setup(sim, core, context)
-        core.add_listener(completions)
         trace = Trace.generate_at_load(app, load, n_req, seed=seed * 100 + ci)
-        feed_arrivals(sim, core, trace.to_requests())
+        if shared is not None:
+            scheme.setup(sim, core, context)
+            feed_arrivals(sim, core, trace.to_requests())
+            last_arrival = max(last_arrival, trace.arrivals[-1])
+        else:
+            # Runs the core to its last completion, alone.
+            serve(sim, core, scheme, context, trace)
         cores.append(core)
         tasks.append(task)
         interferences.append(interference)
-        traces.append(trace)
 
-    horizon = max(t.arrivals[-1] for t in traces) + 100.0  # generous cap
-    if scheme_name in ("HW-T", "HW-TPW"):
+    if shared is not None:
+        completions = _CompletionCount()
+        for core in cores:
+            core.add_listener(completions)
+        horizon = last_arrival + 100.0  # generous cap
         objective = "throughput" if scheme_name == "HW-T" else "tpw"
-        ChipLevelAllocator(sim, cores, DEFAULT_CMP, DEFAULT_CORE_POWER,
+        ChipLevelAllocator(shared, cores, DEFAULT_CMP, DEFAULT_CORE_POWER,
                            objective=objective, lc_demand=lc_demand,
                            horizon_s=horizon)
-
-    total = n_req * n_cores
-    # The horizon cap is a safety net for a wedged run (completions
-    # always drain queued work, so the completion count normally ends
-    # the loop long before `max arrival + 100 s`). Note: since DVFS
-    # transitions apply lazily (no FREQ_CHANGE heap events), the cap is
-    # checked at arrival/completion/allocator-tick granularity only —
-    # a capped run can process a few more of those than the event-driven
-    # machinery would have.
-    while completions.count < total:
-        if not sim.step():
-            break
-        if sim.now > horizon:
-            break
+        total = n_req * n_cores
+        # The horizon cap is a safety net for a wedged run (completions
+        # always drain queued work, so the completion count normally
+        # ends the loop long before `max arrival + 100 s`). The per-core
+        # runs above have no timers and drain by construction, so only
+        # this loop needs it. Note: since DVFS transitions apply lazily
+        # (no FREQ_CHANGE heap events), the cap is checked at
+        # arrival/completion/allocator-tick granularity only — a capped
+        # run can process a few more of those than the event-driven
+        # machinery would have.
+        while completions.count < total:
+            if not shared.step():
+                break
+            if shared.now > horizon:
+                break
+        end = shared.now
+    else:
+        # The server ends at the latest last completion; each core's
+        # clock moves there so its last (batch) segment closes where
+        # the coupled loop would close it. As there, in-flight DVFS
+        # transitions are not settled.
+        end = max(core.sim.now for core in cores)
+        for core in cores:
+            core.sim.advance_to(end)
     for core in cores:
         core.finalize()
 
@@ -229,7 +257,7 @@ def run_colocated_server(
     return ColocResult(
         scheme=scheme_name,
         lc_response_times=lc_latencies,
-        duration_s=sim.now,
+        duration_s=end,
         core_energy_j=sum(c.meter.energy_j for c in cores),
         lc_busy_time_s=sum(c.meter.busy_time_s for c in cores),
         batch_time_s=sum(c.meter.batch_time_s for c in cores),

@@ -2,9 +2,10 @@
 
 The C source (``rubik_native.c``) is compiled into a plain shared
 library the first time the native path is asked for, cached next to the
-source keyed by a content digest (a source edit is a cache miss, never a
-stale load), and loaded through :func:`ctypes.CDLL` — no Python headers
-or build isolation needed, just a C compiler on ``PATH``.  ``setup.py``
+source keyed by a digest of the source and the compile flags (a source
+or flag edit is a cache miss, never a stale load), and loaded through
+:func:`ctypes.CDLL` — no Python headers or build isolation needed, just
+a C compiler on ``PATH``.  ``setup.py``
 exposes the same build as an optional install-time step.
 
 Dispatch is gated by the ``REPRO_NATIVE`` environment variable:
@@ -46,6 +47,14 @@ _SOURCE = Path(__file__).resolve().parent / "rubik_native.c"
 #: every double op rounds exactly like the CPython float op.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: Libraries linked after the source: libm for the interference
+#: penalty's ``exp``, the function ``math.exp`` calls.
+_LIBS = ("-lm",)
+
+#: ``rk_abi_version()`` of the source this loader and the ctypes mirror
+#: (``kernel.RKState``) are written for.
+ABI_VERSION = 2
+
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: Invalid REPRO_NATIVE values already warned about (warn once each).
@@ -72,8 +81,11 @@ def env_mode() -> str:
 
 
 def _source_tag() -> str:
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
-    return digest[:16]
+    """Digest of everything that shapes the built library: the source
+    and the compile command's flags and libraries."""
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update(" ".join(_CFLAGS + _LIBS).encode())
+    return digest.hexdigest()[:16]
 
 
 def _cached_paths() -> list:
@@ -93,7 +105,8 @@ def _compile(out_path: Path) -> str:
     tmp_out = out_path.with_suffix(f".tmp{os.getpid()}.so")
     last_error: Optional[str] = None
     for compiler in _COMPILERS:
-        cmd = [compiler, *_CFLAGS, "-o", str(tmp_out), str(_SOURCE)]
+        cmd = [compiler, *_CFLAGS, "-o", str(tmp_out), str(_SOURCE),
+               *_LIBS]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=120)
@@ -157,9 +170,9 @@ def load_library() -> Optional[ctypes.CDLL]:
         # Sanity-check the ABI before trusting the struct mirror.
         lib.rk_state_size.restype = ctypes.c_int64
         lib.rk_abi_version.restype = ctypes.c_int64
-        if lib.rk_abi_version() != 1:
-            raise RuntimeError(
-                f"native kernel ABI {lib.rk_abi_version()} != 1")
+        if lib.rk_abi_version() != ABI_VERSION:
+            raise RuntimeError(f"native kernel ABI {lib.rk_abi_version()}"
+                               f" != {ABI_VERSION}")
         _lib = lib
         _lib_path = str(path)
     except (OSError, RuntimeError, AttributeError) as exc:

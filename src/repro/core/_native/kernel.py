@@ -165,6 +165,21 @@ class RKState(ctypes.Structure):
         ("trimmer_on", ctypes.c_int64),
         ("trimmer_period", ctypes.c_double),
         ("trimmer_last_adjust", ctypes.c_double),
+        # served (penalized) compute cycles
+        ("out_cycles", _DP),
+        # colocated batch work
+        ("batch_on", ctypes.c_int64),
+        ("batch_hz", ctypes.c_double),
+        ("batch_cpi", ctypes.c_double),
+        ("batch_mem_s", ctypes.c_double),
+        ("batch_instr", ctypes.c_double),
+        ("batch_time", ctypes.c_double),
+        ("batch_interval_valid", ctypes.c_int64),
+        ("batch_interval_start", ctypes.c_double),
+        ("pen_max", ctypes.c_double),
+        ("pen_tau", ctypes.c_double),
+        ("pen_total", ctypes.c_double),
+        ("pen_count", ctypes.c_int64),
     ]
 
 

@@ -1,16 +1,19 @@
 /* Native Rubik decision fold + event-step kernel (perf layer 7).
  *
- * One translation unit, no libm, no Python headers: the library is
- * loaded through ctypes and driven by src/repro/core/_native/kernel.py
+ * One translation unit, no Python headers: the library is loaded
+ * through ctypes and driven by src/repro/core/_native/kernel.py
  * (per-event decide) and session.py (whole-run span loop).  Every
  * floating-point expression mirrors the Python implementation in
- * repro/core/decision_kernel.py, repro/sim/dvfs.py and repro/sim/core.py
+ * repro/core/decision_kernel.py, repro/sim/dvfs.py, repro/sim/core.py,
+ * repro/coloc/batch.py and repro/coloc/interference.py
  * operation-for-operation: compiled for baseline x86-64/AArch64 with
  * -ffp-contract=off, each individual IEEE-754 double add/sub/mul/div
  * rounds exactly like the CPython float op, so the emitted decisions,
  * segment boundaries and completion times are bitwise-identical to the
  * Python paths (the scalar oracle remains the pin; see
- * tests/core/test_decision_kernel.py and test_native_kernel.py).
+ * tests/core/test_decision_kernel.py and test_native_kernel.py).  The
+ * one libm call is exp() in the interference penalty, the function
+ * math.exp calls, so it rounds the same (linked with -lm).
  *
  * The struct layout below is mirrored field-for-field by
  * kernel.RKState (ctypes.Structure).  Every field is 8 bytes wide
@@ -18,6 +21,7 @@
  * rk_state_size() lets the wrapper assert the mirror never drifts.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -37,6 +41,7 @@ typedef int64_t i64;
 
 /* Segment state codes (repro/power/energy.py). */
 #define SEG_BUSY 0.0
+#define SEG_BATCH 1.0
 #define SEG_IDLE 2.0
 
 #define RK_INF (__builtin_inf())
@@ -176,11 +181,30 @@ typedef struct {
     i64 trimmer_on;
     double trimmer_period;
     double trimmer_last_adjust;
+
+    /* served compute cycles, interference penalty included */
+    double *out_cycles;  /* [n_req] (wrapper-owned, never a trace column) */
+
+    /* colocated batch work: a BatchTask soaks up idle time, and a
+     * MicroarchInterference charges the first LC request after it
+     * (repro/coloc/batch.py, interference.py); batch_on = 0 otherwise */
+    i64 batch_on;
+    double batch_hz;             /* BatchTask.preferred_frequency */
+    double batch_cpi;            /* BatchAppProfile.cpi_core */
+    double batch_mem_s;          /* mem_ns_per_instr * 1e-9, from Python */
+    double batch_instr;          /* BatchTask.instructions */
+    double batch_time;           /* BatchTask.run_time_s */
+    i64 batch_interval_valid;    /* Core._batch_interval_start is not None */
+    double batch_interval_start;
+    double pen_max;              /* MicroarchInterference.max_penalty_cycles */
+    double pen_tau;              /* MicroarchInterference.tau_s */
+    double pen_total;            /* .total_penalty_cycles */
+    i64 pen_count;               /* .penalized_requests */
 } rk_state;
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 1; }
+i64 rk_abi_version(void) { return 2; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -246,6 +270,18 @@ static void seg_append(rk_state *s, double start, double end,
     s->seg_count++;
 }
 
+/* BatchAppProfile.mem_stall_frac(freq) */
+static double batch_mem_frac(const rk_state *s, double freq) {
+    return s->batch_mem_s / (s->batch_cpi / freq + s->batch_mem_s);
+}
+
+/* BatchTask.run(duration, freq): duration * throughput(freq) */
+static void batch_run(rk_state *s, double duration, double freq) {
+    double throughput = 1.0 / (s->batch_cpi / freq + s->batch_mem_s);
+    s->batch_instr += duration * throughput;
+    s->batch_time += duration;
+}
+
 /* Request.advance(duration, freq) */
 static void advance_current(rk_state *s, double duration, double freq) {
     double total = s->cur_C / freq + s->cur_M;
@@ -298,12 +334,16 @@ static void consume_boundary(rk_state *s, double at, double newf) {
                    s->seg_mem_frac);
         if (s->seg_code == SEG_BUSY && s->has_current)
             advance_current(s, duration, s->seg_freq);
+        else if (s->seg_code == SEG_BATCH)
+            batch_run(s, duration, s->seg_freq);
     }
     s->seg_start = at;
     s->seg_freq = newf;
     if (s->seg_code == SEG_BUSY) {
         double total = s->cur_C / newf + s->cur_M;
         s->seg_mem_frac = total > 0.0 ? s->cur_M / total : 0.0;
+    } else if (s->seg_code == SEG_BATCH) {
+        s->seg_mem_frac = batch_mem_frac(s, newf);
     } else {
         s->seg_mem_frac = 0.0;
     }
@@ -329,6 +369,8 @@ static void close_segment(rk_state *s) {
                    s->seg_mem_frac);
         if (s->seg_code == SEG_BUSY && s->has_current)
             advance_current(s, duration, s->seg_freq);
+        else if (s->seg_code == SEG_BATCH)
+            batch_run(s, duration, s->seg_freq);
     }
     s->seg_start = s->now;
 }
@@ -341,6 +383,9 @@ static void open_segment(rk_state *s) {
         s->seg_code = SEG_BUSY;
         double total = s->cur_C / freq + s->cur_M;
         s->seg_mem_frac = total > 0.0 ? s->cur_M / total : 0.0;
+    } else if (s->batch_on) {
+        s->seg_code = SEG_BATCH;
+        s->seg_mem_frac = batch_mem_frac(s, freq);
     } else {
         s->seg_code = SEG_IDLE;
         s->seg_mem_frac = 0.0;
@@ -758,12 +803,26 @@ static i64 refresh_due(const rk_state *s) {
     return 1;
 }
 
-/* Core._begin_service */
+/* Core._begin_service, with MicroarchInterference.__call__ inlined:
+ * the first request after a batch interval pays the refill penalty. */
 static void begin_service(rk_state *s, i64 rid) {
     close_segment(s);
+    double cycles = s->tr_cycles[rid];
+    if (s->batch_interval_valid) {
+        double interval = s->now - s->batch_interval_start;
+        s->batch_interval_valid = 0;
+        if (interval > 0.0) {
+            double penalty = s->pen_max * (1.0 - exp(-interval / s->pen_tau));
+            s->pen_total += penalty;
+            s->pen_count++;
+            if (penalty > 0.0)
+                cycles += penalty;
+        }
+    }
+    s->out_cycles[rid] = cycles;
     s->has_current = 1;
     s->cur_rid = rid;
-    s->cur_C = s->tr_cycles[rid];
+    s->cur_C = cycles;
     s->cur_M = s->tr_memory[rid];
     s->cur_progress = 0.0;
     s->out_start[rid] = s->now;
@@ -800,10 +859,15 @@ static i64 process_completion(rk_state *s) {
     ring_pop(s);
     s->queue_epoch++;
     s->has_current = 0;
-    if (s->rq_len > 0)
+    if (s->rq_len > 0) {
         begin_service(s, rq_pop(s));
-    else
+    } else {
+        if (s->batch_on) {
+            s->batch_interval_valid = 1;
+            s->batch_interval_start = s->now;
+        }
         open_segment(s);
+    }
     s->completed++;
     s->observed_total++;
     i64 surface = refresh_due(s);
@@ -829,6 +893,11 @@ i64 rk_span(rk_state *s) {
                 s->decision_log[s->decision_count] = s->decided_hz;
             s->decision_count++;
             dvfs_request(s, s->decided_hz);
+            /* Core._on_completion: the batch app resumes at its own
+             * frequency once the LC queue is empty, after the listeners
+             * (an arrival always leaves a request in service). */
+            if (s->batch_on && !s->has_current)
+                dvfs_request(s, s->batch_hz);
             s->phase = PH_NEXT;
         }
         /* Buffer headroom: one event closes at most a handful of

@@ -1,9 +1,10 @@
 """Whole-run native event loop (the ``rk_span`` driver).
 
-When a :func:`repro.sim.server.run_trace` run is *eligible* — a plain
-:class:`~repro.sim.core.Core` with no batch workload, a stock
-:class:`~repro.core.controller.Rubik` resolved to the native path, and
-an un-instrumented simulator — the entire event loop (event pop, clock
+When a run served by :func:`repro.sim.server.serve` (``run_trace``, and
+each RubikColoc core of a colocated server) is *eligible* — a plain
+:class:`~repro.sim.core.Core`, a :class:`~repro.core.controller.Rubik`
+resolved to the native path whose class overrides no event hook, and an
+un-instrumented simulator — the entire event loop (event pop, clock
 advance, arrival/completion fold, Eq. 2 decision, DVFS state machine,
 segment accounting, completion scheduling) runs inside the C library
 and only *surfaces* to Python when Python-owned state must act:
@@ -15,15 +16,27 @@ and only *surfaces* to Python when Python-owned state must act:
 * ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — an output buffer
   needs draining into the meter / history list.
 
+The core may carry no batch work, or exactly a
+:class:`~repro.coloc.batch.BatchTask` background with a
+:class:`~repro.coloc.interference.MicroarchInterference` penalty (a
+colocated core): the C loop repeats those two models' arithmetic — the
+BATCH segments, the task's instruction and run-time sums, the refill
+penalty charged to the first request after a batch interval, and the
+batch frequency request once the queue drains.  Any other background
+or penalty callable keeps the Python event loop.
+
 Profiler and trimmer observations are buffered (the C side only counts
 them) and replayed in completion order at each surfacing — invisible
 otherwise, because that state is read exclusively at refresh/adjust
-points, which always surface.  Everything the Python event loop would
-have produced — completed :class:`Request` records, meter totals,
-segment log, DVFS transition count/history/pending state, the
-simulator clock and event count — is exported back at the end, so
-``finalize``/``RunResult`` code runs unchanged and the results are
-bitwise-identical to the Python kernel path.
+points, which always surface.  The profiler observes each request's
+served cycles, penalty included, which C writes to a session-owned
+column.  Everything the Python event loop would have produced —
+completed :class:`Request` records, meter totals, segment log, DVFS
+transition count/history/pending state, the batch task's and the
+interference model's sums, the simulator clock and event count — is
+exported back at the end, so ``finalize``/``RunResult`` code runs
+unchanged and the results are bitwise-identical to the Python kernel
+path.
 """
 
 from __future__ import annotations
@@ -43,18 +56,32 @@ from repro.core._native.kernel import (
     _dptr,
     _iptr,
 )
-from repro.power.model import CoreState
+from repro.power.energy import STATE_CODES
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 
-#: Segment-buffer rows between meter flushes (mirrors the Python
-#: core's ``_FLUSH_THRESHOLD``).
-_SEG_CAP = 1 << 16
+#: Segment-buffer rows between meter flushes (a flush is
+#: bitwise-neutral). Kept small because every session allocates its own:
+#: at 65,536 rows (the Python core's ``_FLUSH_THRESHOLD``) the per-core
+#: sessions of a serial fig15 + fig16 sweep raised its peak RSS by 2 MB.
+_SEG_CAP = 2048
+#: DVFS-history pairs between flushes; allocated only when the core
+#: records its history.
 _HIST_CAP = 8192
+
+#: Segment state code -> CoreState, for the open segment's export.
+_STATE_OF_CODE = {code: state for state, code in STATE_CODES.items()}
+
+#: RKState pointer fields aimed at session-owned arrays; cleared at the
+#: end so the kernel's struct does not keep a finished run's buffers.
+_SESSION_POINTERS = ("tr_arrival", "tr_cycles", "tr_memory", "out_start",
+                     "out_finish", "out_cycles", "decision_log", "rid_ring",
+                     "hist_buf", "seg_buf")
 
 
 class NativeRunSession:
-    """One run_trace execution driven through ``rk_span``."""
+    """One served run (a ``run_trace`` core or one colocated core)
+    driven through ``rk_span``."""
 
     def __init__(self, sim: Simulator, core: Core, rubik,
                  kernel: NativeDecisionKernel, trace) -> None:
@@ -74,11 +101,13 @@ class NativeRunSession:
                                             dtype=np.float64)
         self._out_start = np.zeros(n, dtype=np.float64)
         self._out_finish = np.zeros(n, dtype=np.float64)
+        # Served cycles, penalty included. Its own array: the trace
+        # columns above may be the trace's arrays themselves.
+        self._out_cycles = np.zeros(n, dtype=np.float64)
         self._decision_log = np.zeros(2 * n, dtype=np.float64)
         # Python-float copies for the buffered observe replay (identical
         # values to the Request attributes the listener path reads).
         self._arr_list = self._arrivals.tolist()
-        self._cyc_list = self._cycles.tolist()
         self._mem_list = self._memory.tolist()
         self._obs_flushed = 0
         self._events_committed = 0
@@ -92,6 +121,7 @@ class NativeRunSession:
         st.tr_memory = _dptr(self._memory)
         st.out_start = _dptr(self._out_start)
         st.out_finish = _dptr(self._out_finish)
+        st.out_cycles = _dptr(self._out_cycles)
         st.decision_log = _dptr(self._decision_log)
         st.n_req = n
         st.next_arrival = 0
@@ -127,9 +157,10 @@ class NativeRunSession:
                              if dvfs._latched_target is not None else 0.0)
         st.transitions = dvfs.transitions
         st.record_history = int(dvfs.history is not None)
-        self._hist = np.zeros(2 * _HIST_CAP, dtype=np.float64)
+        hist_cap = _HIST_CAP if dvfs.history is not None else 0
+        self._hist = np.zeros(2 * hist_cap, dtype=np.float64)
         st.hist_buf = _dptr(self._hist)
-        st.hist_cap = _HIST_CAP
+        st.hist_cap = hist_cap
         st.hist_count = 0
         unacct = dvfs._unaccounted
         st.unacct_n = len(unacct)
@@ -146,6 +177,26 @@ class NativeRunSession:
         st.seg_code = float(core._seg_code)
         st.seg_freq = core._seg_freq
         st.seg_mem_frac = core._seg_mem_frac
+
+        # Colocated batch work import (a RubikColoc core; see create()).
+        background = core.background
+        st.batch_on = int(background is not None)
+        if background is not None:
+            profile = background.profile
+            interference = core._interference_cycles
+            st.batch_hz = background.preferred_frequency(dvfs.config)
+            st.batch_cpi = profile.cpi_core
+            st.batch_mem_s = profile.mem_ns_per_instr * 1e-9
+            st.batch_instr = background.instructions
+            st.batch_time = background.run_time_s
+            st.pen_max = interference.max_penalty_cycles
+            st.pen_tau = interference.tau_s
+            st.pen_total = interference.total_penalty_cycles
+            st.pen_count = interference.penalized_requests
+        interval_start = core._batch_interval_start
+        st.batch_interval_valid = int(interval_start is not None)
+        st.batch_interval_start = (interval_start
+                                   if interval_start is not None else 0.0)
 
         # Listener-phase bookkeeping (refresh / trimmer surfacing).
         st.completed = 0
@@ -174,10 +225,11 @@ class NativeRunSession:
         """Build a session when the run is eligible, else None.
 
         Eligibility is deliberately conservative: any instrumentation or
-        configuration the C loop does not model (batch background work,
-        interference, extra listeners, monkeypatched core methods,
-        subclassed simulator/core, pre-populated state) falls back to
-        the Python event loop, which handles everything.
+        configuration the C loop does not model (a background other than
+        a ``BatchTask`` with a ``MicroarchInterference`` penalty, extra
+        listeners, monkeypatched core methods, subclassed simulator/core,
+        pre-populated state) falls back to the Python event loop, which
+        handles everything.
         """
         if len(trace) == 0:
             return None
@@ -185,8 +237,19 @@ class NativeRunSession:
             return None
         if sim._heap:
             return None
-        if core.background is not None or core._interference_cycles is not None:
-            return None
+        background = core.background
+        penalty = core._interference_cycles
+        if background is None:
+            if penalty is not None:
+                return None
+        else:
+            # Imported here so a run without batch work never loads the
+            # colocation package (which sits above this one).
+            from repro.coloc.batch import BatchTask
+            from repro.coloc.interference import MicroarchInterference
+            if (type(background) is not BatchTask
+                    or type(penalty) is not MicroarchInterference):
+                return None  # C repeats exactly these two models' arithmetic
         if (core.current is not None or core.queue or core._pending_arrivals
                 or core.completed or core._segment_buffer):
             return None
@@ -246,18 +309,20 @@ class NativeRunSession:
             return
         self._obs_flushed = end
         observe = self.rubik.profiler.observe
-        cyc, mem = self._cyc_list, self._mem_list
+        # The served cycles: the profiler sees the penalty too.
+        cycles = self._out_cycles[start:end].tolist()
+        mems = self._mem_list[start:end]
         trimmer = self.rubik.trimmer
         if trimmer is None:
-            for i in range(start, end):
-                observe(cyc[i], mem[i])
+            for c, m in zip(cycles, mems):
+                observe(c, m)
             return
-        arr = self._arr_list
+        arrivals = self._arr_list[start:end]
         fins = self._out_finish[start:end].tolist()
         t_observe = trimmer.observe
-        for i, finish in zip(range(start, end), fins):
-            observe(cyc[i], mem[i])
-            t_observe(finish, finish - arr[i])
+        for c, m, arrival, finish in zip(cycles, mems, arrivals, fins):
+            observe(c, m)
+            t_observe(finish, finish - arrival)
 
     def _surface(self) -> None:
         """A refresh or trimmer adjustment may fire before the owed
@@ -348,22 +413,32 @@ class NativeRunSession:
         core._segment_start = st.seg_start
         code = int(st.seg_code)
         core._seg_code = code
-        core._seg_state = CoreState.BUSY if code == 0 else CoreState.IDLE
+        core._seg_state = _STATE_OF_CODE[code]
         core._seg_freq = st.seg_freq
         core._seg_mem_frac = st.seg_mem_frac
         core.queue_epoch = st.queue_epoch
         core.current = None
         core._completion_entry = None
+        core._batch_interval_start = (st.batch_interval_start
+                                      if st.batch_interval_valid else None)
+        if st.batch_on:
+            background = core.background
+            background.instructions = st.batch_instr
+            background.run_time_s = st.batch_time
+            interference = core._interference_cycles
+            interference.total_penalty_cycles = st.pen_total
+            interference.penalized_requests = st.pen_count
 
         starts = self._out_start.tolist()
         fins = self._out_finish.tolist()
+        cycles = self._out_cycles.tolist()
         pred = self.trace.predicted_cycles
         completed = core.completed
         for i in range(st.n_req):
             completed.append(Request(
                 rid=i,
                 arrival_time=self._arr_list[i],
-                compute_cycles=self._cyc_list[i],
+                compute_cycles=cycles[i],
                 memory_time_s=self._mem_list[i],
                 start_time=starts[i],
                 finish_time=fins[i],
@@ -374,3 +449,5 @@ class NativeRunSession:
         core._external_flush = None
         st.span_mode = 0
         st.phase = PH_NEXT
+        for name in _SESSION_POINTERS:
+            setattr(st, name, None)

@@ -59,6 +59,10 @@ DEFAULT_UPDATE_PERIOD_S = 0.1
 #: The decision paths ``Rubik(path=...)`` accepts.
 PATHS = ("auto", "kernel", "scalar")
 
+#: The methods the native span loop stands in for: a subclass that
+#: overrides any of them keeps the Python event loop.
+_SPAN_HOOKS = ("on_arrival", "on_completion", "_maybe_refresh_tables")
+
 
 class Rubik(Scheme):
     """Fine-grain analytical DVFS for latency-critical workloads."""
@@ -265,12 +269,15 @@ class Rubik(Scheme):
     def native_session(self, sim: Simulator, core: Core, trace):
         """Whole-run native event loop (see ``Scheme.native_session``).
 
-        Engages only for a stock ``Rubik`` (subclasses overriding the
-        event hooks or refresh logic keep the Python loop) resolved to
-        the native decision path, on an eligible core/simulator pair —
-        otherwise None, and ``run_trace`` runs the Python event loop.
+        Engages for ``Rubik`` or a subclass that overrides none of
+        ``_SPAN_HOOKS`` (``RubikColocScheme`` only renames itself),
+        resolved to the native decision path, on an eligible
+        core/simulator pair — otherwise None, and the Python event loop
+        runs.
         """
-        if type(self) is not Rubik:
+        cls = type(self)
+        if any(getattr(cls, hook) is not getattr(Rubik, hook)
+               for hook in _SPAN_HOOKS):
             return None
         from repro.core._native.session import NativeRunSession
 

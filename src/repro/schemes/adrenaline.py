@@ -151,16 +151,16 @@ def _candidate_replays(traces: Sequence[Trace],
                        service: List[List[np.ndarray]],
                        bounds_s: Sequence[float],
                        pct: float) -> List[_CandidateReplays]:
-    """Native replays when the library loads and every service column is
-    float64 (the C loop's type), else the numpy ones."""
+    """Native replays when the library loads, else the numpy ones (the
+    service columns are float64, the C loop's type, because every
+    ``Trace`` column is)."""
     # Imported on first use: the ctypes mirror costs start-up time in
     # processes that never run an oracle.
     from repro.core._native.kernel import oracle_library
 
     lib = oracle_library()
-    native = lib is not None and all(
-        col.dtype == np.float64 for cols in service for col in cols)
-    return [_NativeCandidateReplays(lib, trace, cols, bound, pct) if native
+    return [_NativeCandidateReplays(lib, trace, cols, bound, pct)
+            if lib is not None
             else _CandidateReplays(trace, cols, bound, pct)
             for trace, cols, bound in zip(traces, service, bounds_s)]
 

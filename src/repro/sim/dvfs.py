@@ -20,12 +20,17 @@ instead of rescheduling it once per frequency change.
 End-of-run contract: a drained event loop no longer advances the clock
 through in-flight transitions. Drivers that previously relied on trailing
 ``FREQ_CHANGE`` events (e.g. ``run_trace``) call :meth:`settle`, which
-walks the clock to the remaining apply times. Drivers that stop mid-stream
-(the colocation loop, ``run(until=...)``) simply don't — matching the old
-behaviour of never firing events past the stop point. (One granularity
-caveat: loops that test a stop condition *per event* now do so at
-arrival/completion/timer events only, since transitions no longer appear
-on the heap — see the colocation loop's horizon-cap note.)
+walks the clock to the remaining apply times. Drivers that stop
+mid-stream simply don't — matching the old behaviour of never firing
+events past the stop point. Those are ``run(until=...)`` and the
+colocated server, which closes every core at the server's end: the
+coupled HW-T/HW-TPW loop stops there, and each per-core RubikColoc or
+StaticColoc run is moved there with :meth:`Simulator.advance_to`, so a
+transition still in flight at that time is applied only if it lands by
+then. (One granularity caveat: loops that test a stop condition *per
+event* now do so at arrival/completion/timer events only, since
+transitions no longer appear on the heap — see the coupled colocation
+loop's horizon-cap note.)
 """
 
 from __future__ import annotations

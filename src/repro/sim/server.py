@@ -118,6 +118,26 @@ def feed_arrivals(sim: Simulator, core: Core,
                            priority=ARRIVAL_PRIORITY)
 
 
+def serve(sim: Simulator, core: Core, scheme: Scheme,
+          context: SchemeContext, trace: Trace) -> None:
+    """Bind ``scheme`` to ``core`` and serve ``trace`` until it drains.
+
+    An eligible run (see :class:`repro.core._native.session.
+    NativeRunSession`) hands the whole event loop to the C span kernel,
+    and everything it exports is bitwise-identical to the Python loop;
+    the session is dropped on return. The clock stops at the last
+    event, with any in-flight DVFS transition left for the caller to
+    settle or not.
+    """
+    scheme.setup(sim, core, context)
+    session = scheme.native_session(sim, core, trace)
+    if session is not None:
+        session.run()
+    else:
+        feed_arrivals(sim, core, trace.to_requests())
+        sim.run()
+
+
 def run_trace(
     trace: Trace,
     scheme: Scheme,
@@ -151,17 +171,7 @@ def run_trace(
     dvfs = dvfs_config if dvfs_config is not None else context.dvfs
     core = Core(sim, dvfs, power_model, log_segments=log_segments,
                 record_freq_history=record_freq_history)
-    scheme.setup(sim, core, context)
-
-    # An eligible run (stock core, native-path Rubik, no extra
-    # instrumentation) hands the whole event loop to the C span kernel;
-    # everything it exports is bitwise-identical to the Python loop.
-    session = scheme.native_session(sim, core, trace)
-    if session is not None:
-        session.run()
-    else:
-        feed_arrivals(sim, core, trace.to_requests())
-        sim.run()
+    serve(sim, core, scheme, context, trace)
     # The event loop used to advance through trailing FREQ_CHANGE events;
     # with lazy transitions the fully-drained run settles explicitly.
     core.finalize(settle_dvfs=True)

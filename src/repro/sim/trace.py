@@ -30,6 +30,11 @@ class Trace:
         memory_time_s: frequency-invariant demand per request.
         predicted_cycles: hint-based demand predictions available at
             arrival (Adrenaline's input); defaults to the true demand.
+
+    Every column is stored as float64 (a float64 input is kept as is):
+    the oracle searches mix columns with Python-float frequencies, and
+    the native loops read doubles, so a narrower column would round
+    their arithmetic differently from a full replay's.
     """
 
     arrivals: np.ndarray
@@ -38,6 +43,11 @@ class Trace:
     predicted_cycles: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
+        self.compute_cycles = np.asarray(self.compute_cycles,
+                                         dtype=np.float64)
+        self.memory_time_s = np.asarray(self.memory_time_s,
+                                        dtype=np.float64)
         n = len(self.arrivals)
         if len(self.compute_cycles) != n or len(self.memory_time_s) != n:
             raise ValueError("trace columns must have equal length")
@@ -46,10 +56,12 @@ class Trace:
         if np.any(np.diff(self.arrivals) < 0):
             raise ValueError("arrivals must be nondecreasing")
         if self.predicted_cycles is None:
-            self.predicted_cycles = np.asarray(self.compute_cycles,
-                                               dtype=float).copy()
-        elif len(self.predicted_cycles) != n:
-            raise ValueError("trace columns must have equal length")
+            self.predicted_cycles = self.compute_cycles.copy()
+        else:
+            self.predicted_cycles = np.asarray(self.predicted_cycles,
+                                               dtype=np.float64)
+            if len(self.predicted_cycles) != n:
+                raise ValueError("trace columns must have equal length")
 
     def __len__(self) -> int:
         return len(self.arrivals)

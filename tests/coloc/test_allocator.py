@@ -1,11 +1,18 @@
-"""Unit tests for the chip-level HW-T/HW-TPW frequency allocator."""
+"""Unit tests for the chip-level HW-T/HW-TPW frequency allocator.
+
+The allocator's greedy ascents index per-occupant tables; the per-call
+greedy they replaced is kept below as the reference they must equal.
+"""
+
+import itertools
 
 import pytest
 
-from repro.coloc.batch import SPEC_BY_NAME, BatchTask
+from repro.coloc.batch import SPEC_BY_NAME, BatchTask, generate_mixes
 from repro.coloc.schemes import (
     ChipLevelAllocator,
     PACKAGE_FIXED_POWER_W,
+    _lc_ips,
 )
 from repro.config import DEFAULT_CMP, DEFAULT_DVFS
 from repro.power.model import DEFAULT_CORE_POWER
@@ -26,6 +33,116 @@ def make_cores(batch_names, sim=None):
     return sim, cores
 
 
+# -- reference: the greedy ascents, one model call per step ------------
+
+
+def reference_occupant_ips(alloc, core, freq_hz):
+    if core.current is not None:
+        return _lc_ips(alloc._lc_mean_demand(), freq_hz)
+    if core.background is not None:
+        return core.background.profile.throughput(freq_hz)
+    return 0.0
+
+
+def reference_occupant_power(alloc, core, freq_hz):
+    if core.current is None and core.background is None:
+        return alloc.power.sleep_power_w
+    if core.current is not None:
+        cycles, mem_s = alloc._lc_mean_demand()
+        total = cycles / freq_hz + mem_s
+        mem_frac = mem_s / total if total > 0 else 0.0
+    else:
+        mem_frac = core.background.mem_stall_frac(freq_hz)
+    return alloc.power.busy_power(freq_hz, mem_frac)
+
+
+def reference_assign_throughput(alloc, cores):
+    ips, power = reference_occupant_ips, reference_occupant_power
+    grid = cores[0].dvfs.config.frequencies
+    levels = [0] * len(cores)
+    budget = alloc.cmp.tdp_watts - PACKAGE_FIXED_POWER_W
+    spent = sum(power(alloc, c, grid[0]) for c in cores)
+    while True:
+        best_gain, best_core = 0.0, -1
+        for ci, core in enumerate(cores):
+            li = levels[ci]
+            if li + 1 >= len(grid):
+                continue
+            d_ips = (ips(alloc, core, grid[li + 1])
+                     - ips(alloc, core, grid[li]))
+            d_p = (power(alloc, core, grid[li + 1])
+                   - power(alloc, core, grid[li]))
+            if spent + d_p > budget or d_p <= 0:
+                continue
+            gain = d_ips / d_p
+            if gain > best_gain:
+                best_gain, best_core = gain, ci
+        if best_core < 0:
+            break
+        li = levels[best_core]
+        spent += (power(alloc, cores[best_core], grid[li + 1])
+                  - power(alloc, cores[best_core], grid[li]))
+        levels[best_core] += 1
+    return [grid[l] for l in levels]
+
+
+def reference_assign_tpw(alloc, cores):
+    ips, power = reference_occupant_ips, reference_occupant_power
+    grid = cores[0].dvfs.config.frequencies
+    levels = [0] * len(cores)
+    total_ips = sum(ips(alloc, c, grid[0]) for c in cores)
+    total_p = PACKAGE_FIXED_POWER_W + sum(
+        power(alloc, c, grid[0]) for c in cores)
+    improved = True
+    while improved:
+        improved = False
+        ratio = total_ips / total_p
+        best_gain, best_core, best_d = ratio, -1, (0.0, 0.0)
+        for ci, core in enumerate(cores):
+            li = levels[ci]
+            if li + 1 >= len(grid):
+                continue
+            d_ips = (ips(alloc, core, grid[li + 1])
+                     - ips(alloc, core, grid[li]))
+            d_p = (power(alloc, core, grid[li + 1])
+                   - power(alloc, core, grid[li]))
+            if d_p <= 0:
+                continue
+            gain = d_ips / d_p
+            if gain > best_gain:
+                best_gain, best_core, best_d = gain, ci, (d_ips, d_p)
+        if best_core >= 0:
+            levels[best_core] += 1
+            total_ips += best_d[0]
+            total_p += best_d[1]
+            improved = True
+    return [grid[l] for l in levels]
+
+
+@pytest.mark.parametrize("objective", ["throughput", "tpw"])
+def test_tables_match_per_call_greedy_on_every_occupant_key(objective):
+    """Every LC/batch occupant key of three mixes: the table-driven
+    assignment equals the per-call reference, float for float."""
+    for mix in generate_mixes(3, seed=0):
+        names = [profile.name for profile in mix]
+        _, cores = make_cores(names)
+        alloc = ChipLevelAllocator(Simulator(), cores, DEFAULT_CMP,
+                                   DEFAULT_CORE_POWER, objective=objective,
+                                   lc_demand=MASSTREE.mean_demands())
+        assign = (alloc._assign_throughput if objective == "throughput"
+                  else alloc._assign_tpw)
+        reference = (reference_assign_throughput
+                     if objective == "throughput" else reference_assign_tpw)
+        for lc in itertools.product((False, True), repeat=len(names)):
+            _, busy = make_cores(names)
+            for core, serving in zip(busy, lc):
+                if serving:
+                    core.enqueue(Request(0, 0.0, 1e6, 1e-5))
+            key = tuple("lc" if serving else name
+                        for serving, name in zip(lc, names))
+            assert assign(key) == reference(alloc, busy), key
+
+
 class TestThroughputObjective:
     def test_budget_respected(self):
         sim, cores = make_cores(["namd", "povray", "hmmer",
@@ -33,9 +150,9 @@ class TestThroughputObjective:
         alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                    DEFAULT_CORE_POWER,
                                    objective="throughput")
-        freqs = alloc._assign_throughput()
-        spent = sum(
-            alloc._occupant_power(c, f) for c, f in zip(cores, freqs))
+        freqs = alloc._assign_throughput(alloc._current_key())
+        spent = sum(reference_occupant_power(alloc, c, f)
+                    for c, f in zip(cores, freqs))
         assert spent <= DEFAULT_CMP.tdp_watts - PACKAGE_FIXED_POWER_W + 1e-9
 
     def test_compute_bound_apps_win_watts(self):
@@ -46,7 +163,7 @@ class TestThroughputObjective:
         alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                    DEFAULT_CORE_POWER,
                                    objective="throughput")
-        freqs = alloc._assign_throughput()
+        freqs = alloc._assign_throughput(alloc._current_key())
         by_name = {c.background.profile.name: f
                    for c, f in zip(cores, freqs)}
         assert by_name["namd"] > by_name["mcf"]
@@ -61,7 +178,7 @@ class TestTpwObjective:
                                  "gobmk", "sjeng", "calculix"])
         alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                    DEFAULT_CORE_POWER, objective="tpw")
-        freqs = alloc._assign_tpw()
+        freqs = alloc._assign_tpw(alloc._current_key())
         assert max(freqs) > DEFAULT_DVFS.min_hz
 
     def test_below_throughput_assignment(self):
@@ -71,10 +188,11 @@ class TestTpwObjective:
                                  "hmmer", "libquantum"])
         alloc = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                    DEFAULT_CORE_POWER, objective="tpw")
-        p_tpw = sum(alloc._occupant_power(c, f)
-                    for c, f in zip(cores, alloc._assign_tpw()))
-        p_thr = sum(alloc._occupant_power(c, f)
-                    for c, f in zip(cores, alloc._assign_throughput()))
+        key = alloc._current_key()
+        p_tpw = sum(reference_occupant_power(alloc, c, f)
+                    for c, f in zip(cores, alloc._assign_tpw(key)))
+        p_thr = sum(reference_occupant_power(alloc, c, f)
+                    for c, f in zip(cores, alloc._assign_throughput(key)))
         assert p_tpw <= p_thr + 1e-9
 
 
@@ -136,7 +254,7 @@ class TestLcOccupantModel:
                                    DEFAULT_CORE_POWER, objective="tpw")
         cores[0].enqueue(Request(0, 0.0, 1e6, 1e-5))
         with pytest.raises(ValueError, match="lc_demand"):
-            alloc._assign_tpw()
+            alloc._assign_tpw(alloc._current_key())
 
     @pytest.mark.parametrize("demand", [(0.0, 1e-5), (1e6, -1e-6)])
     def test_rejects_bad_lc_demand(self, demand):

@@ -127,6 +127,24 @@ class TestColocatedServer:
         with pytest.raises(ValueError):
             run_colocated_server(MASSTREE, 0.6, [], "RubikColoc", context)
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), 0,
+                                     -3])
+    def test_rejects_bad_requests_per_core(self, bad):
+        context = make_context(MASSTREE, 21, 500)
+        with pytest.raises(ValueError, match="requests_per_core"):
+            run_colocated_server(MASSTREE, 0.6, MIX, "RubikColoc", context,
+                                 requests_per_core=bad)
+
+    def test_whole_float_requests_per_core_taken_as_int(self):
+        context = make_context(MASSTREE, 21, 120)
+        got = run_colocated_server(MASSTREE, 0.6, MIX, "StaticColoc",
+                                   context, requests_per_core=60.0)
+        want = run_colocated_server(MASSTREE, 0.6, MIX, "StaticColoc",
+                                    context, requests_per_core=60)
+        assert got.lc_response_times.tolist() == \
+            want.lc_response_times.tolist()
+        assert got.core_energy_j == want.core_energy_j
+
     def test_tail_latency_nan_when_no_lc_completions(self, coloc_runs):
         # An overloaded server that completed zero LC requests flags
         # itself with a NaN tail (the fleet aggregation counts it); it

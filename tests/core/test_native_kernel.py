@@ -147,9 +147,23 @@ class TestFallback:
         assert r.kernel_stats is not None
         assert r.kernel_stats.decisions == 400
 
+    def test_cache_name_covers_the_compile_command(self, monkeypatch):
+        """A flag or library change is a cache miss, like a source
+        change: the .so name hashes the command with the source."""
+        before = [path.name for path in build._cached_paths()]
+        monkeypatch.setattr(build, "_CFLAGS", build._CFLAGS + ("-g",))
+        flagged = [path.name for path in build._cached_paths()]
+        monkeypatch.undo()
+        monkeypatch.setattr(build, "_LIBS", ())
+        unlinked = [path.name for path in build._cached_paths()]
+        assert len({tuple(before), tuple(flagged), tuple(unlinked)}) == 3
+        for names in (flagged, unlinked):
+            assert not set(names) & set(before)
+
+    @pytest.mark.native
+    @skip_without_native
     def test_build_info_reports_success(self):
-        if not build.available():
-            pytest.skip("native Rubik kernel library unavailable")
+        assert build.available()  # reloads after a reset by another test
         info = build.build_info()
         assert info["loaded"] and info["attempted"]
         assert info["path"] and info["error"] is None

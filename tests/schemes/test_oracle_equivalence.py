@@ -377,20 +377,46 @@ def test_each_path_runs_its_own_loops(path):
         assert set(calls) == {"_NativeCandidateReplays", "_NativeWalks"}
 
 
-def test_adrenaline_keeps_non_float64_columns_off_the_c_loop():
-    """The C replay reads float64; a float32 trace's service columns are
-    float32, so its tune runs the numpy replays on either path."""
-    trace = Trace.generate_at_load(APPS["masstree"], 0.4, 200, 5)
-    trace32 = Trace(*(np.asarray(column, dtype=np.float32) for column in (
+# -- float32 input traces ----------------------------------------------
+
+
+def _float32_copy(trace: Trace) -> Trace:
+    return Trace(*(np.asarray(column, dtype=np.float32) for column in (
         trace.arrivals, trace.compute_cycles, trace.memory_time_s,
         trace.predicted_cycles)))
-    context = SchemeContext(latency_bound_s=replay(
-        trace32, GRID[len(GRID) // 2]).tail_latency())
-    with mock.patch.object(adrenaline._NativeCandidateReplays,
-                           "feasible_run", side_effect=AssertionError):
-        got = tune_adrenaline([trace32], context)
-    with on_path("numpy"):
-        assert got == tune_adrenaline([trace32], context)
+
+
+def test_static_frequency_on_float32_traces():
+    """A float32 trace is stored as float64, so the search and a full
+    replay compute the same floats; with bounds on exact tails, any
+    rounding gap between them would pick another frequency."""
+    wrong = []
+    for seed in range(40):
+        app = APPS[sorted(APPS)[seed % len(APPS)]]
+        trace = _float32_copy(Trace.generate_at_load(app, 0.5, 200, seed))
+        bound = replay(trace, GRID[seed % len(GRID)]).tail_latency()
+        context = SchemeContext(latency_bound_s=bound)
+        if (find_static_frequency(trace, bound, context)
+                != reference_static_frequency(trace, bound, context)):
+            wrong.append(seed)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("seed", range(3))
+def test_adrenaline_setting_on_float32_traces(path, seed):
+    trace = _float32_copy(Trace.generate_at_load(APPS["masstree"], 0.4,
+                                                 150, seed))
+    threshold = float(np.quantile(trace.predicted_cycles, 0.8))
+    boosted = _classify(trace, threshold)
+    bound = replay(trace, np.where(boosted, GRID[-2 - seed],
+                                   GRID[len(GRID) // 2])).tail_latency()
+    context = SchemeContext(latency_bound_s=bound)
+    with on_path(path):
+        got = tune_adrenaline([trace], context, (0.8,), [bound])
+    want = reference_tune_adrenaline([trace], context, (0.8,), [bound])
+    for field in AdrenalineSetting.__dataclass_fields__:
+        assert getattr(got, field) == getattr(want, field), field
 
 
 # -- the tail-only check -----------------------------------------------

@@ -57,6 +57,32 @@ class TestGeneration:
         with pytest.raises(ValueError):
             Trace(np.array([2.0, 1.0]), np.ones(2), np.ones(2))
 
+    def test_columns_stored_as_float64(self):
+        """A narrower or integer column is widened; a float64 column is
+        kept as the very array passed in."""
+        trace = Trace.generate_at_load(MASSTREE, 0.5, 50, seed=1)
+        narrow = Trace(trace.arrivals.astype(np.float32),
+                       trace.compute_cycles.astype(np.float32),
+                       np.zeros(50, dtype=np.int64),
+                       trace.predicted_cycles.astype(np.float32))
+        for column in (narrow.arrivals, narrow.compute_cycles,
+                       narrow.memory_time_s, narrow.predicted_cycles):
+            assert column.dtype == np.float64
+        np.testing.assert_array_equal(
+            narrow.compute_cycles,
+            trace.compute_cycles.astype(np.float32).astype(np.float64))
+        same = Trace(trace.arrivals, trace.compute_cycles,
+                     trace.memory_time_s, trace.predicted_cycles)
+        assert same.arrivals is trace.arrivals
+        assert same.compute_cycles is trace.compute_cycles
+        assert same.memory_time_s is trace.memory_time_s
+        assert same.predicted_cycles is trace.predicted_cycles
+        unset = Trace(trace.arrivals, trace.compute_cycles,
+                      trace.memory_time_s)
+        assert unset.predicted_cycles is not unset.compute_cycles
+        np.testing.assert_array_equal(unset.predicted_cycles,
+                                      trace.compute_cycles)
+
     def test_to_requests(self):
         trace = Trace.generate_at_load(MASSTREE, 0.5, 10, seed=1)
         reqs = trace.to_requests()
