@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import DEFAULT_CMP
+from repro.config import DEFAULT_CMP, check_size
 from repro.coloc.batch import BatchAppProfile, generate_mixes
 from repro.coloc.server import run_colocated_server
 from repro.power.model import DEFAULT_CORE_POWER, DEFAULT_SYSTEM_POWER
@@ -31,7 +31,7 @@ from repro.schemes.base import SchemeContext
 from repro.schemes.replay import replay
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile, check_size
+from repro.workloads.base import AppProfile
 
 #: Fleet shape of the paper's experiment (Fig. 14).
 LC_SERVERS = 1000

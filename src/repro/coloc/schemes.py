@@ -100,6 +100,20 @@ class ChipLevelAllocator:
     Each occupant type's throughput and power at every grid step are
     computed once per allocator (:meth:`_row`), and both greedy ascents
     index those rows.
+
+    Ticks are lazy. The allocator listens to its cores, and a tick is
+    queued only after an arrival or a completion (and once at the
+    start): with no core event since the last tick, a tick would
+    re-request the frequencies already in effect, which
+    ``DvfsDomain.request`` returns from without a retarget. A queued
+    tick lands on the same chain of boundaries the every-period timer
+    made, ``t = t + period`` from the last tick, at the first boundary
+    after the event, and no later than ``horizon_s``. As before, a tick
+    tied with an arrival fires first (timers have priority 0). The one
+    order this cannot repeat is an exact float tie between a
+    completion and a tick boundary, which the simulator breaks by
+    sequence number: a lazily queued tick is scheduled at a different
+    moment than the timer chain would have scheduled it.
     """
 
     def __init__(
@@ -142,7 +156,37 @@ class ChipLevelAllocator:
         self._batch_by_name = {
             task.profile.name: task  # type: ignore[attr-defined]
             for task in backgrounds}
+        #: The tick chain's last boundary at or before the clock.
+        self._boundary = sim.now
+        self._queued = True
         sim.schedule_after(period_s, self._tick)
+        for core in self.cores:
+            core.add_listener(self)
+
+    # ------------------------------------------------------------------
+    # Core listener: an occupant may have changed, so a tick is owed.
+    # ------------------------------------------------------------------
+    def on_arrival(self, core: Core, request: Request) -> None:
+        if not self._queued:
+            self._queue_tick()
+
+    def on_completion(self, core: Core, request: Request) -> None:
+        if not self._queued:
+            self._queue_tick()
+
+    def _queue_tick(self) -> None:
+        """Queue a tick at the chain's first boundary after now."""
+        now = self.sim.now
+        boundary = self._boundary
+        nxt = boundary + self.period_s
+        while nxt <= now:
+            boundary = nxt
+            nxt = boundary + self.period_s
+        self._boundary = boundary
+        if self.horizon_s is not None and nxt > self.horizon_s:
+            return
+        self._queued = True
+        self.sim.schedule(nxt, self._tick)
 
     def _occupant_key(self, core: Core) -> str:
         if core.current is not None:
@@ -254,6 +298,8 @@ class ChipLevelAllocator:
         return [grid[l] for l in levels]
 
     def _tick(self) -> None:
+        self._queued = False
+        self._boundary = self.sim.now
         key = self._current_key()
         freqs = self._cache.get(key)
         if freqs is None:
@@ -263,8 +309,6 @@ class ChipLevelAllocator:
             self._cache[key] = freqs
         for core, f in zip(self.cores, freqs):
             core.dvfs.request(f)
-        if self.horizon_s is None or self.sim.now + self.period_s <= self.horizon_s:
-            self.sim.schedule_after(self.period_s, self._tick)
 
 
 def _lc_ips(lc_demand: Tuple[float, float], freq_hz: float) -> float:

@@ -7,11 +7,13 @@ chip-level HW-T/HW-TPW allocators and (b) the shared TDP; both are
 modeled by :class:`~repro.coloc.schemes.ChipLevelAllocator`.
 
 So only HW-T and HW-TPW step their cores through one coupled event
-loop. Under RubikColoc and StaticColoc each core runs alone, on its own
-simulator, through :func:`repro.sim.server.serve` (the C span loop for
-a native-path RubikColoc core); the cores share only the server's end,
-the latest of their last completions, where every core's last segment
-closes.
+loop, whose allocator ticks only after a core event. Under RubikColoc
+and StaticColoc each core runs alone, on its own simulator, through
+:func:`repro.sim.server.serve` (the C span loop for a native-path
+RubikColoc core); the cores share only the server's end, the latest of
+their last completions, where every core's last segment closes. LC
+latencies are read off each core's completion columns, so a native
+core builds no ``Request`` records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import DEFAULT_CMP
+from repro.config import DEFAULT_CMP, check_size
 from repro.coloc.batch import BatchAppProfile, BatchTask
 from repro.coloc.interference import (
     MicroarchInterference,
@@ -41,7 +43,7 @@ from repro.sim.engine import Simulator
 from repro.sim.request import Request
 from repro.sim.server import feed_arrivals, serve
 from repro.sim.trace import Trace
-from repro.workloads.base import AppProfile, check_load, check_size
+from repro.workloads.base import AppProfile, check_load
 
 #: The colocation schemes evaluated in Fig. 15.
 COLOC_SCHEME_NAMES = ("RubikColoc", "StaticColoc", "HW-T", "HW-TPW")
@@ -219,15 +221,18 @@ def run_colocated_server(
                            objective=objective, lc_demand=lc_demand,
                            horizon_s=horizon)
         total = n_req * n_cores
-        # The horizon cap is a safety net for a wedged run (completions
-        # always drain queued work, so the completion count normally
-        # ends the loop long before `max arrival + 100 s`). The per-core
-        # runs above have no timers and drain by construction, so only
-        # this loop needs it. Note: since DVFS transitions apply lazily
-        # (no FREQ_CHANGE heap events), the cap is checked at
-        # arrival/completion/allocator-tick granularity only — a capped
-        # run can process a few more of those than the event-driven
-        # machinery would have.
+        # The coupled loop steps arrivals, completions and the
+        # allocator's ticks, which it queues only after a core event
+        # (one tick at the first 100 us boundary after it), so idle
+        # stretches cost no ticks. The horizon cap is a safety net for
+        # a wedged run (completions always drain queued work, so the
+        # completion count normally ends the loop long before `max
+        # arrival + 100 s`). The per-core runs above have no timers and
+        # drain by construction, so only this loop needs it. Note:
+        # since DVFS transitions apply lazily (no FREQ_CHANGE heap
+        # events), the cap is checked at arrival/completion/allocator-
+        # tick granularity only — a capped run can process a few more
+        # of those than the event-driven machinery would have.
         while completions.count < total:
             if not shared.step():
                 break
@@ -246,7 +251,7 @@ def run_colocated_server(
         core.finalize()
 
     lc_latencies = np.concatenate([
-        np.array([r.response_time for r in core.completed[WARMUP_PER_CORE:]])
+        core.completion_columns().response_times()[WARMUP_PER_CORE:]
         for core in cores
     ])
     batch_instr: Dict[str, float] = {}

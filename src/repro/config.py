@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 import os
 import warnings
 from pathlib import Path
@@ -58,6 +59,27 @@ TDP_WATTS = 65.0
 
 #: Tail-latency percentile used throughout the paper (Sec. 5.1).
 TAIL_PERCENTILE = 95.0
+
+
+def check_size(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a usable count, else a
+    ``ValueError`` naming ``name``: finite, a whole number and at least
+    1. A whole float or a NumPy integer is taken as the ``int`` it
+    equals."""
+    if not (math.isfinite(value) and int(value) == value):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {int(value)}")
+    return int(value)
+
+
+def check_finite(name: str, value, positive: bool = False) -> float:
+    """``value`` if it is finite (and > 0 when ``positive``), else a
+    ``ValueError`` naming ``name``."""
+    if not math.isfinite(value) or (positive and not value > 0):
+        kind = "finite and positive" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def frequency_grid(

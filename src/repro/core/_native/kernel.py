@@ -180,6 +180,46 @@ class RKState(ctypes.Structure):
         ("pen_tau", ctypes.c_double),
         ("pen_total", ctypes.c_double),
         ("pen_count", ctypes.c_int64),
+        # demand profiler window
+        ("prof_window", ctypes.c_int64),
+        ("prof_buckets", ctypes.c_int64),
+        ("prof_ring", _DP),
+        ("prof_head", ctypes.c_int64),
+        ("prof_len", ctypes.c_int64),
+        ("prof_max", ctypes.c_double * 2),
+        ("prof_max_count", ctypes.c_int64 * 2),
+        ("prof_width", ctypes.c_double * 2),
+        ("prof_rebin", ctypes.c_int64 * 2),
+        ("prof_valid", ctypes.c_int64 * 2),
+        ("prof_counts", _IP),
+        ("prof_pmf", _DP),
+        # PI trimmer
+        ("tr_bound", ctypes.c_double),
+        ("tr_window_s", ctypes.c_double),
+        ("tr_pct", ctypes.c_double),
+        ("tr_kp", ctypes.c_double),
+        ("tr_ki", ctypes.c_double),
+        ("tr_min_scale", ctypes.c_double),
+        ("tr_max_scale", ctypes.c_double),
+        ("tr_min_samples", ctypes.c_int64),
+        ("tr_integral", ctypes.c_double),
+        ("tr_lo", ctypes.c_int64),
+        ("tr_scratch", _DP),
+        # energy meter
+        ("m_fl", _DP),
+        ("m_sleep_w", ctypes.c_double),
+        ("m_stall", ctypes.c_double),
+        ("m_energy", ctypes.c_double),
+        ("m_total_time", ctypes.c_double),
+        ("m_busy_energy", ctypes.c_double),
+        ("m_busy_time", ctypes.c_double),
+        ("m_batch_energy", ctypes.c_double),
+        ("m_batch_time", ctypes.c_double),
+        ("m_idle_energy", ctypes.c_double),
+        ("m_res", _DP),
+        ("m_rank", _IP),
+        ("m_seen", ctypes.c_int64 * 2),
+        ("log_segments", ctypes.c_int64),
     ]
 
 
@@ -214,6 +254,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
             ctypes.c_double, ctypes.c_int64, _VP, _VP, _VP, _VP, _VP,
             _VP, _VP]
         lib.rk_dyn_round.restype = ctypes.c_int64
+        lib.rk_percentile.argtypes = [ctypes.c_int64, _VP, ctypes.c_double,
+                                      _VP]
+        lib.rk_percentile.restype = ctypes.c_double
         size = lib.rk_state_size()
         if size != ctypes.sizeof(RKState):
             raise RuntimeError(

@@ -5,6 +5,8 @@
  * (per-event decide) and session.py (whole-run span loop).  Every
  * floating-point expression mirrors the Python implementation in
  * repro/core/decision_kernel.py, repro/sim/dvfs.py, repro/sim/core.py,
+ * repro/core/profiler.py, repro/core/feedback.py,
+ * repro/analysis/windows.py, repro/power/energy.py,
  * repro/coloc/batch.py and repro/coloc/interference.py
  * operation-for-operation: compiled for baseline x86-64/AArch64 with
  * -ffp-contract=off, each individual IEEE-754 double add/sub/mul/div
@@ -30,7 +32,7 @@ typedef int64_t i64;
 #define RK_OK 0
 #define RK_DONE 0
 #define RK_NEED_ROWS 1    /* fill need_row_c/need_row_m rows, re-enter */
-#define RK_SURFACE 2      /* flush observations + maybe-refresh, re-enter */
+#define RK_SURFACE 2      /* a table refresh is due (pmfs ready), re-enter */
 #define RK_FLUSH_SEGMENTS 3
 #define RK_FLUSH_HISTORY 4
 #define RK_ERROR 5
@@ -162,8 +164,9 @@ typedef struct {
     double unacct[8];    /* <=4 applied-but-unconsumed (time, freq) pairs */
     i64 unacct_n;
 
-    /* segment accounting (5 doubles per closed segment) */
-    double *seg_buf;     /* [5 * seg_cap] start,end,code,freq,mem_frac */
+    /* segment log rows (3 doubles per closed segment), written only
+     * when log_segments is set */
+    double *seg_buf;     /* [3 * seg_cap] start, end, power */
     i64 seg_cap;
     i64 seg_count;
     double seg_start;    /* open segment */
@@ -171,9 +174,9 @@ typedef struct {
     double seg_freq;
     double seg_mem_frac;
 
-    /* listener-phase bookkeeping (refresh / trimmer surfacing) */
-    i64 completed;             /* completions this span (== flush cursor) */
-    i64 observed_total;        /* profiler.total_observed mirror */
+    /* listener-phase bookkeeping (refresh guard, trimmer timing) */
+    i64 completed;             /* completions this span */
+    i64 observed_total;        /* profiler.total_observed */
     i64 profiler_min_samples;
     double refresh_period;
     double last_table_update;
@@ -200,11 +203,56 @@ typedef struct {
     double pen_tau;              /* MicroarchInterference.tau_s */
     double pen_total;            /* .total_penalty_cycles */
     i64 pen_count;               /* .penalized_requests */
+
+    /* demand profiler window (DemandProfiler): stream 0 is the served
+     * cycles, stream 1 the memory time; both rings share head/len */
+    i64 prof_window;             /* DemandProfiler.window */
+    i64 prof_buckets;            /* DemandProfiler.num_buckets */
+    double *prof_ring;           /* [2 * prof_window] */
+    i64 prof_head;               /* oldest sample's slot */
+    i64 prof_len;
+    double prof_max[2];          /* _SlidingHistogram.max_value */
+    i64 prof_max_count[2];       /* copies of the maximum in the window */
+    double prof_width[2];        /* bucket width of the counts */
+    i64 prof_rebin[2];           /* counts stale: recount at next snapshot */
+    i64 prof_valid[2];           /* out: 0 when the maximum is <= 0 */
+    i64 *prof_counts;            /* [2 * prof_buckets] bucket counts */
+    double *prof_pmf;            /* [2 * prof_buckets] out at RK_SURFACE */
+
+    /* PI trimmer (LatencyTargetTrimmer + RollingTailEstimator); its
+     * window is the completed rids [tr_lo, completed) */
+    double tr_bound;
+    double tr_window_s;
+    double tr_pct;
+    double tr_kp;
+    double tr_ki;
+    double tr_min_scale;
+    double tr_max_scale;
+    i64 tr_min_samples;
+    double tr_integral;
+    i64 tr_lo;
+    double *tr_scratch;          /* [n_req] percentile working copy */
+
+    /* energy meter (EnergyMeter.record), folded per closed segment */
+    double *m_fl;                /* [2 * nsteps] (dynamic, leakage) pairs */
+    double m_sleep_w;
+    double m_stall;              /* CorePowerModel.stall_activity */
+    double m_energy;
+    double m_total_time;
+    double m_busy_energy;
+    double m_busy_time;
+    double m_batch_energy;
+    double m_batch_time;
+    double m_idle_energy;
+    double *m_res;               /* [2 * nsteps] all-state, busy residency */
+    i64 *m_rank;                 /* [2 * nsteps] first-seen rank + 1, 0 unseen */
+    i64 m_seen[2];               /* keys seen per residency map */
+    i64 log_segments;            /* write segment log rows */
 } rk_state;
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 2; }
+i64 rk_abi_version(void) { return 3; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -259,15 +307,50 @@ static i64 rq_pop(rk_state *s) {
 /* ------------------------------------------------------------------ */
 /* segment accounting + DVFS state machine (span mode)                */
 /* ------------------------------------------------------------------ */
-static void seg_append(rk_state *s, double start, double end,
-                       double code, double freq, double mem_frac) {
-    double *row = s->seg_buf + 5 * s->seg_count;
-    row[0] = start;
-    row[1] = end;
-    row[2] = code;
-    row[3] = freq;
-    row[4] = mem_frac;
-    s->seg_count++;
+
+/* One residency map's `res[f] += duration`; a first-seen key takes the
+ * next rank, so the export keeps the dict's insertion order. */
+static void res_add(rk_state *s, i64 map, i64 idx, double duration) {
+    i64 slot = map * s->nsteps + idx;
+    if (!s->m_rank[slot])
+        s->m_rank[slot] = ++s->m_seen[map];
+    s->m_res[slot] += duration;
+}
+
+/* EnergyMeter.record for one closed segment (duration > 0), plus its
+ * segment-log row (power = energy / duration, as Core.flush_accounting
+ * derives it).  Every segment frequency is a grid step. */
+static void seg_close(rk_state *s, double start, double end,
+                      double duration, double code, double freq,
+                      double mem_frac) {
+    i64 idx = rk_bisect_left(s->grid, s->nsteps, freq);
+    double power;
+    if (code == SEG_IDLE)
+        power = s->m_sleep_w;
+    else
+        power = s->m_fl[2 * idx] * ((1.0 - mem_frac) + s->m_stall * mem_frac)
+                + s->m_fl[2 * idx + 1];
+    double energy = power * duration;
+    s->m_energy += energy;
+    s->m_total_time += duration;
+    res_add(s, 0, idx, duration);
+    if (code == SEG_BUSY) {
+        s->m_busy_energy += energy;
+        s->m_busy_time += duration;
+        res_add(s, 1, idx, duration);
+    } else if (code == SEG_BATCH) {
+        s->m_batch_energy += energy;
+        s->m_batch_time += duration;
+    } else {
+        s->m_idle_energy += energy;
+    }
+    if (s->log_segments) {
+        double *row = s->seg_buf + 3 * s->seg_count;
+        row[0] = start;
+        row[1] = end;
+        row[2] = energy / duration;
+        s->seg_count++;
+    }
 }
 
 /* BatchAppProfile.mem_stall_frac(freq) */
@@ -330,8 +413,8 @@ static void dvfs_sync(rk_state *s) {
 static void consume_boundary(rk_state *s, double at, double newf) {
     double duration = at - s->seg_start;
     if (duration > 0.0) {
-        seg_append(s, s->seg_start, at, s->seg_code, s->seg_freq,
-                   s->seg_mem_frac);
+        seg_close(s, s->seg_start, at, duration, s->seg_code, s->seg_freq,
+                  s->seg_mem_frac);
         if (s->seg_code == SEG_BUSY && s->has_current)
             advance_current(s, duration, s->seg_freq);
         else if (s->seg_code == SEG_BATCH)
@@ -365,8 +448,8 @@ static void close_segment(rk_state *s) {
         sync_accounting(s);
     double duration = s->now - s->seg_start;
     if (duration > 0.0) {
-        seg_append(s, s->seg_start, s->now, s->seg_code, s->seg_freq,
-                   s->seg_mem_frac);
+        seg_close(s, s->seg_start, s->now, duration, s->seg_code,
+                  s->seg_freq, s->seg_mem_frac);
         if (s->seg_code == SEG_BUSY && s->has_current)
             advance_current(s, duration, s->seg_freq);
         else if (s->seg_code == SEG_BATCH)
@@ -790,6 +873,215 @@ static i64 rk_decide(rk_state *s) {
 i64 rk_decide_entry(rk_state *s) { return rk_decide(s); }
 
 /* ------------------------------------------------------------------ */
+/* demand profiler window (repro/core/profiler.py)                    */
+/* ------------------------------------------------------------------ */
+
+/* Histogram.from_samples' bucket of x: min((int)(x / width), nb - 1). */
+static i64 prof_bucket(const rk_state *s, double x, double width) {
+    i64 b = (i64)(x / width);
+    return b < s->prof_buckets - 1 ? b : s->prof_buckets - 1;
+}
+
+/* _SlidingHistogram._rescan_max */
+static void prof_rescan(rk_state *s, i64 k) {
+    const double *ring = s->prof_ring + k * s->prof_window;
+    double m = -RK_INF;
+    i64 count = 0;
+    for (i64 i = 0; i < s->prof_len; i++) {
+        double v = ring[(s->prof_head + i) % s->prof_window];
+        if (v > m) {
+            m = v;
+            count = 1;
+        } else if (v == m) {
+            count++;
+        }
+    }
+    s->prof_max[k] = m;
+    s->prof_max_count[k] = count;
+    s->prof_rebin[k] = 1;
+}
+
+/* _SlidingHistogram.add of `v` into slot `pos`, evicting the slot's
+ * sample when the window is full.  While the width is unchanged the
+ * counts follow each add and eviction; a new maximum (or the last copy
+ * of the maximum leaving) changes the width and defers to a recount. */
+static void prof_add(rk_state *s, i64 k, double v, i64 pos, i64 full) {
+    double *ring = s->prof_ring + k * s->prof_window;
+    i64 *counts = s->prof_counts + k * s->prof_buckets;
+    if (full) {
+        double evicted = ring[pos];
+        if (evicted == s->prof_max[k])
+            s->prof_max_count[k]--;
+        if (!s->prof_rebin[k])
+            counts[prof_bucket(s, evicted, s->prof_width[k])]--;
+    }
+    ring[pos] = v;
+    if (v > s->prof_max[k]) {
+        s->prof_max[k] = v;
+        s->prof_max_count[k] = 1;
+        s->prof_rebin[k] = 1;
+    } else {
+        if (v == s->prof_max[k])
+            s->prof_max_count[k]++;
+        if (!s->prof_rebin[k])
+            counts[prof_bucket(s, v, s->prof_width[k])]++;
+    }
+    if (s->prof_max_count[k] == 0)
+        prof_rescan(s, k);
+}
+
+/* DemandProfiler.observe (demands were checked non-negative up front). */
+static void prof_observe(rk_state *s, double cycles, double memory) {
+    i64 full = s->prof_len == s->prof_window;
+    i64 pos = (s->prof_head + s->prof_len) % s->prof_window;
+    prof_add(s, 0, cycles, pos, full);
+    prof_add(s, 1, memory, pos, full);
+    if (full)
+        s->prof_head = (s->prof_head + 1) % s->prof_window;
+    else
+        s->prof_len++;
+    s->observed_total++;
+}
+
+/* _SlidingHistogram.histogram: bring the counts up to date (a full
+ * recount under from_samples' width arithmetic when stale) and write
+ * the pmf Histogram.__init__ derives from them.  The counts are whole
+ * numbers, so their total is exact and pmf[i] = counts[i] / total is
+ * the same division. */
+static void prof_snapshot(rk_state *s, i64 k) {
+    if (s->prof_max[k] <= 0.0) {
+        s->prof_valid[k] = 0;   /* the point-mass case */
+        s->prof_rebin[k] = 1;
+        return;
+    }
+    i64 nb = s->prof_buckets;
+    i64 *counts = s->prof_counts + k * nb;
+    if (s->prof_rebin[k]) {
+        const double *ring = s->prof_ring + k * s->prof_window;
+        double width = s->prof_max[k] / (double)nb * (1.0 + 1e-9);
+        for (i64 b = 0; b < nb; b++)
+            counts[b] = 0;
+        for (i64 i = 0; i < s->prof_len; i++)
+            counts[prof_bucket(s, ring[(s->prof_head + i) % s->prof_window],
+                               width)]++;
+        s->prof_width[k] = width;
+        s->prof_rebin[k] = 0;
+    }
+    i64 total = 0;
+    for (i64 b = 0; b < nb; b++)
+        total += counts[b];
+    double *pmf = s->prof_pmf + k * nb;
+    for (i64 b = 0; b < nb; b++)
+        pmf[b] = (double)counts[b] / (double)total;
+    s->prof_valid[k] = 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* PI trimmer (repro/core/feedback.py, repro/analysis/windows.py)     */
+/* ------------------------------------------------------------------ */
+
+static void swap_d(double *a, i64 i, i64 j) {
+    double t = a[i];
+    a[i] = a[j];
+    a[j] = t;
+}
+
+/* Quickselect: the k-th smallest of a[0..n), leaving a[i] <= a[k] for
+ * i < k and a[i] >= a[k] for i > k (median-of-three pivots). */
+static double select_kth(double *a, i64 n, i64 k) {
+    i64 lo = 0, hi = n - 1;
+    while (hi > lo + 1) {
+        i64 mid = (lo + hi) >> 1;
+        swap_d(a, mid, lo + 1);
+        if (a[lo] > a[hi]) swap_d(a, lo, hi);
+        if (a[lo + 1] > a[hi]) swap_d(a, lo + 1, hi);
+        if (a[lo] > a[lo + 1]) swap_d(a, lo, lo + 1);
+        i64 i = lo + 1, j = hi;
+        double pivot = a[lo + 1];
+        for (;;) {
+            do i++; while (a[i] < pivot);
+            do j--; while (a[j] > pivot);
+            if (j < i) break;
+            swap_d(a, i, j);
+        }
+        a[lo + 1] = a[j];
+        a[j] = pivot;
+        if (j >= k) hi = j - 1;
+        if (j <= k) lo = i;
+    }
+    if (hi == lo + 1 && a[hi] < a[lo])
+        swap_d(a, lo, hi);
+    return a[k];
+}
+
+/* np.percentile(a[:n], pct), method "linear", on a working copy `a`
+ * (reordered in place):  v = (n - 1) * (pct / 100), the order
+ * statistics k = floor(v) and min(k + 1, n - 1), and numpy's _lerp,
+ * which interpolates down from the upper neighbour when g >= 0.5.  At
+ * v >= n - 1 both neighbours are the maximum, as in numpy. */
+static double percentile_linear(double *a, i64 n, double pct) {
+    double v = (double)(n - 1) * (pct / 100.0);
+    if (v >= (double)(n - 1)) {
+        double m = a[0];
+        for (i64 i = 1; i < n; i++)
+            if (a[i] > m) m = a[i];
+        return m;
+    }
+    i64 k = (i64)v;             /* floor: v >= 0 */
+    double g = v - (double)k;
+    double lo = select_kth(a, n, k);
+    double hi = a[k + 1];
+    for (i64 i = k + 2; i < n; i++)
+        if (a[i] < hi) hi = a[i];
+    double d = hi - lo;
+    if (g >= 0.5)
+        return hi - d * (1.0 - g);
+    return lo + d * g;
+}
+
+/* Standalone entry point of the percentile, for the property test
+ * against np.percentile.  `scratch` ([n]) receives the working copy. */
+double rk_percentile(i64 n, const double *values, double pct,
+                     double *scratch) {
+    for (i64 i = 0; i < n; i++)
+        scratch[i] = values[i];
+    return percentile_linear(scratch, n, pct);
+}
+
+/* LatencyTargetTrimmer.observe for the completion of `rid` at `now`:
+ * RollingTailEstimator._evict (strictly older than now - window_s),
+ * then, once per adjust period, _adjust's PI update on the window's
+ * tail, operands in the order written there. */
+static void trimmer_observe(rk_state *s, i64 rid) {
+    double now = s->now;
+    double cutoff = now - s->tr_window_s;
+    while (s->tr_lo <= rid && s->out_finish[s->tr_lo] < cutoff)
+        s->tr_lo++;
+    if (!(now - s->trimmer_last_adjust >= s->trimmer_period))
+        return;
+    i64 n = rid + 1 - s->tr_lo;
+    if (n >= s->tr_min_samples && n > 0) {
+        double *lat = s->tr_scratch;
+        for (i64 i = 0; i < n; i++) {
+            i64 r = s->tr_lo + i;
+            lat[i] = s->out_finish[r] - s->tr_arrival[r];
+        }
+        double measured = percentile_linear(lat, n, s->tr_pct);
+        double bound = s->tr_bound;
+        double error = (bound - measured) / bound;
+        s->tr_integral += error * s->trimmer_period;
+        double scale = 1.0 + s->tr_kp * error + s->tr_ki * s->tr_integral;
+        /* min(max_scale, max(min_scale, scale)), Python's tie rules */
+        double floored = scale > s->tr_min_scale ? scale : s->tr_min_scale;
+        scale = floored < s->tr_max_scale ? floored : s->tr_max_scale;
+        s->tr_integral = s->tr_ki != 0.0
+            ? (scale - 1.0 - s->tr_kp * error) / s->tr_ki : 0.0;
+        s->target = scale * bound;
+    }
+    s->trimmer_last_adjust = now;
+}
+
+/* ------------------------------------------------------------------ */
 /* span event loop (run_trace inner loop)                             */
 /* ------------------------------------------------------------------ */
 
@@ -800,6 +1092,15 @@ static i64 refresh_due(const rk_state *s) {
     if (s->now - s->last_table_update < s->refresh_period) return 0;
     if (s->observed_total < s->profiler_min_samples) return 0;
     if (s->observed_total == s->samples_at_last_update) return 0;
+    return 1;
+}
+
+/* Surface for a due refresh, with both pmfs ready for the snapshot. */
+static i64 refresh_surface(rk_state *s) {
+    if (!refresh_due(s))
+        return 0;
+    prof_snapshot(s, 0);
+    prof_snapshot(s, 1);
     return 1;
 }
 
@@ -830,8 +1131,9 @@ static void begin_service(rk_state *s, i64 rid) {
     open_segment(s);
 }
 
-/* Process one arrival; returns nonzero when the listener phase must
- * surface to Python (a refresh could fire before the decide). */
+/* Process one arrival; returns nonzero when a table refresh is due
+ * before the decide (the profiler is unchanged since the last
+ * completion). */
 static i64 process_arrival(rk_state *s) {
     i64 rid = s->next_arrival++;
     s->now = s->tr_arrival[rid];
@@ -842,13 +1144,13 @@ static i64 process_arrival(rk_state *s) {
         begin_service(s, rid);
     else
         rq_push(s, rid);
-    return refresh_due(s);
+    return refresh_surface(s);
 }
 
-/* Process one completion; surfaces when a refresh or a trimmer adjust
- * could fire before the decide (profiler/trimmer observes are buffered
- * and replayed by the wrapper at surfacings — invisible otherwise,
- * since that state is only ever read at refresh/adjust points). */
+/* Process one completion, then Rubik.on_completion's listener work in
+ * its order: the profiler observes the served cycles (penalty
+ * included) and the memory time, the trimmer the response time, and
+ * the refresh guard runs; surfaces only when a refresh is due. */
 static i64 process_completion(rk_state *s) {
     s->now = s->completion_time;
     s->events++;
@@ -869,18 +1171,16 @@ static i64 process_completion(rk_state *s) {
         open_segment(s);
     }
     s->completed++;
-    s->observed_total++;
-    i64 surface = refresh_due(s);
-    if (s->trimmer_on
-            && s->now - s->trimmer_last_adjust >= s->trimmer_period)
-        surface = 1;
-    return surface;
+    prof_observe(s, s->out_cycles[rid], s->tr_memory[rid]);
+    if (s->trimmer_on)
+        trimmer_observe(s, rid);
+    return refresh_surface(s);
 }
 
-/* Drive events until done, returning to Python only for NEED_ROWS,
- * surfacings, or a full segment/history buffer.  Re-enter after
- * servicing; `phase` records whether the current event still owes its
- * frequency decision. */
+/* Drive events until done, returning to Python only for NEED_ROWS, a
+ * due table refresh, or a full segment-log/history buffer.  Re-enter
+ * after servicing; `phase` records whether the current event still owes
+ * its frequency decision. */
 i64 rk_span(rk_state *s) {
     if (!s->span_mode)
         return RK_ERROR;
@@ -902,7 +1202,7 @@ i64 rk_span(rk_state *s) {
         }
         /* Buffer headroom: one event closes at most a handful of
          * segments (close + <=4 transition boundaries, twice). */
-        if (s->seg_count + 16 > s->seg_cap)
+        if (s->log_segments && s->seg_count + 16 > s->seg_cap)
             return RK_FLUSH_SEGMENTS;
         if (s->record_history && s->hist_count + 4 > s->hist_cap)
             return RK_FLUSH_HISTORY;

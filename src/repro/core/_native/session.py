@@ -4,17 +4,26 @@ When a run served by :func:`repro.sim.server.serve` (``run_trace``, and
 each RubikColoc core of a colocated server) is *eligible* — a plain
 :class:`~repro.sim.core.Core`, a :class:`~repro.core.controller.Rubik`
 resolved to the native path whose class overrides no event hook, and an
-un-instrumented simulator — the entire event loop (event pop, clock
-advance, arrival/completion fold, Eq. 2 decision, DVFS state machine,
-segment accounting, completion scheduling) runs inside the C library
-and only *surfaces* to Python when Python-owned state must act:
+un-instrumented simulator — the entire event loop runs inside the C
+library: event pop, clock advance, arrival/completion fold, Eq. 2
+decision, DVFS state machine, segment accounting, completion
+scheduling, and the listener work Rubik does per completion. C keeps
+the demand profiler's window and bucket counts, the PI trimmer (its
+rolling window, percentile and target) and the energy meter's sums, so
+between table refreshes no Python code runs per completion or per
+segment. It returns to Python only when Python-owned state must act:
 
 * ``RK_NEED_ROWS`` — the decision fold needs a longer tail-table row;
-* ``RK_SURFACE`` — a table refresh or trimmer adjustment *could* fire
-  before the next decision (the C side mirrors the controller's guards
-  exactly, so it surfaces if and only if Python would do work);
-* ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — an output buffer
-  needs draining into the meter / history list.
+* ``RK_SURFACE`` — a table refresh is due (C mirrors the controller's
+  guards exactly); C has written both windows' pmfs, and the session
+  wraps them as the profiler's snapshot for
+  :meth:`Rubik._refresh_tables`;
+* ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — the segment log or the
+  DVFS history a caller asked for filled its buffer.
+
+Nothing is replayed: the profiler window a reused controller carries
+is imported at the start, and the trimmer window starts empty (a fresh
+trimmer per setup).
 
 The core may carry no batch work, or exactly a
 :class:`~repro.coloc.batch.BatchTask` background with a
@@ -25,26 +34,25 @@ penalty charged to the first request after a batch interval, and the
 batch frequency request once the queue drains.  Any other background
 or penalty callable keeps the Python event loop.
 
-Profiler and trimmer observations are buffered (the C side only counts
-them) and replayed in completion order at each surfacing — invisible
-otherwise, because that state is read exclusively at refresh/adjust
-points, which always surface.  The profiler observes each request's
-served cycles, penalty included, which C writes to a session-owned
-column.  Everything the Python event loop would have produced —
-completed :class:`Request` records, meter totals, segment log, DVFS
-transition count/history/pending state, the batch task's and the
-interference model's sums, the simulator clock and event count — is
-exported back at the end, so ``finalize``/``RunResult`` code runs
-unchanged and the results are bitwise-identical to the Python kernel
-path.
+Everything the Python event loop would have produced — the completions
+(left as columns: :attr:`Core.completed` builds the :class:`Request`
+records on first read), meter totals and residency maps, segment log,
+DVFS transition count/history/pending state, the profiler window and
+counts, the trimmer's target, integral and window, the batch task's
+and the interference model's sums, the simulator clock and event
+count — is exported back at the end, so ``finalize``/``RunResult``
+code runs unchanged and the results are bitwise-identical to the
+Python kernel path.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
+from repro.analysis.windows import RollingTailEstimator
 from repro.core._native.kernel import (
     PH_NEXT,
     RK_DONE,
@@ -56,14 +64,17 @@ from repro.core._native.kernel import (
     _dptr,
     _iptr,
 )
-from repro.power.energy import STATE_CODES
+from repro.core.feedback import LatencyTargetTrimmer
+from repro.core.histogram import Histogram
+from repro.core.profiler import ZERO_MEMORY_WIDTH, DemandProfiler
+from repro.power.energy import STATE_CODES, EnergyMeter
+from repro.power.model import CorePowerModel
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
+from repro.sim.request import CompletionColumns
 
-#: Segment-buffer rows between meter flushes (a flush is
-#: bitwise-neutral). Kept small because every session allocates its own:
-#: at 65,536 rows (the Python core's ``_FLUSH_THRESHOLD``) the per-core
-#: sessions of a serial fig15 + fig16 sweep raised its peak RSS by 2 MB.
+#: Segment-log rows between flushes; allocated only when the core logs
+#: its segments.
 _SEG_CAP = 2048
 #: DVFS-history pairs between flushes; allocated only when the core
 #: records its history.
@@ -76,7 +87,8 @@ _STATE_OF_CODE = {code: state for state, code in STATE_CODES.items()}
 #: end so the kernel's struct does not keep a finished run's buffers.
 _SESSION_POINTERS = ("tr_arrival", "tr_cycles", "tr_memory", "out_start",
                      "out_finish", "out_cycles", "decision_log", "rid_ring",
-                     "hist_buf", "seg_buf")
+                     "hist_buf", "seg_buf", "prof_ring", "prof_counts",
+                     "prof_pmf", "tr_scratch", "m_fl", "m_res", "m_rank")
 
 
 class NativeRunSession:
@@ -89,27 +101,22 @@ class NativeRunSession:
         self.core = core
         self.rubik = rubik
         self.kernel = kernel
-        self.trace = trace
         st = self._st = kernel._st
 
+        # Private copies: the columns outlive the run (core.completed
+        # builds its records from them on first read).
         n = len(trace)
-        self._arrivals = np.ascontiguousarray(trace.arrivals,
-                                              dtype=np.float64)
+        self._arrivals = np.array(trace.arrivals, dtype=np.float64)
         self._cycles = np.ascontiguousarray(trace.compute_cycles,
                                             dtype=np.float64)
-        self._memory = np.ascontiguousarray(trace.memory_time_s,
-                                            dtype=np.float64)
+        self._memory = np.array(trace.memory_time_s, dtype=np.float64)
+        self._predicted = np.array(trace.predicted_cycles, dtype=np.float64)
         self._out_start = np.zeros(n, dtype=np.float64)
         self._out_finish = np.zeros(n, dtype=np.float64)
         # Served cycles, penalty included. Its own array: the trace
-        # columns above may be the trace's arrays themselves.
+        # column above may be the trace's array itself.
         self._out_cycles = np.zeros(n, dtype=np.float64)
         self._decision_log = np.zeros(2 * n, dtype=np.float64)
-        # Python-float copies for the buffered observe replay (identical
-        # values to the Request attributes the listener path reads).
-        self._arr_list = self._arrivals.tolist()
-        self._mem_list = self._memory.tolist()
-        self._obs_flushed = 0
         self._events_committed = 0
 
         st.span_mode = 1
@@ -168,15 +175,19 @@ class NativeRunSession:
             st.unacct[2 * i] = at
             st.unacct[2 * i + 1] = freq
 
-        # Segment accounting import.
-        self._segs = np.zeros((_SEG_CAP, 5), dtype=np.float64)
-        st.seg_buf = _dptr(self._segs)
-        st.seg_cap = _SEG_CAP
-        st.seg_count = 0
+        # Open segment and segment log.
         st.seg_start = core._segment_start
         st.seg_code = float(core._seg_code)
         st.seg_freq = core._seg_freq
         st.seg_mem_frac = core._seg_mem_frac
+        st.log_segments = int(core.segment_log is not None)
+        seg_cap = _SEG_CAP if core.segment_log is not None else 0
+        self._segs = np.zeros((seg_cap, 3), dtype=np.float64)
+        st.seg_buf = _dptr(self._segs)
+        st.seg_cap = seg_cap
+        st.seg_count = 0
+
+        self._import_meter()
 
         # Colocated batch work import (a RubikColoc core; see create()).
         background = core.background
@@ -198,25 +209,22 @@ class NativeRunSession:
         st.batch_interval_start = (interval_start
                                    if interval_start is not None else 0.0)
 
-        # Listener-phase bookkeeping (refresh / trimmer surfacing).
+        # Refresh guard.
         st.completed = 0
         st.observed_total = rubik.profiler.total_observed
         st.profiler_min_samples = rubik.profiler.min_samples
         st.refresh_period = rubik.update_period_s
         st.last_table_update = rubik._last_table_update
         st.samples_at_last_update = rubik._samples_at_last_update
-        trimmer = rubik.trimmer
-        st.trimmer_on = int(trimmer is not None)
-        st.trimmer_period = (trimmer.adjust_period_s
-                             if trimmer is not None else 0.0)
-        st.trimmer_last_adjust = (trimmer._last_adjust
-                                  if trimmer is not None else 0.0)
-        self._sync_eval_context()
+        self._import_profiler()
+        self._import_trimmer(n)
+        tables = rubik.tables
+        if tables is not kernel._tables_obj:
+            kernel._bind_tables(tables)
 
-        # Mid-run meter/segment-log readers call flush_accounting();
-        # the C rows are chronologically older than anything the Python
-        # buffer could accumulate, so they drain first.
-        core._external_flush = self._flush_segments
+        # Mid-run meter/segment-log readers call flush_accounting(),
+        # which exports the C sums before folding the Python buffer.
+        core._external_flush = self._flush
 
     # ------------------------------------------------------------------
     @classmethod
@@ -227,9 +235,13 @@ class NativeRunSession:
         Eligibility is deliberately conservative: any instrumentation or
         configuration the C loop does not model (a background other than
         a ``BatchTask`` with a ``MicroarchInterference`` penalty, extra
-        listeners, monkeypatched core methods, subclassed simulator/core,
-        pre-populated state) falls back to the Python event loop, which
-        handles everything.
+        listeners, monkeypatched core methods, subclassed simulator,
+        core, profiler, trimmer, meter or power model, a frequency off
+        the decision grid, pre-populated state) falls back to the Python
+        event loop, which handles everything.
+
+        Raises the ``ValueError`` the Python loop's ``Request`` records
+        raise for a trace with a negative or all-zero demand.
         """
         if len(trace) == 0:
             return None
@@ -251,7 +263,8 @@ class NativeRunSession:
                     or type(penalty) is not MicroarchInterference):
                 return None  # C repeats exactly these two models' arithmetic
         if (core.current is not None or core.queue or core._pending_arrivals
-                or core.completed or core._segment_buffer):
+                or core._columns is not None or core._completed
+                or core._segment_buffer):
             return None
         if core.listeners != [rubik]:
             return None
@@ -262,10 +275,47 @@ class NativeRunSession:
                 return None
         if core.dvfs.on_retarget is None or not core.dvfs._track_boundaries:
             return None
+        # C repeats these models' arithmetic, and nothing else.
+        if (type(rubik.profiler) is not DemandProfiler
+                or type(core.meter) is not EnergyMeter
+                or type(core.meter.model) is not CorePowerModel):
+            return None
+        trimmer = rubik.trimmer
+        if trimmer is not None and (
+                type(trimmer) is not LatencyTargetTrimmer
+                or type(trimmer._estimator) is not RollingTailEstimator
+                or trimmer._estimator.count()):
+            return None
         kernel = rubik._kernel
         if not isinstance(kernel, NativeDecisionKernel):
             return None  # setup() bound another path
+        if not cls._frequencies_on_grid(core, kernel):
+            return None
+        cycles = np.asarray(trace.compute_cycles)
+        memory = np.asarray(trace.memory_time_s)
+        if (cycles < 0).any() or (memory < 0).any():
+            raise ValueError("demands must be non-negative")
+        if ((cycles == 0) & (memory == 0)).any():
+            raise ValueError("request must have positive demand")
         return cls(sim, core, rubik, kernel, trace)
+
+    @staticmethod
+    def _frequencies_on_grid(core: Core, kernel: NativeDecisionKernel
+                             ) -> bool:
+        """The C meter looks every segment frequency up on the decision
+        grid: the imported frequencies and residency keys must be on
+        it (decisions always are)."""
+        grid = set(kernel._grid_arr.tolist())
+        dvfs = core.dvfs
+        freqs = [dvfs._current_hz, core._seg_freq]
+        freqs += [f for f in (dvfs._pending_target, dvfs._latched_target)
+                  if f is not None]
+        freqs += [f for _, f in dvfs._unaccounted]
+        freqs += list(core.meter._freq_residency)
+        freqs += list(core.meter._busy_freq_residency)
+        if core.background is not None:
+            freqs.append(core.background.preferred_frequency(dvfs.config))
+        return all(f in grid for f in freqs)
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -281,7 +331,7 @@ class NativeRunSession:
             if rc == RK_NEED_ROWS:
                 fill_rows()
             elif rc == RK_SURFACE:
-                self._surface()
+                self._refresh()
             elif rc == RK_FLUSH_SEGMENTS:
                 self._flush_segments()
             elif rc == RK_FLUSH_HISTORY:
@@ -300,77 +350,147 @@ class NativeRunSession:
         self.sim.absorb_span(st.now, st.events - self._events_committed)
         self._events_committed = st.events
 
-    def _replay_observations(self) -> None:
-        """Feed buffered completions to the profiler/trimmer, in
-        completion order (== rid order: FIFO, single server)."""
-        st = self._st
-        start, end = self._obs_flushed, st.completed
-        if end == start:
-            return
-        self._obs_flushed = end
-        observe = self.rubik.profiler.observe
-        # The served cycles: the profiler sees the penalty too.
-        cycles = self._out_cycles[start:end].tolist()
-        mems = self._mem_list[start:end]
-        trimmer = self.rubik.trimmer
-        if trimmer is None:
-            for c, m in zip(cycles, mems):
-                observe(c, m)
-            return
-        arrivals = self._arr_list[start:end]
-        fins = self._out_finish[start:end].tolist()
-        t_observe = trimmer.observe
-        for c, m, arrival, finish in zip(cycles, mems, arrivals, fins):
-            observe(c, m)
-            t_observe(finish, finish - arrival)
-
-    def _surface(self) -> None:
-        """A refresh or trimmer adjustment may fire before the owed
-        decision: replay observations, run the controller's refresh,
-        re-sync the evaluation context, re-enter."""
+    def _refresh(self) -> None:
+        """A table refresh is due before the owed decision: hand C's
+        profiler snapshot to the controller and bind the resolved
+        tables. The trimmer's target stays C's."""
         self._commit_clock()
-        self._replay_observations()
-        self.rubik._maybe_refresh_tables()
-        st = self._st
-        st.last_table_update = self.rubik._last_table_update
-        st.samples_at_last_update = self.rubik._samples_at_last_update
-        st.observed_total = self.rubik.profiler.total_observed
-        trimmer = self.rubik.trimmer
-        if trimmer is not None:
-            st.trimmer_last_adjust = trimmer._last_adjust
-        self._sync_eval_context()
-
-    def _sync_eval_context(self) -> None:
         st = self._st
         rubik = self.rubik
+        rubik._refresh_tables(self._histogram(0, 1.0),
+                              self._histogram(1, ZERO_MEMORY_WIDTH),
+                              st.observed_total)
+        st.last_table_update = rubik._last_table_update
+        st.samples_at_last_update = rubik._samples_at_last_update
         tables = rubik.tables
         if tables is not self.kernel._tables_obj:
             self.kernel._bind_tables(tables)
-        trimmer = rubik.trimmer
-        st.target = (trimmer.internal_target_s if trimmer is not None
-                     else rubik.context.latency_bound_s)
+
+    def _histogram(self, stream: int, point_width: float) -> Histogram:
+        """Stream ``stream``'s snapshot, as ``DemandProfiler.snapshot``
+        builds it: C's normalized pmf, or the point mass at zero when
+        the window's maximum is not positive."""
+        st = self._st
+        if not st.prof_valid[stream]:
+            return Histogram.point_mass(0.0, bucket_width=point_width)
+        return Histogram._from_normalized(st.prof_width[stream],
+                                          self._prof_pmf[stream].copy())
+
+    # ------------------------------------------------------------------
+    # imports (session start)
+    # ------------------------------------------------------------------
+    def _import_profiler(self) -> None:
+        """Copy the profiler's window (a reused controller carries one
+        across runs); C recounts its buckets at the first snapshot."""
+        st = self._st
+        profiler = self.rubik.profiler
+        window, buckets = profiler.window, profiler.num_buckets
+        streams = (profiler._cycles, profiler._memory)
+        self._prof_ring = np.zeros((2, window), dtype=np.float64)
+        self._prof_counts = np.zeros((2, buckets), dtype=np.int64)
+        self._prof_pmf = np.zeros((2, buckets), dtype=np.float64)
+        st.prof_window = window
+        st.prof_buckets = buckets
+        st.prof_ring = _dptr(self._prof_ring)
+        st.prof_counts = _iptr(self._prof_counts)
+        st.prof_pmf = _dptr(self._prof_pmf)
+        st.prof_head = 0
+        st.prof_len = len(streams[0])
+        for k, stream in enumerate(streams):
+            self._prof_ring[k, :len(stream)] = list(stream.samples)
+            st.prof_max[k] = stream.max_value
+            st.prof_max_count[k] = stream._max_count
+            st.prof_width[k] = 0.0
+            st.prof_rebin[k] = 1
+
+    def _import_trimmer(self, n: int) -> None:
+        st = self._st
+        trimmer = self.rubik.trimmer
+        st.trimmer_on = int(trimmer is not None)
+        if trimmer is None:
+            st.target = self.rubik.context.latency_bound_s
+            return
+        estimator = trimmer._estimator
+        self._tr_scratch = np.zeros(n, dtype=np.float64)
+        st.tr_scratch = _dptr(self._tr_scratch)
+        st.trimmer_period = trimmer.adjust_period_s
+        st.trimmer_last_adjust = trimmer._last_adjust
+        st.tr_bound = trimmer.bound_s
+        st.tr_window_s = estimator.window_s
+        st.tr_pct = estimator.pct
+        st.tr_kp = trimmer.kp
+        st.tr_ki = trimmer.ki
+        st.tr_min_scale = trimmer.min_scale
+        st.tr_max_scale = trimmer.max_scale
+        st.tr_min_samples = trimmer.min_window_samples
+        st.tr_integral = trimmer._integral
+        st.tr_lo = 0
+        st.target = trimmer.internal_target_s
+
+    def _import_meter(self) -> None:
+        """The meter's sums and residency maps (first-seen order kept
+        as ranks), and the power model's cached terms per grid step."""
+        st = self._st
+        meter = self.core.meter
+        grid = self._grid = self.kernel._grid_arr.tolist()
+        index = {f: i for i, f in enumerate(grid)}
+        self._m_fl = np.array([meter.model.power_terms(f) for f in grid],
+                              dtype=np.float64)
+        self._m_res = np.zeros((2, len(grid)), dtype=np.float64)
+        self._m_rank = np.zeros((2, len(grid)), dtype=np.int64)
+        st.m_fl = _dptr(self._m_fl)
+        st.m_res = _dptr(self._m_res)
+        st.m_rank = _iptr(self._m_rank)
+        st.m_sleep_w = meter.model.sleep_power_w
+        st.m_stall = meter.model.stall_activity
+        st.m_energy = meter.energy_j
+        st.m_total_time = meter.total_time_s
+        st.m_busy_energy = meter.active_energy_j
+        st.m_busy_time = meter.busy_time_s
+        st.m_batch_energy = meter.batch_energy_j
+        st.m_batch_time = meter.batch_time_s
+        st.m_idle_energy = meter.idle_energy_j
+        for k, residency in enumerate((meter._freq_residency,
+                                       meter._busy_freq_residency)):
+            for rank, (freq, seconds) in enumerate(residency.items(), 1):
+                self._m_res[k, index[freq]] = seconds
+                self._m_rank[k, index[freq]] = rank
+            st.m_seen[k] = len(residency)
 
     # ------------------------------------------------------------------
     # output draining
     # ------------------------------------------------------------------
+    def _flush(self) -> None:
+        """``core._external_flush``: export the meter sums and drain the
+        segment log (mid-run readers, and the finish)."""
+        self._export_meter()
+        self._flush_segments()
+
+    def _export_meter(self) -> None:
+        st = self._st
+        meter = self.core.meter
+        meter.energy_j = st.m_energy
+        meter.total_time_s = st.m_total_time
+        meter.active_energy_j = st.m_busy_energy
+        meter.busy_time_s = st.m_busy_time
+        meter.batch_energy_j = st.m_batch_energy
+        meter.batch_time_s = st.m_batch_time
+        meter.idle_energy_j = st.m_idle_energy
+        grid = self._grid
+        for k, residency in enumerate((meter._freq_residency,
+                                       meter._busy_freq_residency)):
+            ranks = self._m_rank[k]
+            seen = np.flatnonzero(ranks)
+            for idx in seen[np.argsort(ranks[seen])].tolist():
+                residency[grid[idx]] = float(self._m_res[k, idx])
+
     def _flush_segments(self) -> None:
-        """Drain closed C segments into the meter (and segment log) —
-        the native half of ``Core.flush_accounting``, same arithmetic."""
         st = self._st
         count = st.seg_count
-        if not count:
-            return
-        seg = self._segs[:count]
-        st.seg_count = 0
-        starts = seg[:, 0].copy()
-        ends = seg[:, 1].copy()
-        durations = ends - starts
-        energies = self.core.meter.record_segments(
-            durations, seg[:, 2].copy(), seg[:, 3].copy(), seg[:, 4].copy())
-        if self.core.segment_log is not None:
-            powers = energies / durations
+        if count:
             self.core.segment_log.extend(
-                zip(starts.tolist(), ends.tolist(), powers.tolist()))
+                map(tuple, self._segs[:count].tolist()))
+            st.seg_count = 0
 
     def _flush_history(self) -> None:
         st = self._st
@@ -385,13 +505,10 @@ class NativeRunSession:
     def _finish(self) -> None:
         """Export every piece of state the Python loop would have left
         behind, so ``finalize``/``RunResult`` run unchanged."""
-        from repro.sim.request import Request
-
         st = self._st
         core = self.core
         self._commit_clock()
-        self._replay_observations()
-        self._flush_segments()
+        self._flush()
         self._flush_history()
 
         dvfs = core.dvfs
@@ -429,25 +546,53 @@ class NativeRunSession:
             interference.total_penalty_cycles = st.pen_total
             interference.penalized_requests = st.pen_count
 
-        starts = self._out_start.tolist()
-        fins = self._out_finish.tolist()
-        cycles = self._out_cycles.tolist()
-        pred = self.trace.predicted_cycles
-        completed = core.completed
-        for i in range(st.n_req):
-            completed.append(Request(
-                rid=i,
-                arrival_time=self._arr_list[i],
-                compute_cycles=cycles[i],
-                memory_time_s=self._mem_list[i],
-                start_time=starts[i],
-                finish_time=fins[i],
-                progress=1.0,
-                predicted_cycles=float(pred[i]),
-            ))
+        self._export_profiler()
+        self._export_trimmer()
+        core._columns = CompletionColumns(
+            self._arrivals, self._out_start, self._out_finish,
+            self._out_cycles, self._memory, self._predicted)
+        core._completed = None  # built from the columns on first read
 
         core._external_flush = None
         st.span_mode = 0
         st.phase = PH_NEXT
         for name in _SESSION_POINTERS:
             setattr(st, name, None)
+
+    def _export_profiler(self) -> None:
+        """Leave the profiler as the Python loop leaves it: the window,
+        its maxima, the counts (when current) and the total."""
+        st = self._st
+        profiler = self.rubik.profiler
+        order = (st.prof_head + np.arange(st.prof_len)) % st.prof_window
+        for k, stream in enumerate((profiler._cycles, profiler._memory)):
+            stream.samples = deque(self._prof_ring[k, order].tolist())
+            stream.max_value = st.prof_max[k]
+            stream._max_count = st.prof_max_count[k]
+            stream._added.clear()
+            stream._evicted.clear()
+            if st.prof_rebin[k] or st.prof_max[k] <= 0.0:
+                stream._counts = None
+                stream._width = 0.0
+                stream._rebin = True
+            else:
+                stream._counts = self._prof_counts[k].astype(float)
+                stream._width = st.prof_width[k]
+                stream._rebin = False
+        profiler.total_observed = st.observed_total
+
+    def _export_trimmer(self) -> None:
+        st = self._st
+        trimmer = self.rubik.trimmer
+        if trimmer is None:
+            return
+        trimmer._integral = st.tr_integral
+        trimmer._last_adjust = st.trimmer_last_adjust
+        trimmer.internal_target_s = st.target
+        estimator = trimmer._estimator
+        lo = st.tr_lo
+        finish = self._out_finish[lo:]
+        latency = finish - self._arrivals[lo:]
+        estimator._samples = deque(zip(finish.tolist(), latency.tolist()))
+        estimator._last_time = max(estimator._last_time,
+                                   float(self._out_finish[-1]))

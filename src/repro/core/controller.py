@@ -31,9 +31,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from repro.config import check_size
 from repro.core._native import build as native_build
 from repro.core.decision_kernel import DecisionKernel, KernelStats
 from repro.core.feedback import LatencyTargetTrimmer
+from repro.core.histogram import Histogram
 from repro.core.profiler import DemandProfiler
 from repro.core.table_cache import (
     TABLE_CACHE,
@@ -86,7 +88,9 @@ class Rubik(Scheme):
                 (until then Rubik conservatively runs at max frequency).
             num_rows: elapsed-work rows in the tail tables (octiles).
             max_explicit: queue depth covered by convolution before the
-                CLT approximation takes over.
+                CLT approximation takes over. The four sizes above must
+                be whole numbers >= 1 (a ``ValueError`` names the one
+                that is not).
             path: how Eq. 2 is evaluated, one of :data:`PATHS`:
 
                 * ``"auto"`` (default) — the native C kernel
@@ -109,8 +113,8 @@ class Rubik(Scheme):
         self.update_period_s = update_period_s
         self.feedback_enabled = feedback
         self.profiler = DemandProfiler(profiler_window, min_samples)
-        self.num_rows = num_rows
-        self.max_explicit = max_explicit
+        self.num_rows = check_size("num_rows", num_rows)
+        self.max_explicit = check_size("max_explicit", max_explicit)
         self._kernel: Optional[Union[DecisionKernel,
                                     NativeDecisionKernel]] = None
         #: The bound Eq. 2 evaluator, set by setup(). The hooks run twice
@@ -222,13 +226,20 @@ class Rubik(Scheme):
         now = self.sim.now
         if now - self._last_table_update < self.update_period_s:
             return
-        if not self.profiler.ready:
+        profiler = self.profiler
+        if not profiler.ready:
             return
-        if self.profiler.total_observed == self._samples_at_last_update:
+        if profiler.total_observed == self._samples_at_last_update:
             return  # nothing new to learn
-        snapshot = self.profiler.snapshot()
+        snapshot = profiler.snapshot()
         assert snapshot is not None
-        cycles, memory = snapshot
+        self._refresh_tables(*snapshot, profiler.total_observed)
+
+    def _refresh_tables(self, cycles: Histogram, memory: Histogram,
+                        observed: int) -> None:
+        """Resolve the table pair of a demand snapshot taken after
+        ``observed`` completions. The native span loop calls this with
+        its own profiler's snapshot when C finds a refresh due."""
         stats = self.refresh_stats
         stats.snapshots += 1
         # A table pair is a pure function of the snapshot + parameters,
@@ -262,8 +273,8 @@ class Rubik(Scheme):
             if kernel is not None:
                 kernel.note_refresh_carry()
         self.tables = tables
-        self._last_table_update = now
-        self._samples_at_last_update = self.profiler.total_observed
+        self._last_table_update = self.sim.now
+        self._samples_at_last_update = observed
         self.table_updates += 1
 
     def native_session(self, sim: Simulator, core: Core, trace):

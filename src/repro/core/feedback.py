@@ -15,6 +15,7 @@ that enforces the bound (that is the analytical model's job).
 from __future__ import annotations
 
 from repro.analysis.windows import RollingTailEstimator
+from repro.config import check_finite, check_size
 
 
 class LatencyTargetTrimmer:
@@ -43,9 +44,19 @@ class LatencyTargetTrimmer:
                 multiple of the bound.
             min_window_samples: completions required in the window before
                 trimming (tail estimates from few samples are noise).
+
+        A ``ValueError`` names any argument out of range: the bound,
+        window and period must be finite and positive, the gains and
+        scales finite, and ``min_window_samples`` a whole number >= 1.
         """
-        if bound_s <= 0:
-            raise ValueError("bound must be positive")
+        check_finite("bound_s", bound_s, positive=True)
+        check_finite("window_s", window_s, positive=True)
+        check_finite("adjust_period_s", adjust_period_s, positive=True)
+        for name, value in (("kp", kp), ("ki", ki), ("min_scale", min_scale),
+                            ("max_scale", max_scale)):
+            check_finite(name, value)
+        min_window_samples = check_size("min_window_samples",
+                                        min_window_samples)
         if min_scale <= 0 or max_scale < min_scale:
             raise ValueError("need 0 < min_scale <= max_scale")
         self.bound_s = bound_s

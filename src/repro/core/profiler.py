@@ -30,6 +30,7 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import check_size
 from repro.core.histogram import DEFAULT_NUM_BUCKETS, Histogram
 
 #: Bucket width of the degenerate all-zero memory-time distribution.
@@ -172,9 +173,13 @@ class DemandProfiler:
             min_samples: completions required before snapshots are offered
                 (the controller stays at a safe frequency until then).
             num_buckets: histogram resolution (paper: 128).
+
+        Each is a whole number >= 1 (else a ``ValueError`` names it),
+        and ``min_samples`` cannot exceed ``window``.
         """
-        if window <= 0 or min_samples <= 0:
-            raise ValueError("window and min_samples must be positive")
+        window = check_size("window", window)
+        min_samples = check_size("min_samples", min_samples)
+        num_buckets = check_size("num_buckets", num_buckets)
         if min_samples > window:
             raise ValueError("min_samples cannot exceed the window")
         self.window = window

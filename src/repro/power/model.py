@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import Tuple
 
 import numpy as np
 
@@ -121,6 +122,14 @@ class CorePowerModel:
         """
         if not 0.0 <= mem_stall_frac <= 1.0:
             raise ValueError("mem_stall_frac must be in [0, 1]")
+        dyn_full, leak = self.power_terms(freq_hz)
+        activity = (1.0 - mem_stall_frac) + self.stall_activity * mem_stall_frac
+        return dyn_full * activity + leak
+
+    def power_terms(self, freq_hz: float) -> Tuple[float, float]:
+        """The cached ``(dynamic power at full activity, leakage)`` pair
+        at ``freq_hz`` that :meth:`busy_power` combines (the native
+        span loop folds segments with these same floats)."""
         cached = self._fl_cache.get(freq_hz)
         if cached is None:
             if freq_hz <= 0:
@@ -129,9 +138,7 @@ class CorePowerModel:
             cached = (self.c_eff_farads * v * v * freq_hz,
                       self.leak_w_per_vk * v ** self.leak_exponent)
             self._fl_cache[freq_hz] = cached
-        dyn_full, leak = cached
-        activity = (1.0 - mem_stall_frac) + self.stall_activity * mem_stall_frac
-        return dyn_full * activity + leak
+        return cached
 
     def power(self, state: CoreState, freq_hz: float,
               mem_stall_frac: float = 0.0) -> float:
@@ -161,13 +168,7 @@ class CorePowerModel:
         dyn_full = np.empty(uniq.shape)
         leak = np.empty(uniq.shape)
         for k, f in enumerate(uniq):
-            pair = self._fl_cache.get(float(f))
-            if pair is None:
-                # Route through busy_power so validation and caching stay
-                # in one place.
-                self.busy_power(float(f))
-                pair = self._fl_cache[float(f)]
-            dyn_full[k], leak[k] = pair
+            dyn_full[k], leak[k] = self.power_terms(float(f))
         activity = (1.0 - mem_stall_fracs) + self.stall_activity * mem_stall_fracs
         return dyn_full[inverse] * activity + leak[inverse]
 

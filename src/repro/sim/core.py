@@ -46,7 +46,7 @@ from repro.power.energy import (
 from repro.power.model import CorePowerModel, CoreState
 from repro.sim.dvfs import DvfsDomain
 from repro.sim.engine import Simulator
-from repro.sim.request import Request
+from repro.sim.request import CompletionColumns, Request
 
 #: Completion events fire after frequency changes at the same timestamp.
 COMPLETION_PRIORITY = 0
@@ -128,7 +128,10 @@ class Core:
         self.background = background
         self._interference_cycles = interference_cycles
         self.listeners: List[CoreListener] = []
-        self.completed: List[Request] = []
+        #: Completed requests (see :attr:`completed`); None until first
+        #: read after a native run, which leaves only the columns.
+        self._completed: Optional[List[Request]] = []
+        self._columns: Optional[CompletionColumns] = None
         self.segment_log: Optional[List[tuple]] = [] if log_segments else None
 
         #: Raw heap entry of the pending completion (see
@@ -137,10 +140,11 @@ class Core:
         #: Closed-but-unintegrated segments:
         #: (start, end, state_code, freq, mem_frac) tuples.
         self._segment_buffer: List[tuple] = []
-        #: Drain hook for segments accumulated outside this core (the
-        #: native span loop buffers its own rows); called by
-        #: :meth:`flush_accounting` *before* the local buffer, since
-        #: external rows are chronologically older.
+        #: Export hook for segments accounted outside this core (the
+        #: native span loop folds them into its own meter sums and
+        #: segment-log rows); called by :meth:`flush_accounting`
+        #: *before* the local buffer, since external segments are
+        #: chronologically older.
         self._external_flush: Optional[Callable[[], None]] = None
         self._segment_start = sim.now
         self._seg_state = self._idle_state()
@@ -165,6 +169,27 @@ class Core:
     def queue_length(self) -> int:
         """Number of LC requests in the system (queued + in service)."""
         return len(self.queue) + (1 if self.current is not None else 0)
+
+    @property
+    def completed(self) -> List[Request]:
+        """Completed requests, in completion order. A native run leaves
+        only :meth:`completion_columns`; the records are built from
+        them on first read."""
+        reqs = self._completed
+        if reqs is None:
+            reqs = self._completed = self._columns.requests()
+        return reqs
+
+    def completion_columns(self) -> CompletionColumns:
+        """The completed requests as columns, for metrics that need no
+        :class:`Request` objects (built once from the records after a
+        Python-loop run)."""
+        cols = self._columns
+        reqs = self._completed
+        if cols is None or (reqs is not None and len(reqs) != len(cols)):
+            cols = self._columns = CompletionColumns.from_requests(
+                self.completed)
+        return cols
 
     def pending_requests(self) -> List[Request]:
         """Requests currently in the system, oldest (in service) first."""

@@ -16,7 +16,9 @@ simulating individual misses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 
 @dataclasses.dataclass(slots=True)
@@ -96,3 +98,67 @@ class Request:
         if self.start_time is None:
             raise ValueError("request has not started")
         return self.start_time - self.arrival_time
+
+
+class CompletionColumns:
+    """Completed requests as columns, in completion order.
+
+    The native span loop leaves only these behind: :meth:`requests`
+    builds the :class:`Request` records on its first call and keeps
+    them. Metrics read the columns directly; :meth:`response_times` is
+    ``finish - arrival``, the subtraction :attr:`Request.response_time`
+    does, so both give the same floats.
+    """
+
+    __slots__ = ("arrival", "start", "finish", "cycles", "memory",
+                 "predicted", "_requests")
+
+    def __init__(self, arrival: np.ndarray, start: np.ndarray,
+                 finish: np.ndarray, cycles: np.ndarray,
+                 memory: np.ndarray, predicted: Optional[np.ndarray],
+                 requests: Optional[List[Request]] = None) -> None:
+        self.arrival = arrival
+        self.start = start
+        self.finish = finish
+        #: Served compute cycles (an interference penalty included).
+        self.cycles = cycles
+        self.memory = memory
+        self.predicted = predicted
+        self._requests = requests
+
+    @classmethod
+    def from_requests(cls, requests: List[Request]) -> "CompletionColumns":
+        """Columns of finished ``requests``, which :meth:`requests`
+        then returns as they are."""
+        rows = np.array([(r.arrival_time, r.start_time, r.finish_time,
+                          r.compute_cycles, r.memory_time_s)
+                         for r in requests], dtype=float).reshape(-1, 5)
+        return cls(*rows.T, predicted=None, requests=requests)
+
+    def __len__(self) -> int:
+        return len(self.finish)
+
+    def response_times(self) -> np.ndarray:
+        """End-to-end latency of every request (queueing + service)."""
+        return self.finish - self.arrival
+
+    def service_times(self) -> np.ndarray:
+        """Start-to-finish time of every request."""
+        return self.finish - self.start
+
+    def requests(self) -> List[Request]:
+        """The :class:`Request` records (rid = completion index, as in
+        the FIFO core), built on the first call."""
+        if self._requests is None:
+            cycles = self.cycles.tolist()
+            memory = self.memory.tolist()
+            predicted = self.predicted.tolist()
+            self._requests = [
+                Request(rid=i, arrival_time=arrival,
+                        compute_cycles=cycles[i], memory_time_s=memory[i],
+                        start_time=start, finish_time=finish, progress=1.0,
+                        predicted_cycles=predicted[i])
+                for i, (arrival, start, finish) in enumerate(zip(
+                    self.arrival.tolist(), self.start.tolist(),
+                    self.finish.tolist()))]
+        return self._requests

@@ -18,7 +18,7 @@ from repro.power.model import DEFAULT_CORE_POWER, CorePowerModel
 from repro.schemes.base import Scheme, SchemeContext
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
-from repro.sim.request import Request
+from repro.sim.request import CompletionColumns, Request
 from repro.sim.trace import Trace
 
 #: Arrival events fire after completions at the same timestamp, so a
@@ -31,10 +31,11 @@ class RunResult:
     """Outcome of one simulated run.
 
     Metric helpers exclude the warmup prefix (queue fill-in transient)
-    unless asked otherwise.
+    unless asked otherwise, and read the completion columns: only
+    :attr:`requests` builds :class:`Request` records.
     """
 
-    requests: List[Request]
+    completions: CompletionColumns
     warmup: int
     duration_s: float
     energy_j: float
@@ -51,18 +52,22 @@ class RunResult:
     events_processed: int = 0
 
     # ------------------------------------------------------------------
+    @property
+    def requests(self) -> List[Request]:
+        """Completed requests, in completion order."""
+        return self.completions.requests()
+
     def measured(self) -> List[Request]:
         """Completed requests past the warmup prefix."""
         return self.requests[self.warmup:]
 
     def response_times(self, include_warmup: bool = False) -> np.ndarray:
-        reqs = self.requests if include_warmup else self.measured()
-        return np.array([r.response_time for r in reqs])
+        lats = self.completions.response_times()
+        return lats if include_warmup else lats[self.warmup:]
 
     def service_times(self) -> np.ndarray:
         """Observed service times (start to finish) of measured requests."""
-        return np.array(
-            [r.finish_time - r.start_time for r in self.measured()])
+        return self.completions.service_times()[self.warmup:]
 
     def tail_latency(self, pct: float = 95.0) -> float:
         lats = self.response_times()
@@ -87,9 +92,9 @@ class RunResult:
     @property
     def energy_per_request_j(self) -> float:
         """Core energy per completed request (paper Figs. 1a, 9b)."""
-        if not self.requests:
+        if not len(self.completions):
             raise ValueError("no completed requests")
-        return self.energy_j / len(self.requests)
+        return self.energy_j / len(self.completions)
 
 
 def feed_arrivals(sim: Simulator, core: Core,
@@ -176,14 +181,15 @@ def run_trace(
     # with lazy transitions the fully-drained run settles explicitly.
     core.finalize(settle_dvfs=True)
 
+    completions = core.completion_columns()
     if warmup is None:
         warmup = min(200, max(10, len(trace) // 50))
-    if warmup >= len(core.completed):
-        warmup = max(0, len(core.completed) - 1)
+    if warmup >= len(completions):
+        warmup = max(0, len(completions) - 1)
 
     meter = core.meter
     return RunResult(
-        requests=core.completed,
+        completions=completions,
         warmup=warmup,
         duration_s=sim.now,
         energy_j=meter.energy_j,

@@ -48,18 +48,6 @@ def check_load(load: float) -> float:
     return load
 
 
-def check_size(name: str, value) -> int:
-    """``value`` as an ``int`` if it is a usable count, else a
-    ``ValueError`` naming ``name``: finite, a whole number and at least
-    1. A whole float or a NumPy integer is taken as the ``int`` it
-    equals."""
-    if not (math.isfinite(value) and int(value) == value):
-        raise ValueError(f"{name} must be a whole number, got {value}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {int(value)}")
-    return int(value)
-
-
 @dataclasses.dataclass(frozen=True)
 class AppProfile:
     """A latency-critical application (paper Table 3 + Sec. 3 analysis).

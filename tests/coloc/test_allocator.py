@@ -2,24 +2,33 @@
 
 The allocator's greedy ascents index per-occupant tables; the per-call
 greedy they replaced is kept below as the reference they must equal.
+Its ticks are lazy (queued only after a core event); the every-period
+timer chain they replaced is kept below as ``EagerAllocator``, and whole
+colocated runs must come out the same under both.
 """
 
+import dataclasses
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from repro.coloc import server as coloc_server
 from repro.coloc.batch import SPEC_BY_NAME, BatchTask, generate_mixes
 from repro.coloc.schemes import (
     ChipLevelAllocator,
     PACKAGE_FIXED_POWER_W,
     _lc_ips,
 )
+from repro.coloc.server import run_colocated_server
 from repro.config import DEFAULT_CMP, DEFAULT_DVFS
+from repro.experiments.common import make_context
 from repro.power.model import DEFAULT_CORE_POWER
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
-from repro.workloads.apps import MASSTREE
+from repro.workloads.apps import APPS, MASSTREE
 
 
 def make_cores(batch_names, sim=None):
@@ -196,14 +205,37 @@ class TestTpwObjective:
         assert p_tpw <= p_thr + 1e-9
 
 
+class _RecordingAllocator(ChipLevelAllocator):
+    """Records the time of every tick."""
+
+    def _tick(self):
+        self.ticks = getattr(self, "ticks", []) + [self.sim.now]
+        super()._tick()
+
+
 class TestTicking:
-    def test_periodic_reallocation(self):
+    def test_ticks_follow_core_events(self):
+        """One tick at the start, then one at the first 100 us boundary
+        after each core event; none while nothing changes."""
         sim, cores = make_cores(["namd", "mcf"])
-        ChipLevelAllocator(sim, cores, DEFAULT_CMP, DEFAULT_CORE_POWER,
-                           objective="tpw", horizon_s=1e-3)
+        alloc = _RecordingAllocator(sim, cores, DEFAULT_CMP,
+                                    DEFAULT_CORE_POWER, objective="tpw",
+                                    lc_demand=MASSTREE.mean_demands(),
+                                    horizon_s=1e-3)
+        sim.schedule(4.5e-4, lambda: cores[0].enqueue(
+            Request(0, 4.5e-4, compute_cycles=3e5, memory_time_s=1e-6)),
+            priority=1)
         sim.run(until=1.1e-3)
-        # Ticks fired every 100 us up to the horizon.
-        assert sim.events_processed >= 9
+        chain = [0.0]
+        for _ in range(10):
+            chain.append(chain[-1] + 1e-4)
+        finish = cores[0].completed[0].finish_time
+        after = min(t for t in chain if t > finish)
+        # The start, the boundary after the arrival (4.5e-4), and the
+        # boundary after its completion, each on the timer's own chain.
+        assert finish > chain[5]
+        assert alloc.ticks == [chain[1], chain[5], after]
+        assert ("lc", "mcf") in alloc._cache
 
     def test_allocation_cached_by_occupant_key(self):
         sim, cores = make_cores(["namd", "mcf"])
@@ -262,3 +294,45 @@ class TestLcOccupantModel:
         with pytest.raises(ValueError, match="lc_demand"):
             ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                DEFAULT_CORE_POWER, lc_demand=demand)
+
+
+# -- lazy ticks against the every-period timer chain -------------------
+
+
+class EagerAllocator(ChipLevelAllocator):
+    """The allocator before lazy ticks: a timer chain re-ticking every
+    period up to the horizon, whatever the cores do."""
+
+    def _queue_tick(self):
+        pass
+
+    def _tick(self):
+        super()._tick()
+        if self.horizon_s is None \
+                or self.sim.now + self.period_s <= self.horizon_s:
+            self._queued = True
+            self.sim.schedule_after(self.period_s, self._tick)
+
+
+LAZY_CASES = [(app, load, seed, mix) for app in sorted(APPS)
+              for load in (0.5, 1.2) for seed in (3, 11) for mix in (0, 2)]
+
+
+@pytest.mark.parametrize("scheme", ["HW-T", "HW-TPW"])
+def test_lazy_ticks_match_the_timer_chain(scheme):
+    mixes = generate_mixes(3, seed=0)
+    for app, load, seed, mix in LAZY_CASES:
+        context = make_context(APPS[app], seed, 120)
+        args = (APPS[app], load, mixes[mix], scheme, context, seed, 60)
+        lazy = run_colocated_server(*args)
+        with mock.patch.object(coloc_server, "ChipLevelAllocator",
+                               EagerAllocator):
+            eager = run_colocated_server(*args)
+        assert dataclasses.asdict(lazy).keys() == \
+            dataclasses.asdict(eager).keys()
+        for name, value in dataclasses.asdict(lazy).items():
+            want = getattr(eager, name)
+            if isinstance(value, np.ndarray):
+                assert value.tolist() == want.tolist(), (app, load, name)
+            else:
+                assert value == want, (app, load, seed, mix, name)

@@ -55,6 +55,16 @@ class TestFrequencyPolicy:
             with pytest.raises(ValueError):
                 Rubik(update_period_s=period)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(num_rows=2.5), "num_rows"),
+        (dict(max_explicit=math.nan), "max_explicit"),
+        (dict(num_rows=0), "num_rows"),
+        (dict(profiler_window=100.5), "window"),
+    ])
+    def test_rejects_bad_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            Rubik(**kwargs)
+
     def test_name_reflects_feedback(self):
         assert Rubik().name == "Rubik"
         assert "No Feedback" in Rubik(feedback=False).name

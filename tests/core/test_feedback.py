@@ -60,6 +60,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             LatencyTargetTrimmer(bound_s=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(bound_s=float("nan")), "bound_s"),
+        (dict(window_s=float("nan")), "window_s"),
+        (dict(window_s=0.0), "window_s"),
+        (dict(adjust_period_s=0.0), "adjust_period_s"),
+        (dict(adjust_period_s=float("nan")), "adjust_period_s"),
+        (dict(max_scale=float("nan")), "max_scale"),
+        (dict(min_scale=float("inf")), "min_scale"),
+        (dict(kp=float("inf")), "kp"),
+        (dict(ki=float("nan")), "ki"),
+        (dict(min_window_samples=0), "min_window_samples"),
+        (dict(min_window_samples=2.5), "min_window_samples"),
+    ])
+    def test_rejects_non_finite_or_out_of_range(self, kwargs, name):
+        args = dict(bound_s=1e-3)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=name):
+            LatencyTargetTrimmer(**args)
+
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
             LatencyTargetTrimmer(bound_s=1.0, min_scale=2.0, max_scale=1.0)

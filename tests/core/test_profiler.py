@@ -38,6 +38,26 @@ class TestReadiness:
         with pytest.raises(ValueError):
             DemandProfiler(window=10, min_samples=20)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(window=100.5), "window"),
+        (dict(window=float("nan")), "window"),
+        (dict(min_samples=2.5), "min_samples"),
+        (dict(num_buckets=0), "num_buckets"),
+        (dict(num_buckets=float("inf")), "num_buckets"),
+    ])
+    def test_sizes_must_be_whole_numbers(self, kwargs, name):
+        """The native span loop sizes its rings and counts from these;
+        a fractional window used to never evict."""
+        with pytest.raises(ValueError, match=name):
+            DemandProfiler(**kwargs)
+
+    def test_whole_float_sizes_taken_as_ints(self):
+        p = DemandProfiler(window=4.0, min_samples=2.0)
+        assert (p.window, p.min_samples) == (4, 2)
+        for i in range(10):
+            p.observe(float(i + 1), 0.0)
+        assert len(p._cycles) == 4
+
     def test_rejects_negative_observation(self):
         p = DemandProfiler()
         with pytest.raises(ValueError):

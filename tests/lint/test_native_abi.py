@@ -232,6 +232,22 @@ class TestPrototypes:
         assert fns["rk_span"].params == ("rk_state*",)
         assert "rk_bisect_left" not in fns  # static: not exported
 
+    def test_parses_the_percentile_entry_point(self, real):
+        from repro.lint.c_abi import parse_functions
+
+        fn = parse_functions(real["rubik_native.c"])["rk_percentile"]
+        assert fn.params == ("i64", "double*", "double", "double*")
+        assert fn.restype == "double"
+        assert not self._mutate(real, "rk_percentile", lambda args: None)
+
+    def test_percentile_argument_swap_fires(self, real):
+        def swap(args):
+            # rk_percentile(n, values, pct, scratch): the pct and a pointer
+            args[1], args[2] = args[2], args[1]
+
+        found = self._mutate(real, "rk_percentile", swap)
+        assert len(found) == 1 and "argument drift" in found[0].message
+
     def test_swapping_a_scalar_and_a_pointer_fires_once(self, real):
         def swap(args):
             # rk_lindley(n, arrival, ...): the count and the first pointer
