@@ -51,9 +51,9 @@ def main() -> None:
     print(f"web-search leaf ({app.name}), bound={bound * 1e3:.2f} ms, "
           f"StaticOracle tuned at 25% load -> {static.tuned_hz / 1e9:.1f} GHz")
     for name, run in (("StaticOracle", static_run), ("Rubik", rubik_run)):
-        finish = np.array([r.finish_time for r in run.requests])
-        lats = np.array([r.response_time for r in run.requests])
-        t, tail = windowed_series(finish, lats, window_s=0.25)
+        t, tail = windowed_series(run.completions.finish,
+                                  run.response_times(include_warmup=True),
+                                  window_s=0.25)
         norm = tail / bound
         print(f"\n{name}: rolling p95 / bound over time "
               f"(rows at 0.25 s steps; '@'=2x bound)")

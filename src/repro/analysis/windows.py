@@ -17,6 +17,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.stats import percentile
+from repro.config import check_finite
 
 
 class RollingTailEstimator:
@@ -28,8 +29,7 @@ class RollingTailEstimator:
     """
 
     def __init__(self, window_s: float, pct: float = 95.0) -> None:
-        if window_s <= 0:
-            raise ValueError("window must be positive")
+        check_finite("window_s", window_s, positive=True)
         if not 0.0 < pct <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
         self.window_s = window_s

@@ -3,8 +3,9 @@
 Perf layer 7 (docs/performance.md): ``rubik_native.c`` holds the Eq. 2
 decision fold and the whole-run event loop; :mod:`.build` compiles and
 loads it on first use (gated by ``REPRO_NATIVE``); :mod:`.kernel` is
-the ctypes state mirror and per-event decide wrapper; :mod:`.session`
-drives whole ``run_trace`` spans through the C loop.
+the ctypes binding (the state mirror and the entry points'
+prototypes); :mod:`.session` drives whole runs through the C loop, the
+only way Rubik runs in C.
 
 Importing this package never builds or loads anything — the build is
 triggered lazily by :func:`available` / :func:`load_library`, and every

@@ -1,49 +1,24 @@
-"""ctypes mirror of the native Rubik kernel (per-event decide path).
+"""ctypes binding of the native library.
 
 :class:`RKState` replicates ``rk_state`` in ``rubik_native.c``
 field-for-field (every field is 8 bytes wide, so there is no padding to
-disagree on; the constructor asserts ``sizeof`` against the library's
-``rk_state_size()``).  :class:`NativeDecisionKernel` is the drop-in
-native decision path (``Rubik(path="auto")`` with the library loaded):
-it owns the numpy arrays the C side points into
-(DVFS grid, flattened tail-table row lists, the arrival-time ring),
-keeps them in sync with the controller between calls, and routes the
-decided frequency through ``core.request_frequency`` in Python so
-listeners, recorders and the DVFS domain see exactly the calls the
-Python kernels make.
-
-Row-list state round-trips across ``TailTableCache`` refresh carries
-the same way :class:`repro.core.decision_kernel.DecisionKernel` does:
-table identity maps to a generation counter (bumped only when the pair
-object actually changes), and the flattened rows are filled lazily from
-the tables' own append-only per-row caches on ``RK_NEED_ROWS``.
+disagree on; :func:`_bind` asserts ``sizeof`` against the library's
+``rk_state_size()``).  :func:`_bind` sets every entry point's
+prototype once per loaded library.  The library has two users: Rubik's
+whole-run span loop (:mod:`repro.core._native.session`, which owns one
+``RKState`` per run) and the oracle searches (:func:`oracle_library`).
 """
 
 from __future__ import annotations
 
 import ctypes
-from bisect import bisect_left
 from typing import Optional
 
-import numpy as np
-
 from repro.core._native import build
-from repro.core.decision_kernel import CERT_MIN_QUEUE, KernelStats
 
 _DP = ctypes.POINTER(ctypes.c_double)
 _IP = ctypes.POINTER(ctypes.c_int64)
 _VP = ctypes.c_void_p
-
-# Return codes / phases (rubik_native.c).
-RK_OK = 0
-RK_DONE = 0
-RK_NEED_ROWS = 1
-RK_SURFACE = 2
-RK_FLUSH_SEGMENTS = 3
-RK_FLUSH_HISTORY = 4
-RK_ERROR = 5
-PH_NEXT = 0
-PH_DECIDE = 1
 
 
 class RKState(ctypes.Structure):
@@ -93,8 +68,6 @@ class RKState(ctypes.Structure):
         ("tau_abs", ctypes.c_double),
         ("sigma_abs", ctypes.c_double),
         # decide I/O
-        ("elapsed_c", ctypes.c_double),
-        ("elapsed_m", ctypes.c_double),
         ("decided_hz", ctypes.c_double),
         ("need_row_c", ctypes.c_int64),
         ("need_row_m", ctypes.c_int64),
@@ -110,8 +83,7 @@ class RKState(ctypes.Structure):
         ("st_inv_target", ctypes.c_int64),
         ("st_inv_row", ctypes.c_int64),
         ("st_inv_epoch", ctypes.c_int64),
-        # span-mode state
-        ("span_mode", ctypes.c_int64),
+        # span-loop state
         ("phase", ctypes.c_int64),
         ("now", ctypes.c_double),
         ("events", ctypes.c_int64),
@@ -223,14 +195,6 @@ class RKState(ctypes.Structure):
     ]
 
 
-def _dptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_DP)
-
-
-def _iptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_IP)
-
-
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Set prototypes once per loaded library and sanity-check the ABI.
 
@@ -241,8 +205,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     if not getattr(lib, "_repro_prototypes_bound", False):
         lib.rk_state_size.restype = ctypes.c_int64
         lib.rk_abi_version.restype = ctypes.c_int64
-        lib.rk_decide_entry.argtypes = [ctypes.POINTER(RKState)]
-        lib.rk_decide_entry.restype = ctypes.c_int64
         lib.rk_span.argtypes = [ctypes.POINTER(RKState)]
         lib.rk_span.restype = ctypes.c_int64
         lib.rk_lindley.argtypes = [
@@ -272,231 +234,3 @@ def oracle_library() -> Optional[ctypes.CDLL]:
     (``REPRO_NATIVE=0``, no C compiler), and the searches run numpy."""
     lib = build.load_library()
     return None if lib is None else _bind(lib)
-
-
-class NativeDecisionKernel:
-    """Native (C) evaluator of Eq. 2 with the DecisionKernel interface.
-
-    Exposes the same surface the controller relies on — ``decide(core)``,
-    ``note_refresh_carry()`` and ``stats`` — so
-    :class:`repro.core.controller.Rubik` binds either kernel's
-    ``decide`` the same way.
-    """
-
-    def __init__(self, controller) -> None:
-        lib = build.load_library()
-        if lib is None:
-            raise RuntimeError("native kernel library is not available")
-        self._lib = _bind(lib)
-        self.controller = controller
-        self._refresh_carries = 0
-
-        st = self._st = RKState()  # zero-initialised by ctypes
-        self._ref = ctypes.byref(st)
-
-        dvfs = controller.context.dvfs
-        grid = [float(f) for f in dvfs.frequencies]
-        self._grid_arr = np.array(grid, dtype=np.float64)
-        self._inv_grid_arr = np.array([1.0 / f for f in grid],
-                                      dtype=np.float64)
-        st.grid = _dptr(self._grid_arr)
-        st.inv_grid = _dptr(self._inv_grid_arr)
-        st.nsteps = len(grid)
-        st.nominal_idx = min(
-            bisect_left(grid, dvfs.nominal_hz - 1e-9), len(grid) - 1)
-        st.min_hz = dvfs.min_hz
-        st.max_hz = dvfs.max_hz
-        st.cert_min_queue = CERT_MIN_QUEUE
-
-        # Incremental-state keys: nothing cached yet.
-        st.k_tables_gen = -1
-        st.k_row_c = -1
-        st.k_row_m = -1
-        st.k_epoch = -1
-        st.mono_ok = 1
-
-        # Arrival-time ring (mirrors core._pending_arrivals).
-        self._ring_arr = np.zeros(256, dtype=np.float64)
-        st.arr_ring = _dptr(self._ring_arr)
-        st.arr_mask = self._ring_arr.size - 1
-
-        # Table row storage, bound lazily on the first tables sighting.
-        self._tables_obj = None
-        self._cbounds_arr: Optional[np.ndarray] = None
-        self._mbounds_arr: Optional[np.ndarray] = None
-        self._rows_c_arr: Optional[np.ndarray] = None
-        self._rows_m_arr: Optional[np.ndarray] = None
-        self._rowlen_c_arr: Optional[np.ndarray] = None
-        self._rowlen_m_arr: Optional[np.ndarray] = None
-        self._row_cap = 64
-
-    # ------------------------------------------------------------------
-    # DecisionKernel-compatible surface
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> KernelStats:
-        """Branch counters, materialized from the C struct."""
-        st = self._st
-        return KernelStats(
-            idle_decisions=st.st_idle,
-            warmup_decisions=st.st_warmup,
-            fast_arrivals=st.st_fast_arr,
-            fast_completions=st.st_fast_comp,
-            lean_folds=st.st_lean,
-            cert_folds=st.st_cert,
-            invalidations_tables=st.st_inv_tables,
-            invalidations_target=st.st_inv_target,
-            invalidations_row=st.st_inv_row,
-            invalidations_epoch=st.st_inv_epoch,
-            refresh_carries=self._refresh_carries,
-        )
-
-    def note_refresh_carry(self) -> None:
-        """A refresh re-resolved to the same table pair; state survived."""
-        self._refresh_carries += 1
-
-    # ------------------------------------------------------------------
-    def decide(self, core) -> None:
-        """Emit the Eq. 2 frequency request for the current queue."""
-        ctrl = self.controller
-        st = self._st
-        pending = core._pending_arrivals
-        n = len(pending)
-        epoch = core.queue_epoch
-        if epoch != st.queue_epoch or n != st.arr_len:
-            self._sync_ring(pending, epoch, n)
-        if n:
-            tables = ctrl.tables
-            if tables is not self._tables_obj:
-                self._bind_tables(tables)
-            if tables is not None:
-                trimmer = ctrl.trimmer
-                st.target = (trimmer.internal_target_s
-                             if trimmer is not None
-                             else ctrl.context.latency_bound_s)
-                st.now = ctrl.sim.now
-                elapsed_c, elapsed_m = core.current_request_elapsed()
-                st.elapsed_c = elapsed_c
-                st.elapsed_m = elapsed_m
-        rc = self._lib.rk_decide_entry(self._ref)
-        while rc == RK_NEED_ROWS:
-            self._fill_rows()
-            rc = self._lib.rk_decide_entry(self._ref)
-        if rc != RK_OK:
-            raise RuntimeError(f"native decide failed (rc={rc})")
-        core.request_frequency(st.decided_hz)
-
-    # ------------------------------------------------------------------
-    # queue-mirror maintenance
-    # ------------------------------------------------------------------
-    def _sync_ring(self, pending, epoch: int, n: int) -> None:
-        st = self._st
-        if epoch == st.queue_epoch + 1 and n == st.arr_len + 1:
-            # Exactly one arrival since the last decision: push.
-            if n > st.arr_mask:
-                self._grow_ring(n)
-            self._ring_arr[(st.arr_head + st.arr_len) & st.arr_mask] = (
-                pending[-1])
-            st.arr_len = n
-        elif epoch == st.queue_epoch + 1 and n == st.arr_len - 1:
-            # Exactly one completion: pop the head.
-            st.arr_head = (st.arr_head + 1) & st.arr_mask
-            st.arr_len = n
-        else:
-            # Skipped deltas (mid-run toggle, first sighting): rebuild.
-            if n > st.arr_mask:
-                self._grow_ring(n)
-            if n:
-                self._ring_arr[:n] = list(pending)
-            st.arr_head = 0
-            st.arr_len = n
-        st.queue_epoch = epoch
-
-    def _grow_ring(self, need: int) -> None:
-        st = self._st
-        cap = self._ring_arr.size
-        new_cap = cap
-        while new_cap <= need:
-            new_cap *= 2
-        new = np.zeros(new_cap, dtype=np.float64)
-        ln = st.arr_len
-        for i in range(ln):  # unwrap the old ring in logical order
-            new[i] = self._ring_arr[(st.arr_head + i) & st.arr_mask]
-        self._ring_arr = new
-        st.arr_ring = _dptr(new)
-        st.arr_mask = new_cap - 1
-        st.arr_head = 0
-
-    # ------------------------------------------------------------------
-    # table binding / row filling
-    # ------------------------------------------------------------------
-    def _bind_tables(self, tables) -> None:
-        st = self._st
-        self._tables_obj = tables
-        if tables is None:
-            st.tables_ready = 0
-            return
-        cbounds = tables.cycles._row_bounds_list
-        mbounds = tables.memory._row_bounds_list
-        nrows = len(cbounds)
-        assert len(mbounds) == nrows
-        if self._cbounds_arr is None or nrows != st.nrows:
-            self._cbounds_arr = np.empty(nrows, dtype=np.float64)
-            self._mbounds_arr = np.empty(nrows, dtype=np.float64)
-            self._rows_c_arr = np.zeros((nrows, self._row_cap),
-                                        dtype=np.float64)
-            self._rows_m_arr = np.zeros((nrows, self._row_cap),
-                                        dtype=np.float64)
-            self._rowlen_c_arr = np.zeros(nrows, dtype=np.int64)
-            self._rowlen_m_arr = np.zeros(nrows, dtype=np.int64)
-            st.cbounds = _dptr(self._cbounds_arr)
-            st.mbounds = _dptr(self._mbounds_arr)
-            st.rows_c = _dptr(self._rows_c_arr)
-            st.rows_m = _dptr(self._rows_m_arr)
-            st.rowlen_c = _iptr(self._rowlen_c_arr)
-            st.rowlen_m = _iptr(self._rowlen_m_arr)
-            st.nrows = nrows
-            st.row_cap = self._row_cap
-        self._cbounds_arr[:] = cbounds
-        self._mbounds_arr[:] = mbounds
-        self._rowlen_c_arr[:] = 0
-        self._rowlen_m_arr[:] = 0
-        st.tables_ready = 1
-        st.tables_gen += 1
-
-    def _fill_rows(self) -> None:
-        """Service RK_NEED_ROWS: copy the tables' (append-only) cached
-        row lists into the flattened arrays, delta-only per row."""
-        st = self._st
-        tables = self._tables_obj
-        n = st.need_len
-        crow = tables.cycles.extended_row_list(st.need_row_c, n)
-        mrow = tables.memory.extended_row_list(st.need_row_m, n)
-        need = max(len(crow), len(mrow))
-        if need > st.row_cap:
-            self._grow_rows(need)
-        rc, rm = st.need_row_c, st.need_row_m
-        old_c = int(self._rowlen_c_arr[rc])
-        if len(crow) > old_c:
-            self._rows_c_arr[rc, old_c:len(crow)] = crow[old_c:]
-            self._rowlen_c_arr[rc] = len(crow)
-        old_m = int(self._rowlen_m_arr[rm])
-        if len(mrow) > old_m:
-            self._rows_m_arr[rm, old_m:len(mrow)] = mrow[old_m:]
-            self._rowlen_m_arr[rm] = len(mrow)
-
-    def _grow_rows(self, need: int) -> None:
-        st = self._st
-        new_cap = self._row_cap
-        while new_cap < need:
-            new_cap *= 2
-        nrows = st.nrows
-        for attr_rows, attr_ptr in (("_rows_c_arr", "rows_c"),
-                                    ("_rows_m_arr", "rows_m")):
-            old = getattr(self, attr_rows)
-            new = np.zeros((nrows, new_cap), dtype=np.float64)
-            new[:, :self._row_cap] = old
-            setattr(self, attr_rows, new)
-            setattr(st, attr_ptr, _dptr(new))
-        self._row_cap = new_cap
-        st.row_cap = new_cap

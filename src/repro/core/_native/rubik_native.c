@@ -1,8 +1,9 @@
 /* Native Rubik decision fold + event-step kernel (perf layer 7).
  *
  * One translation unit, no Python headers: the library is loaded
- * through ctypes and driven by src/repro/core/_native/kernel.py
- * (per-event decide) and session.py (whole-run span loop).  Every
+ * through ctypes (src/repro/core/_native/kernel.py binds it) and Rubik
+ * runs only through rk_span, the whole-run span loop driven by
+ * session.py; the oracle searches call rk_lindley and rk_dyn_round.  Every
  * floating-point expression mirrors the Python implementation in
  * repro/core/decision_kernel.py, repro/sim/dvfs.py, repro/sim/core.py,
  * repro/core/profiler.py, repro/core/feedback.py,
@@ -20,7 +21,7 @@
  * The struct layout below is mirrored field-for-field by
  * kernel.RKState (ctypes.Structure).  Every field is 8 bytes wide
  * (double / int64 / pointer), so there is no padding to disagree on;
- * rk_state_size() lets the wrapper assert the mirror never drifts.
+ * rk_state_size() lets the binding assert the mirror never drifts.
  */
 
 #include <math.h>
@@ -28,14 +29,13 @@
 
 typedef int64_t i64;
 
-/* Return codes of rk_decide_entry / rk_span. */
+/* Return codes of rk_span (and of the fold, rk_decide). */
 #define RK_OK 0
 #define RK_DONE 0
 #define RK_NEED_ROWS 1    /* fill need_row_c/need_row_m rows, re-enter */
 #define RK_SURFACE 2      /* a table refresh is due (pmfs ready), re-enter */
 #define RK_FLUSH_SEGMENTS 3
 #define RK_FLUSH_HISTORY 4
-#define RK_ERROR 5
 
 /* Span-loop phase (resume point after a surfacing return). */
 #define PH_NEXT 0    /* pick + process the next event */
@@ -49,7 +49,7 @@ typedef int64_t i64;
 #define RK_INF (__builtin_inf())
 
 typedef struct {
-    /* -- grid / config (constant for the kernel's lifetime) ---------- */
+    /* -- grid / config (constant for the session's lifetime) --------- */
     double *grid;        /* [nsteps] ascending DVFS frequencies */
     double *inv_grid;    /* [nsteps] 1.0 / grid[i] (Python-computed) */
     i64 nsteps;
@@ -59,7 +59,7 @@ typedef struct {
     double trans_latency;
     i64 cert_min_queue;
 
-    /* -- evaluation context (synced by the wrapper) ------------------ */
+    /* -- evaluation context (bound by the session) ------------------- */
     i64 tables_ready;    /* controller.tables is not None */
     i64 tables_gen;      /* bumped whenever the table pair object changes */
     double target;       /* trimmer internal target (or latency bound) */
@@ -96,8 +96,6 @@ typedef struct {
     double sigma_abs;
 
     /* -- decide I/O -------------------------------------------------- */
-    double elapsed_c;    /* per-event mode: set by the wrapper */
-    double elapsed_m;
     double decided_hz;   /* out: the Eq. 2 frequency request */
     i64 need_row_c;      /* out on RK_NEED_ROWS */
     i64 need_row_m;
@@ -115,13 +113,12 @@ typedef struct {
     i64 st_inv_row;
     i64 st_inv_epoch;
 
-    /* ================= span-mode state ============================== */
-    i64 span_mode;
+    /* ================= span-loop state ============================== */
     i64 phase;           /* PH_NEXT / PH_DECIDE */
     double now;
     i64 events;          /* arrivals + completions processed */
 
-    /* trace columns + per-request outputs (wrapper-owned arrays) */
+    /* trace columns + per-request outputs (session-owned arrays) */
     double *tr_arrival;  /* [n_req] */
     double *tr_cycles;
     double *tr_memory;
@@ -186,7 +183,7 @@ typedef struct {
     double trimmer_last_adjust;
 
     /* served compute cycles, interference penalty included */
-    double *out_cycles;  /* [n_req] (wrapper-owned, never a trace column) */
+    double *out_cycles;  /* [n_req] (session-owned, never a trace column) */
 
     /* colocated batch work: a BatchTask soaks up idle time, and a
      * MicroarchInterference charges the first LC request after it
@@ -252,7 +249,7 @@ typedef struct {
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 3; }
+i64 rk_abi_version(void) { return 4; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -305,7 +302,7 @@ static i64 rq_pop(rk_state *s) {
 }
 
 /* ------------------------------------------------------------------ */
-/* segment accounting + DVFS state machine (span mode)                */
+/* segment accounting + DVFS state machine                            */
 /* ------------------------------------------------------------------ */
 
 /* One residency map's `res[f] += duration`; a first-seen key takes the
@@ -749,8 +746,8 @@ static void full_fold(rk_state *s, i64 n, double now, double target,
 }
 
 /* DecisionKernel.decide.  Restartable: RK_NEED_ROWS is returned before
- * any state (counters included) is mutated, so the wrapper fills the
- * requested rows and simply calls again. */
+ * any state (counters included) is mutated, so the session fills the
+ * requested rows and rk_span simply calls again. */
 static i64 rk_decide(rk_state *s) {
     i64 n = s->arr_len;
     if (n == 0) {
@@ -768,12 +765,7 @@ static i64 rk_decide(rk_state *s) {
     double target = s->target;
     double now = s->now;
     double elapsed_c, elapsed_m;
-    if (s->span_mode) {
-        compute_elapsed(s, &elapsed_c, &elapsed_m);
-    } else {
-        elapsed_c = s->elapsed_c;
-        elapsed_m = s->elapsed_m;
-    }
+    compute_elapsed(s, &elapsed_c, &elapsed_m);
     i64 row_c = rk_bisect_right(s->cbounds, s->nrows, elapsed_c) - 1;
     i64 row_m = rk_bisect_right(s->mbounds, s->nrows, elapsed_m) - 1;
     /* Row availability, checked up front so every later branch (lean
@@ -868,9 +860,6 @@ static i64 rk_decide(rk_state *s) {
     full_fold(s, n, now, target, row_c, row_m, epoch);
     return RK_OK;
 }
-
-/* Per-event entry point (listener-driven mode). */
-i64 rk_decide_entry(rk_state *s) { return rk_decide(s); }
 
 /* ------------------------------------------------------------------ */
 /* demand profiler window (repro/core/profiler.py)                    */
@@ -1182,8 +1171,6 @@ static i64 process_completion(rk_state *s) {
  * after servicing; `phase` records whether the current event still owes
  * its frequency decision. */
 i64 rk_span(rk_state *s) {
-    if (!s->span_mode)
-        return RK_ERROR;
     for (;;) {
         if (s->phase == PH_DECIDE) {
             i64 rc = rk_decide(s);

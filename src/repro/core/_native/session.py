@@ -1,17 +1,19 @@
 """Whole-run native event loop (the ``rk_span`` driver).
 
-When a run served by :func:`repro.sim.server.serve` (``run_trace``, and
-each RubikColoc core of a colocated server) is *eligible* — a plain
+This is the only way Rubik runs in the C library. When a run served by
+:func:`repro.sim.server.serve` (``run_trace``, and each RubikColoc core
+of a colocated server) is *eligible* — a plain
 :class:`~repro.sim.core.Core`, a :class:`~repro.core.controller.Rubik`
-resolved to the native path whose class overrides no event hook, and an
-un-instrumented simulator — the entire event loop runs inside the C
-library: event pop, clock advance, arrival/completion fold, Eq. 2
-decision, DVFS state machine, segment accounting, completion
-scheduling, and the listener work Rubik does per completion. C keeps
-the demand profiler's window and bucket counts, the PI trimmer (its
-rolling window, percentile and target) and the energy meter's sums, so
-between table refreshes no Python code runs per completion or per
-segment. It returns to Python only when Python-owned state must act:
+with ``path="auto"`` whose class overrides no event hook, a loaded
+library and an un-instrumented simulator — the entire event loop runs
+inside the C library: event pop, clock advance, arrival/completion
+fold, Eq. 2 decision, DVFS state machine, segment accounting,
+completion scheduling, and the listener work Rubik does per completion.
+C keeps the demand profiler's window and bucket counts, the PI trimmer
+(its rolling window, percentile and target) and the energy meter's
+sums, so between table refreshes no Python code runs per completion or
+per segment. It returns to Python only when Python-owned state must
+act:
 
 * ``RK_NEED_ROWS`` — the decision fold needs a longer tail-table row;
 * ``RK_SURFACE`` — a table refresh is due (C mirrors the controller's
@@ -21,9 +23,14 @@ segment. It returns to Python only when Python-owned state must act:
 * ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — the segment log or the
   DVFS history a caller asked for filled its buffer.
 
-Nothing is replayed: the profiler window a reused controller carries
-is imported at the start, and the trimmer window starts empty (a fresh
-trimmer per setup).
+Each run builds one session, which owns the run's ``RKState`` and every
+buffer C points into: the DVFS grid, the tail-table row storage, the
+trace columns and queues, and the profiler, trimmer and meter arrays.
+Nothing outlives the run but what it exports; the controller keeps only
+the run's :class:`~repro.core.decision_kernel.KernelStats`. Nothing is
+imported from an earlier run either: ``Rubik.setup`` gives every run a
+fresh profiler, trimmer and refresh clock, and :meth:`create` rejects
+a core whose meter has recorded time.
 
 The core may carry no batch work, or exactly a
 :class:`~repro.coloc.batch.BatchTask` background with a
@@ -47,23 +54,17 @@ Python kernel path.
 
 from __future__ import annotations
 
+import ctypes
+from bisect import bisect_left
 from collections import deque
-from typing import Optional
+from typing import Optional, Set
 
 import numpy as np
 
 from repro.analysis.windows import RollingTailEstimator
-from repro.core._native.kernel import (
-    PH_NEXT,
-    RK_DONE,
-    RK_FLUSH_HISTORY,
-    RK_FLUSH_SEGMENTS,
-    RK_NEED_ROWS,
-    RK_SURFACE,
-    NativeDecisionKernel,
-    _dptr,
-    _iptr,
-)
+from repro.core._native import build
+from repro.core._native.kernel import _DP, _IP, RKState, _bind
+from repro.core.decision_kernel import CERT_MIN_QUEUE, KernelStats
 from repro.core.feedback import LatencyTargetTrimmer
 from repro.core.histogram import Histogram
 from repro.core.profiler import ZERO_MEMORY_WIDTH, DemandProfiler
@@ -80,28 +81,76 @@ _SEG_CAP = 2048
 #: records its history.
 _HIST_CAP = 8192
 
+#: Tail-table row capacity first allocated per row; doubled on demand.
+_ROW_CAP = 64
+
+#: rk_span's return codes (rubik_native.c).
+RK_DONE = 0
+RK_NEED_ROWS = 1
+RK_SURFACE = 2
+RK_FLUSH_SEGMENTS = 3
+RK_FLUSH_HISTORY = 4
+
 #: Segment state code -> CoreState, for the open segment's export.
 _STATE_OF_CODE = {code: state for state, code in STATE_CODES.items()}
 
-#: RKState pointer fields aimed at session-owned arrays; cleared at the
-#: end so the kernel's struct does not keep a finished run's buffers.
-_SESSION_POINTERS = ("tr_arrival", "tr_cycles", "tr_memory", "out_start",
-                     "out_finish", "out_cycles", "decision_log", "rid_ring",
-                     "hist_buf", "seg_buf", "prof_ring", "prof_counts",
-                     "prof_pmf", "tr_scratch", "m_fl", "m_res", "m_rank")
+#: KernelStats field -> the rk_state counter C keeps it in.
+_STAT_FIELDS = (
+    ("idle_decisions", "st_idle"), ("warmup_decisions", "st_warmup"),
+    ("fast_arrivals", "st_fast_arr"), ("fast_completions", "st_fast_comp"),
+    ("lean_folds", "st_lean"), ("cert_folds", "st_cert"),
+    ("invalidations_tables", "st_inv_tables"),
+    ("invalidations_target", "st_inv_target"),
+    ("invalidations_row", "st_inv_row"),
+    ("invalidations_epoch", "st_inv_epoch"))
+
+
+def _dptr(arr: np.ndarray):
+    return arr.ctypes.data_as(_DP)
+
+
+def _iptr(arr: np.ndarray):
+    return arr.ctypes.data_as(_IP)
 
 
 class NativeRunSession:
     """One served run (a ``run_trace`` core or one colocated core)
     driven through ``rk_span``."""
 
-    def __init__(self, sim: Simulator, core: Core, rubik,
-                 kernel: NativeDecisionKernel, trace) -> None:
+    def __init__(self, sim: Simulator, core: Core, rubik, lib,
+                 grid, trace) -> None:
         self.sim = sim
         self.core = core
         self.rubik = rubik
-        self.kernel = kernel
-        st = self._st = kernel._st
+        self._lib = lib
+        # Zero-filled: only the non-zero starting values are set below.
+        st = self._st = RKState()
+        self._ref = ctypes.byref(st)
+        #: The run's decision-path counters. The controller holds this
+        #: object (its refreshes count the carries); C's branch counters
+        #: are copied in at the finish.
+        self.stats = KernelStats()
+
+        # The decision grid and the fold's starting keys.
+        decision_dvfs = rubik.context.dvfs
+        self._grid = grid
+        self._grid_arr = np.array(grid, dtype=np.float64)
+        self._inv_grid_arr = np.array([1.0 / f for f in grid],
+                                      dtype=np.float64)
+        st.grid = _dptr(self._grid_arr)
+        st.inv_grid = _dptr(self._inv_grid_arr)
+        st.nsteps = len(grid)
+        st.nominal_idx = min(
+            bisect_left(grid, decision_dvfs.nominal_hz - 1e-9),
+            len(grid) - 1)
+        st.min_hz = decision_dvfs.min_hz
+        st.max_hz = decision_dvfs.max_hz
+        st.cert_min_queue = CERT_MIN_QUEUE
+        st.k_tables_gen = -1
+        st.k_row_c = -1
+        st.k_row_m = -1
+        st.k_epoch = -1
+        st.mono_ok = 1
 
         # Private copies: the columns outlive the run (core.completed
         # builds its records from them on first read).
@@ -119,10 +168,7 @@ class NativeRunSession:
         self._decision_log = np.zeros(2 * n, dtype=np.float64)
         self._events_committed = 0
 
-        st.span_mode = 1
-        st.phase = PH_NEXT
         st.now = sim.now
-        st.events = 0
         st.tr_arrival = _dptr(self._arrivals)
         st.tr_cycles = _dptr(self._cycles)
         st.tr_memory = _dptr(self._memory)
@@ -131,23 +177,20 @@ class NativeRunSession:
         st.out_cycles = _dptr(self._out_cycles)
         st.decision_log = _dptr(self._decision_log)
         st.n_req = n
-        st.next_arrival = 0
-        st.decision_count = 0
 
-        # Queues: the arrival ring (shared with the per-event path) and
-        # the waiting-request FIFO, both sized for the worst case (the
-        # C side never grows them).
-        kernel._grow_ring(n + 1)
+        # Queues: the arrival-time ring (current + queued) and the
+        # waiting-request FIFO, both sized for the worst case (the C
+        # side never grows them).
         cap = 1
         while cap < n + 1:
             cap *= 2
+        self._arr_ring = np.zeros(cap, dtype=np.float64)
+        st.arr_ring = _dptr(self._arr_ring)
+        st.arr_mask = cap - 1
+        st.queue_epoch = core.queue_epoch
         self._rid_ring = np.zeros(cap, dtype=np.int64)
         st.rid_ring = _iptr(self._rid_ring)
         st.rq_mask = cap - 1
-        st.rq_head = 0
-        st.rq_len = 0
-        st.has_current = 0
-        st.completion_valid = 0
 
         # DVFS domain import (the lazy state machine continues in C).
         # The latency is the core's: ``run_trace(dvfs_config=...)`` may
@@ -168,7 +211,6 @@ class NativeRunSession:
         self._hist = np.zeros(2 * hist_cap, dtype=np.float64)
         st.hist_buf = _dptr(self._hist)
         st.hist_cap = hist_cap
-        st.hist_count = 0
         unacct = dvfs._unaccounted
         st.unacct_n = len(unacct)
         for i, (at, freq) in enumerate(unacct):
@@ -185,7 +227,6 @@ class NativeRunSession:
         self._segs = np.zeros((seg_cap, 3), dtype=np.float64)
         st.seg_buf = _dptr(self._segs)
         st.seg_cap = seg_cap
-        st.seg_count = 0
 
         self._import_meter()
 
@@ -210,17 +251,15 @@ class NativeRunSession:
                                    if interval_start is not None else 0.0)
 
         # Refresh guard.
-        st.completed = 0
-        st.observed_total = rubik.profiler.total_observed
         st.profiler_min_samples = rubik.profiler.min_samples
         st.refresh_period = rubik.update_period_s
         st.last_table_update = rubik._last_table_update
         st.samples_at_last_update = rubik._samples_at_last_update
         self._import_profiler()
         self._import_trimmer(n)
-        tables = rubik.tables
-        if tables is not kernel._tables_obj:
-            kernel._bind_tables(tables)
+        # Table row storage, allocated by the first table pair bound.
+        self._row_cap = _ROW_CAP
+        self._bind_tables(rubik.tables)
 
         # Mid-run meter/segment-log readers call flush_accounting(),
         # which exports the C sums before folding the Python buffer.
@@ -230,20 +269,25 @@ class NativeRunSession:
     @classmethod
     def create(cls, sim: Simulator, core: Core, rubik,
                trace) -> Optional["NativeRunSession"]:
-        """Build a session when the run is eligible, else None.
+        """Build a session when the library loads and the run is
+        eligible, else None.
 
         Eligibility is deliberately conservative: any instrumentation or
         configuration the C loop does not model (a background other than
         a ``BatchTask`` with a ``MicroarchInterference`` penalty, extra
         listeners, monkeypatched core methods, subclassed simulator,
         core, profiler, trimmer, meter or power model, a frequency off
-        the decision grid, pre-populated state) falls back to the Python
-        event loop, which handles everything.
+        the decision grid, pre-populated state: a queue, completions, a
+        profiler or trimmer window, a meter with recorded time) falls
+        back to the Python event loop, which handles everything.
 
         Raises the ``ValueError`` the Python loop's ``Request`` records
         raise for a trace with a negative or all-zero demand.
         """
         if len(trace) == 0:
+            return None
+        lib = build.load_library()
+        if lib is None:
             return None
         if type(sim) is not Simulator or type(core) is not Core:
             return None
@@ -275,10 +319,12 @@ class NativeRunSession:
                 return None
         if core.dvfs.on_retarget is None or not core.dvfs._track_boundaries:
             return None
-        # C repeats these models' arithmetic, and nothing else.
-        if (type(rubik.profiler) is not DemandProfiler
-                or type(core.meter) is not EnergyMeter
-                or type(core.meter.model) is not CorePowerModel):
+        # C repeats these models' arithmetic, and nothing else, and
+        # starts each of them empty.
+        profiler, meter = rubik.profiler, core.meter
+        if (type(profiler) is not DemandProfiler or profiler.total_observed
+                or type(meter) is not EnergyMeter or meter.total_time_s
+                or type(meter.model) is not CorePowerModel):
             return None
         trimmer = rubik.trimmer
         if trimmer is not None and (
@@ -286,10 +332,8 @@ class NativeRunSession:
                 or type(trimmer._estimator) is not RollingTailEstimator
                 or trimmer._estimator.count()):
             return None
-        kernel = rubik._kernel
-        if not isinstance(kernel, NativeDecisionKernel):
-            return None  # setup() bound another path
-        if not cls._frequencies_on_grid(core, kernel):
+        grid = [float(f) for f in rubik.context.dvfs.frequencies]
+        if not cls._frequencies_on_grid(core, set(grid)):
             return None
         cycles = np.asarray(trace.compute_cycles)
         memory = np.asarray(trace.memory_time_s)
@@ -297,22 +341,18 @@ class NativeRunSession:
             raise ValueError("demands must be non-negative")
         if ((cycles == 0) & (memory == 0)).any():
             raise ValueError("request must have positive demand")
-        return cls(sim, core, rubik, kernel, trace)
+        return cls(sim, core, rubik, _bind(lib), grid, trace)
 
     @staticmethod
-    def _frequencies_on_grid(core: Core, kernel: NativeDecisionKernel
-                             ) -> bool:
+    def _frequencies_on_grid(core: Core, grid: Set[float]) -> bool:
         """The C meter looks every segment frequency up on the decision
-        grid: the imported frequencies and residency keys must be on
-        it (decisions always are)."""
-        grid = set(kernel._grid_arr.tolist())
+        grid: the imported frequencies must be on it (decisions always
+        are)."""
         dvfs = core.dvfs
         freqs = [dvfs._current_hz, core._seg_freq]
         freqs += [f for f in (dvfs._pending_target, dvfs._latched_target)
                   if f is not None]
         freqs += [f for _, f in dvfs._unaccounted]
-        freqs += list(core.meter._freq_residency)
-        freqs += list(core.meter._busy_freq_residency)
         if core.background is not None:
             freqs.append(core.background.preferred_frequency(dvfs.config))
         return all(f in grid for f in freqs)
@@ -320,16 +360,15 @@ class NativeRunSession:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Drive the span loop to completion and export final state."""
-        lib = self.kernel._lib
-        ref = self.kernel._ref
-        fill_rows = self.kernel._fill_rows
+        span = self._lib.rk_span
+        ref = self._ref
         st = self._st
         while True:
-            rc = lib.rk_span(ref)
+            rc = span(ref)
             if rc == RK_DONE:
                 break
             if rc == RK_NEED_ROWS:
-                fill_rows()
+                self._fill_rows()
             elif rc == RK_SURFACE:
                 self._refresh()
             elif rc == RK_FLUSH_SEGMENTS:
@@ -363,8 +402,8 @@ class NativeRunSession:
         st.last_table_update = rubik._last_table_update
         st.samples_at_last_update = rubik._samples_at_last_update
         tables = rubik.tables
-        if tables is not self.kernel._tables_obj:
-            self.kernel._bind_tables(tables)
+        if tables is not self._tables_obj:
+            self._bind_tables(tables)
 
     def _histogram(self, stream: int, point_width: float) -> Histogram:
         """Stream ``stream``'s snapshot, as ``DemandProfiler.snapshot``
@@ -377,15 +416,89 @@ class NativeRunSession:
                                           self._prof_pmf[stream].copy())
 
     # ------------------------------------------------------------------
+    # table binding / row filling
+    # ------------------------------------------------------------------
+    def _bind_tables(self, tables) -> None:
+        """Point C at a new table pair; its rows fill lazily from the
+        tables' own append-only per-row caches on ``RK_NEED_ROWS``."""
+        st = self._st
+        self._tables_obj = tables
+        if tables is None:
+            st.tables_ready = 0
+            return
+        cbounds = tables.cycles._row_bounds_list
+        mbounds = tables.memory._row_bounds_list
+        nrows = len(cbounds)
+        assert len(mbounds) == nrows
+        if nrows != st.nrows:
+            self._cbounds_arr = np.empty(nrows, dtype=np.float64)
+            self._mbounds_arr = np.empty(nrows, dtype=np.float64)
+            self._rows_c_arr = np.zeros((nrows, self._row_cap),
+                                        dtype=np.float64)
+            self._rows_m_arr = np.zeros((nrows, self._row_cap),
+                                        dtype=np.float64)
+            self._rowlen_c_arr = np.zeros(nrows, dtype=np.int64)
+            self._rowlen_m_arr = np.zeros(nrows, dtype=np.int64)
+            st.cbounds = _dptr(self._cbounds_arr)
+            st.mbounds = _dptr(self._mbounds_arr)
+            st.rows_c = _dptr(self._rows_c_arr)
+            st.rows_m = _dptr(self._rows_m_arr)
+            st.rowlen_c = _iptr(self._rowlen_c_arr)
+            st.rowlen_m = _iptr(self._rowlen_m_arr)
+            st.nrows = nrows
+            st.row_cap = self._row_cap
+        self._cbounds_arr[:] = cbounds
+        self._mbounds_arr[:] = mbounds
+        self._rowlen_c_arr[:] = 0
+        self._rowlen_m_arr[:] = 0
+        st.tables_ready = 1
+        st.tables_gen += 1
+
+    def _fill_rows(self) -> None:
+        """Service RK_NEED_ROWS: copy the tables' (append-only) cached
+        row lists into the flattened arrays, delta-only per row."""
+        st = self._st
+        tables = self._tables_obj
+        n = st.need_len
+        crow = tables.cycles.extended_row_list(st.need_row_c, n)
+        mrow = tables.memory.extended_row_list(st.need_row_m, n)
+        need = max(len(crow), len(mrow))
+        if need > st.row_cap:
+            self._grow_rows(need)
+        rc, rm = st.need_row_c, st.need_row_m
+        old_c = int(self._rowlen_c_arr[rc])
+        if len(crow) > old_c:
+            self._rows_c_arr[rc, old_c:len(crow)] = crow[old_c:]
+            self._rowlen_c_arr[rc] = len(crow)
+        old_m = int(self._rowlen_m_arr[rm])
+        if len(mrow) > old_m:
+            self._rows_m_arr[rm, old_m:len(mrow)] = mrow[old_m:]
+            self._rowlen_m_arr[rm] = len(mrow)
+
+    def _grow_rows(self, need: int) -> None:
+        st = self._st
+        new_cap = self._row_cap
+        while new_cap < need:
+            new_cap *= 2
+        nrows = st.nrows
+        for attr_rows, attr_ptr in (("_rows_c_arr", "rows_c"),
+                                    ("_rows_m_arr", "rows_m")):
+            old = getattr(self, attr_rows)
+            new = np.zeros((nrows, new_cap), dtype=np.float64)
+            new[:, :self._row_cap] = old
+            setattr(self, attr_rows, new)
+            setattr(st, attr_ptr, _dptr(new))
+        self._row_cap = new_cap
+        st.row_cap = new_cap
+
+    # ------------------------------------------------------------------
     # imports (session start)
     # ------------------------------------------------------------------
     def _import_profiler(self) -> None:
-        """Copy the profiler's window (a reused controller carries one
-        across runs); C recounts its buckets at the first snapshot."""
+        """Size the profiler's window arrays; the window starts empty."""
         st = self._st
         profiler = self.rubik.profiler
         window, buckets = profiler.window, profiler.num_buckets
-        streams = (profiler._cycles, profiler._memory)
         self._prof_ring = np.zeros((2, window), dtype=np.float64)
         self._prof_counts = np.zeros((2, buckets), dtype=np.int64)
         self._prof_pmf = np.zeros((2, buckets), dtype=np.float64)
@@ -394,13 +507,8 @@ class NativeRunSession:
         st.prof_ring = _dptr(self._prof_ring)
         st.prof_counts = _iptr(self._prof_counts)
         st.prof_pmf = _dptr(self._prof_pmf)
-        st.prof_head = 0
-        st.prof_len = len(streams[0])
-        for k, stream in enumerate(streams):
-            self._prof_ring[k, :len(stream)] = list(stream.samples)
-            st.prof_max[k] = stream.max_value
-            st.prof_max_count[k] = stream._max_count
-            st.prof_width[k] = 0.0
+        for k in range(2):
+            st.prof_max[k] = -np.inf
             st.prof_rebin[k] = 1
 
     def _import_trimmer(self, n: int) -> None:
@@ -424,38 +532,22 @@ class NativeRunSession:
         st.tr_max_scale = trimmer.max_scale
         st.tr_min_samples = trimmer.min_window_samples
         st.tr_integral = trimmer._integral
-        st.tr_lo = 0
         st.target = trimmer.internal_target_s
 
     def _import_meter(self) -> None:
-        """The meter's sums and residency maps (first-seen order kept
-        as ranks), and the power model's cached terms per grid step."""
+        """The power model's cached terms per grid step; the meter's
+        sums and residency maps start at zero."""
         st = self._st
-        meter = self.core.meter
-        grid = self._grid = self.kernel._grid_arr.tolist()
-        index = {f: i for i, f in enumerate(grid)}
-        self._m_fl = np.array([meter.model.power_terms(f) for f in grid],
+        model = self.core.meter.model
+        self._m_fl = np.array([model.power_terms(f) for f in self._grid],
                               dtype=np.float64)
-        self._m_res = np.zeros((2, len(grid)), dtype=np.float64)
-        self._m_rank = np.zeros((2, len(grid)), dtype=np.int64)
+        self._m_res = np.zeros((2, len(self._grid)), dtype=np.float64)
+        self._m_rank = np.zeros((2, len(self._grid)), dtype=np.int64)
         st.m_fl = _dptr(self._m_fl)
         st.m_res = _dptr(self._m_res)
         st.m_rank = _iptr(self._m_rank)
-        st.m_sleep_w = meter.model.sleep_power_w
-        st.m_stall = meter.model.stall_activity
-        st.m_energy = meter.energy_j
-        st.m_total_time = meter.total_time_s
-        st.m_busy_energy = meter.active_energy_j
-        st.m_busy_time = meter.busy_time_s
-        st.m_batch_energy = meter.batch_energy_j
-        st.m_batch_time = meter.batch_time_s
-        st.m_idle_energy = meter.idle_energy_j
-        for k, residency in enumerate((meter._freq_residency,
-                                       meter._busy_freq_residency)):
-            for rank, (freq, seconds) in enumerate(residency.items(), 1):
-                self._m_res[k, index[freq]] = seconds
-                self._m_rank[k, index[freq]] = rank
-            st.m_seen[k] = len(residency)
+        st.m_sleep_w = model.sleep_power_w
+        st.m_stall = model.stall_activity
 
     # ------------------------------------------------------------------
     # output draining
@@ -525,7 +617,6 @@ class NativeRunSession:
         dvfs._unaccounted = [
             (st.unacct[2 * i], st.unacct[2 * i + 1])
             for i in range(st.unacct_n)]
-        st.unacct_n = 0
 
         core._segment_start = st.seg_start
         code = int(st.seg_code)
@@ -548,16 +639,13 @@ class NativeRunSession:
 
         self._export_profiler()
         self._export_trimmer()
+        for field, counter in _STAT_FIELDS:
+            setattr(self.stats, field, getattr(st, counter))
         core._columns = CompletionColumns(
             self._arrivals, self._out_start, self._out_finish,
             self._out_cycles, self._memory, self._predicted)
         core._completed = None  # built from the columns on first read
-
         core._external_flush = None
-        st.span_mode = 0
-        st.phase = PH_NEXT
-        for name in _SESSION_POINTERS:
-            setattr(st, name, None)
 
     def _export_profiler(self) -> None:
         """Leave the profiler as the Python loop leaves it: the window,

@@ -29,10 +29,9 @@ or per-request hints (contrast with Adrenaline).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.config import check_size
-from repro.core._native import build as native_build
 from repro.core.decision_kernel import DecisionKernel, KernelStats
 from repro.core.feedback import LatencyTargetTrimmer
 from repro.core.histogram import Histogram
@@ -51,9 +50,6 @@ from repro.schemes.base import Scheme, SchemeContext
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
-
-if TYPE_CHECKING:
-    from repro.core._native.kernel import NativeDecisionKernel
 
 #: Paper Sec. 4.2: the runtime refreshes the tables every 100 ms.
 DEFAULT_UPDATE_PERIOD_S = 0.1
@@ -91,12 +87,15 @@ class Rubik(Scheme):
                 CLT approximation takes over. The four sizes above must
                 be whole numbers >= 1 (a ``ValueError`` names the one
                 that is not).
-            path: how Eq. 2 is evaluated, one of :data:`PATHS`:
+            path: how Eq. 2 is evaluated, one of :data:`PATHS`, fixed
+                for the controller's lifetime:
 
-                * ``"auto"`` (default) — the native C kernel
-                  (:mod:`repro.core._native`) when its library builds
-                  and loads, else the Python kernel (never an error: a
-                  machine without ``cc`` still runs everything).
+                * ``"auto"`` (default) — the native C span loop
+                  (:mod:`repro.core._native.session`) runs the whole
+                  run when its library builds and loads and the run is
+                  eligible (see :meth:`native_session`); any other run
+                  uses the Python kernel (never an error: a machine
+                  without ``cc`` still runs everything).
                 * ``"kernel"`` — the incremental Python kernel
                   (:mod:`repro.core.decision_kernel`).
                 * ``"scalar"`` — the per-request reference loop.
@@ -110,17 +109,25 @@ class Rubik(Scheme):
         if not update_period_s > 0:  # also rejects NaN
             raise ValueError(
                 f"update period must be positive (got {update_period_s!r})")
+        if path not in PATHS:
+            raise ValueError(f"path must be one of {PATHS} (got {path!r})")
+        self._path = path
         self.update_period_s = update_period_s
         self.feedback_enabled = feedback
         self.profiler = DemandProfiler(profiler_window, min_samples)
         self.num_rows = check_size("num_rows", num_rows)
         self.max_explicit = check_size("max_explicit", max_explicit)
-        self._kernel: Optional[Union[DecisionKernel,
-                                    NativeDecisionKernel]] = None
-        #: The bound Eq. 2 evaluator, set by setup(). The hooks run twice
-        #: per simulated event, so it is the kernel's own ``decide``.
+        #: The Python evaluator of Eq. 2, bound by setup(). The hooks run
+        #: twice per simulated event, so it is the kernel's own
+        #: ``decide`` (or the scalar loop).
         self._decide: Optional[Callable[[Core], None]] = None
-        self.path = path
+        #: What served the current (or last) run: ``"native"`` when the
+        #: C span loop ran it, else the Python evaluator setup() bound,
+        #: ``"kernel"`` or ``"scalar"``. None before the first setup.
+        self.decision_path: Optional[str] = None
+        #: The current (or last) run's decision-path counters; None
+        #: before the first setup and on the scalar path.
+        self.kernel_stats: Optional[KernelStats] = None
         self.tables: Optional[TargetTailTables] = None
         self.trimmer: Optional[LatencyTargetTrimmer] = None
         self._last_table_update = float("-inf")
@@ -139,61 +146,32 @@ class Rubik(Scheme):
         """The configured decision path, one of :data:`PATHS`."""
         return self._path
 
-    @path.setter
-    def path(self, value: str) -> None:
-        if value not in PATHS:
-            raise ValueError(f"path must be one of {PATHS} (got {value!r})")
-        self._path = value
-        if self._decide is not None:
-            # Switched mid-run: the new kernel folds the live queue
-            # from scratch.
-            self._bind_path()
-
-    @property
-    def decision_path(self) -> str:
-        """The Eq. 2 evaluation path taken: ``"native"``, ``"kernel"``
-        or ``"scalar"`` (``"auto"`` reports ``"kernel"`` when the native
-        library is unavailable)."""
-        if self._path == "scalar":
-            return "scalar"
-        if self._path == "auto" and native_build.available():
-            return "native"
-        return "kernel"
-
-    @property
-    def kernel_stats(self) -> Optional[KernelStats]:
-        """Decision-path counters of the bound kernel (None before
-        setup, and on the scalar path)."""
-        return self._kernel.stats if self._kernel is not None else None
-
-    def _bind_path(self) -> None:
-        """Build the selected path's kernel and bind ``_decide`` straight
-        to its ``decide``."""
-        path = self.decision_path
-        if path == "scalar":
-            self._kernel = None
-            self._decide = self._update_frequency_scalar
-            return
-        if path == "native":
-            # Imported on first use: the ctypes mirror costs start-up
-            # time in processes that never run a native decision.
-            from repro.core._native.kernel import NativeDecisionKernel
-            self._kernel = NativeDecisionKernel(self)
-        else:
-            self._kernel = DecisionKernel(self)
-        self._decide = self._kernel.decide
-
     # ------------------------------------------------------------------
     def setup(self, sim: Simulator, core: Core, context: SchemeContext) -> None:
         super().setup(sim, core, context)
+        # Every run starts from fresh learned state: a reused controller
+        # carries no window, tables or refresh clock across runs.
+        profiler = self.profiler
+        self.profiler = DemandProfiler(profiler.window, profiler.min_samples,
+                                       profiler.num_buckets)
+        self.tables = None
+        self._last_table_update = float("-inf")
+        self._samples_at_last_update = 0
         if self.feedback_enabled:
             self.trimmer = LatencyTargetTrimmer(
                 bound_s=context.latency_bound_s,
                 tail_percentile=context.tail_percentile,
             )
-        # The kernel caches the context's DVFS grid: build one per run so
-        # a reused controller cannot carry a stale grid across contexts.
-        self._bind_path()
+        # The kernel caches the context's DVFS grid: one per run.
+        if self._path == "scalar":
+            self._decide = self._update_frequency_scalar
+            self.kernel_stats = None
+            self.decision_path = "scalar"
+        else:
+            kernel = DecisionKernel(self)
+            self._decide = kernel.decide
+            self.kernel_stats = kernel.stats
+            self.decision_path = "kernel"
 
     def initial_frequency(self) -> float:
         """Start at max: safe before the demand model has data."""
@@ -269,9 +247,8 @@ class Rubik(Scheme):
             # controller already holds — the decision kernel's per-queue
             # state (keyed on table identity) survives this refresh.
             stats.object_carries += 1
-            kernel = self._kernel
-            if kernel is not None:
-                kernel.note_refresh_carry()
+            if self.kernel_stats is not None:
+                self.kernel_stats.refresh_carries += 1
         self.tables = tables
         self._last_table_update = self.sim.now
         self._samples_at_last_update = observed
@@ -280,19 +257,27 @@ class Rubik(Scheme):
     def native_session(self, sim: Simulator, core: Core, trace):
         """Whole-run native event loop (see ``Scheme.native_session``).
 
-        Engages for ``Rubik`` or a subclass that overrides none of
-        ``_SPAN_HOOKS`` (``RubikColocScheme`` only renames itself),
-        resolved to the native decision path, on an eligible
-        core/simulator pair — otherwise None, and the Python event loop
-        runs.
+        Engages for ``path="auto"`` on ``Rubik`` or a subclass that
+        overrides none of ``_SPAN_HOOKS`` (``RubikColocScheme`` only
+        renames itself), when the native library loads and the
+        core/simulator pair is eligible — otherwise None, and the
+        Python evaluator setup() bound serves the run. The controller
+        keeps the session's ``KernelStats``, never the session.
         """
+        if self._path != "auto":
+            return None
         cls = type(self)
         if any(getattr(cls, hook) is not getattr(Rubik, hook)
                for hook in _SPAN_HOOKS):
             return None
+        # Imported on first use: processes that never run Rubik skip it.
         from repro.core._native.session import NativeRunSession
 
-        return NativeRunSession.create(sim, core, self, trace)
+        session = NativeRunSession.create(sim, core, self, trace)
+        if session is not None:
+            self.decision_path = "native"
+            self.kernel_stats = session.stats
+        return session
 
     def _update_frequency_scalar(self, core: Core) -> None:
         requests = core.pending_requests()

@@ -53,8 +53,11 @@ re-resolves the snapshot fingerprint to the same pair
 (``TailTableCache`` hit) carries the kernel's state across the refresh
 untouched (counted as ``refresh_carries``). The ``Core.queue_epoch``
 counter guarantees the kernel saw exactly one queue delta since its
-last decision; any skip (mid-run path toggle, schemes sharing a core)
-safely degrades to a full fold.
+last decision; any skip (a queue change it did not decide on) safely
+degrades to a full fold.
+
+The native span loop (:mod:`repro.core._native.session`) runs this
+same kernel, ported to C, and mirrors its branch counters exactly.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class KernelStats:
         invalidations_row: re-folds forced by a head elapsed-bucket
             change.
         invalidations_epoch: re-folds forced by a queue-epoch skip
-            (missed delta, e.g. a mid-run path toggle).
+            (a queue delta the kernel did not decide on).
         refresh_carries: decisions taken after a refresh re-resolved to
             the *same* table pair (kernel state survived the refresh).
     """
@@ -164,14 +167,6 @@ class DecisionKernel:
         self._any_hopeless = False
         self._tau_abs = -_INF
         self._sigma_abs = -_INF
-
-    # ------------------------------------------------------------------
-    def note_refresh_carry(self) -> None:
-        """Count a refresh that re-resolved to the same table pair (the
-        kernel's per-queue state survived it). Part of the kernel
-        interface shared with the native wrapper, where the Python-side
-        counter cannot live on the materialized stats snapshot."""
-        self.stats.refresh_carries += 1
 
     # ------------------------------------------------------------------
     def decide(self, core) -> None:

@@ -50,7 +50,6 @@ class LatencyTargetTrimmer:
         scales finite, and ``min_window_samples`` a whole number >= 1.
         """
         check_finite("bound_s", bound_s, positive=True)
-        check_finite("window_s", window_s, positive=True)
         check_finite("adjust_period_s", adjust_period_s, positive=True)
         for name, value in (("kp", kp), ("ki", ki), ("min_scale", min_scale),
                             ("max_scale", max_scale)):

@@ -123,8 +123,8 @@ def run_fig1b(num_requests: int = 6000, seed: int = 21,
     rubik_run = run_trace(trace, rubik, context, record_freq_history=True)
 
     def tail_series(run) -> Tuple[np.ndarray, np.ndarray]:
-        finish = np.array([r.finish_time for r in run.requests])
-        lats = np.array([r.response_time for r in run.requests])
+        finish = run.completions.finish
+        lats = run.response_times(include_warmup=True)
         keep = finish <= total_time_s
         return windowed_series(finish[keep], lats[keep],
                                window_s=0.2, step_s=0.05)

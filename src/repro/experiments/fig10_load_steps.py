@@ -112,9 +112,9 @@ def run_step_response(app_name: str, seed: int = 21,
 
     tails, powers = {}, {}
     for scheme, run in runs.items():
-        finish = np.array([r.finish_time for r in run.requests])
-        lats = np.array([r.response_time for r in run.requests])
-        t, v = windowed_series(finish, lats, WINDOW_S, step_s=WINDOW_S / 2)
+        t, v = windowed_series(run.completions.finish,
+                               run.response_times(include_warmup=True),
+                               WINDOW_S, step_s=WINDOW_S / 2)
         tails[scheme] = (t, v * 1e3)
         powers[scheme] = _power_series(run)
 
@@ -141,8 +141,8 @@ def _power_series(run: RunResult) -> Tuple[np.ndarray, np.ndarray]:
             reducer=np.sum)
         return t, v / WINDOW_S
     # Fallback: energy per completion smoothed over windows.
-    finish = np.array([r.finish_time for r in run.requests])
-    per_req = run.energy_j / max(1, len(run.requests))
+    finish = run.completions.finish
+    per_req = run.energy_j / max(1, len(run.completions))
     t, v = windowed_series(finish, np.full(len(finish), per_req),
                            WINDOW_S, step_s=WINDOW_S / 2, reducer=np.sum)
     return t, v / WINDOW_S

@@ -31,6 +31,10 @@ with the C definition of ``rk_<name>`` and checked for:
 * a ``restype`` wherever ``argtypes`` is set on a function that
   returns a value (ctypes would read it as a C ``int``).
 
+The other way round, every exported (non-``static``) ``rk_*`` function
+must be named by some prototype assignment: an entry point whose
+binding was deleted would otherwise linger in the C source unseen.
+
 The rule is project-scoped: it pairs any scanned ``.c`` file containing
 a ``rk_state`` typedef with any scanned Python file defining a ctypes
 ``Structure`` carrying ``_fields_``, and the ``rk_*`` definitions of
@@ -316,8 +320,6 @@ class NativeAbiRule(Rule):
                     for ctx in project.files if ctx.is_python
                     and ".rk_" in ctx.source
                     for name, kind, assign in _prototype_assigns(ctx.tree)]
-        if not bindings:
-            return
         functions: Dict[str, Tuple[FileContext, c_abi.CFunction]] = {}
         for ctx in project.files:
             if ctx.is_python or "rk_" not in ctx.source:
@@ -329,6 +331,15 @@ class NativeAbiRule(Rule):
                 continue
             for name, fn in parsed.items():
                 functions[name] = (ctx, fn)
+        bound = {name for _, name, _, _ in bindings}
+        for name, (ctx, fn) in functions.items():
+            if name not in bound:
+                yield Finding(
+                    ctx.path, fn.line, self.id,
+                    f"C exports {name} but no ctypes prototype names it; "
+                    "bind it or delete it")
+        if not bindings:
+            return
         if not functions:
             ctx = bindings[0][0]
             yield Finding(

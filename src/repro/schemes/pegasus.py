@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.analysis.windows import RollingTailEstimator
+from repro.config import check_finite
 from repro.schemes.base import Scheme, SchemeContext
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
@@ -53,9 +54,12 @@ class Pegasus(Scheme):
             step_down_margin: measured/target ratio below which it steps
                 one grid notch down.
             min_window_samples: completions needed before acting.
+
+        The window and period must be finite and positive (a
+        ``ValueError`` names the one that is not).
         """
-        if window_s <= 0 or adjust_period_s <= 0:
-            raise ValueError("window and period must be positive")
+        check_finite("window_s", window_s, positive=True)
+        check_finite("adjust_period_s", adjust_period_s, positive=True)
         if not 0 < step_down_margin < high_violation:
             raise ValueError("need 0 < step_down_margin < high_violation")
         self.window_s = window_s

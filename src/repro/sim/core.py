@@ -122,8 +122,8 @@ class Core:
         #: bumped before the listener hooks fire. Controllers keeping
         #: incremental per-queue state (the Rubik decision kernel) use it
         #: to verify they saw exactly one delta since their last
-        #: decision; a skip (mid-run path toggle, shared core) safely
-        #: degrades them to a full recompute.
+        #: decision; a skip (a queue change they did not decide on)
+        #: safely degrades them to a full recompute.
         self.queue_epoch = 0
         self.background = background
         self._interference_cycles = interference_cycles

@@ -57,10 +57,6 @@ class RunResult:
         """Completed requests, in completion order."""
         return self.completions.requests()
 
-    def measured(self) -> List[Request]:
-        """Completed requests past the warmup prefix."""
-        return self.requests[self.warmup:]
-
     def response_times(self, include_warmup: bool = False) -> np.ndarray:
         lats = self.completions.response_times()
         return lats if include_warmup else lats[self.warmup:]

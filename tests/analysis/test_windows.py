@@ -48,6 +48,13 @@ class TestRollingTailEstimator:
         with pytest.raises(ValueError):
             RollingTailEstimator(0.0)
 
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window(self, window_s):
+        """A NaN window would never evict (every ``<`` against it is
+        false), and an infinite one never evicts either."""
+        with pytest.raises(ValueError, match="window_s"):
+            RollingTailEstimator(window_s)
+
 
 class TestWindowedSeries:
     def test_tumbling_windows(self):

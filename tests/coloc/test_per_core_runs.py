@@ -12,6 +12,7 @@ against it on both paths -- the native library loaded, and
 
 import contextlib
 import dataclasses
+import weakref
 from typing import List
 from unittest import mock
 
@@ -281,16 +282,27 @@ def test_span_loop_eligibility(scheme_cls, interference, engages):
 @pytest.mark.native
 @pytest.mark.skipif(not build.available(),
                     reason="native library unavailable")
-def test_session_drops_its_buffers():
-    """A finished session leaves no pointer into its arrays in the
-    kernel's struct, so six per-core runs do not hold six buffer sets."""
+def test_session_drops_its_buffers(monkeypatch):
+    """Nothing references a finished session (the controller keeps only
+    its KernelStats), so its struct and buffers go with it and six
+    per-core runs do not hold six buffer sets."""
+    sessions = []
+    real_run = NativeRunSession.run
+
+    def spy(self):
+        sessions.append(weakref.ref(self))
+        real_run(self)
+
+    monkeypatch.setattr(NativeRunSession, "run", spy)
     sim = Simulator()
     core = _colocated_core(sim, MicroarchInterference())
     scheme = RubikColocScheme()
     serve(sim, core, scheme, MASSTREE_CONTEXT,
           Trace.generate_at_load(MASSTREE, 0.5, 100, 3))
-    st_ = scheme._kernel._st
-    assert not st_.seg_buf and not st_.out_cycles and not st_.tr_cycles
+    assert len(sessions) == 1
+    assert sessions[0]() is None
+    assert scheme.decision_path == "native"
+    assert scheme.kernel_stats.decisions == 200
     assert len(core.completed) == 100
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import DvfsConfig
+from repro.core._native import build
 from repro.core.controller import Rubik
 from repro.experiments.common import make_context
 from repro.schemes.base import SchemeContext
@@ -153,3 +154,42 @@ class TestAdaptation:
         # Inflated demands make the original bound harder; Rubik should
         # keep the overwhelming majority under 1.5x bound.
         assert np.mean(lats > ctx.latency_bound_s * 1.5) < 0.05
+
+
+def _result_fields(run):
+    """Every RunResult field, floats compared exactly."""
+    cols = run.completions
+    return ([col.tolist() for col in (cols.arrival, cols.start, cols.finish,
+                                      cols.cycles, cols.memory)],
+            run.warmup, run.duration_s, run.energy_j, run.active_energy_j,
+            run.idle_energy_j, run.busy_time_s, run.utilization,
+            run.busy_freq_hist, run.dvfs_transitions, run.freq_history,
+            run.events_processed)
+
+
+class TestReuse:
+    @pytest.mark.parametrize("path", [
+        "kernel",
+        pytest.param("auto", marks=[
+            pytest.mark.native,
+            pytest.mark.skipif(not build.available(),
+                               reason="native library unavailable")]),
+    ])
+    def test_reused_controller_matches_a_fresh_one(self, path):
+        """A controller reused for a second trace starts it from fresh
+        learned state (profiler window, tables, refresh clock), so the
+        run equals a fresh controller's. Keeping the first run's clock,
+        it refreshed no table in the whole second run."""
+        ctx = make_context(MASSTREE, 3, 3000)
+        first, second = (Trace.generate_at_load(MASSTREE, 0.5, 3000, seed)
+                         for seed in (3, 4))
+        reused = Rubik(path=path)
+        run_trace(first, reused, ctx)
+        updates = reused.table_updates
+        again = run_trace(second, reused, ctx, record_freq_history=True)
+        fresh = Rubik(path=path)
+        want = run_trace(second, fresh, ctx, record_freq_history=True)
+        assert reused.decision_path == fresh.decision_path == (
+            "native" if path == "auto" else path)
+        assert reused.table_updates - updates == fresh.table_updates > 0
+        assert _result_fields(again) == _result_fields(want)

@@ -1,4 +1,4 @@
-"""Decision-oracle suite for the incremental Eq. 2 kernel (PR 5 + PR 6).
+"""Decision-oracle suite for the incremental Eq. 2 kernel.
 
 Every decision path must be *decision-equivalent* to the scalar oracle:
 each ``Core.request_frequency`` call — including redundant ones — must
@@ -8,12 +8,17 @@ Python-kernel and (when the library builds) native C paths through
 seeded random event sequences covering bursts, profiler-window
 evictions, overload, empty-queue churn, ``n == 1``, and queues past
 ``max_explicit``; dedicated regressions pin the hopeless/overload
-nominal floor, mid-run trimmer-target shrink, and mid-run path toggles.
+nominal floor and mid-run trimmer-target shrink.
 
-The native path (``repro/core/_native``) joins the sweep automatically
-when its shared library is available; on boxes without a C compiler the
-sweep degrades to the two Python paths and the ``native``-marked
-canaries report the gap as skips.
+The native path is the C span loop (``repro/core/_native/session.py``),
+the only way Rubik runs in C: it serves a whole run on an unpatched
+core, so its leg records no ``request_frequency`` calls and is compared
+through the decision log C keeps (one double per decision). It joins
+the sweep automatically when its shared library is available; on boxes
+without a C compiler the sweep degrades to the two Python paths and the
+``native``-marked canaries report the gap as skips. Cases a span cannot
+run — hand-set tables, or a nominal frequency off the grid — keep their
+two Python legs.
 """
 
 import dataclasses
@@ -37,7 +42,7 @@ from repro.sim.arrivals import LoadSchedule
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
-from repro.sim.server import run_trace
+from repro.sim.server import run_trace, serve
 from repro.sim.trace import Trace
 from repro.workloads.apps import APPS, MASSTREE, MOSES, SPECJBB
 
@@ -55,13 +60,9 @@ PATHS = {
 if _NATIVE:
     PATHS["native"] = dict(path="auto")
 
-#: Parametrize list covering all three paths, with the native entry
-#: visibly skipped (not silently dropped) when the library is missing.
-PATH_PARAMS = [
-    "scalar", "kernel",
-    pytest.param("native",
-                 marks=[pytest.mark.native, skip_without_native]),
-]
+#: The paths that evaluate Eq. 2 per event in Python: the only ones for
+#: runs driven by hand, which the span loop cannot serve.
+PYTHON_PATHS = ("scalar", "kernel")
 
 
 @pytest.mark.native
@@ -73,18 +74,31 @@ def test_native_path_joins_the_sweep():
     the test report instead of silently shrinking coverage.
     """
     assert "native" in PATHS
-    assert Rubik().decision_path == "native"
+    ctx = make_context(MASSTREE, 3, 300)
+    trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
+    _, _, rubik = run_decisions(trace, Rubik(), ctx)
+    assert rubik.decision_path == "native"
 
 
-def run_decisions(trace, rubik, context, at=None):
+def run_decisions(trace, rubik, context):
     """Drive ``rubik`` over ``trace`` recording every frequency request.
 
     Returns (calls, core, rubik): ``calls`` is the exact sequence of
-    floats passed to ``Core.request_frequency`` (the controller's
-    decisions, redundant requests included).
+    floats the controller's decisions request, redundant requests
+    included. A run the span loop serves (``path="auto"`` with the
+    library loaded) runs on an unpatched core, and its calls are the
+    session's decision log; any other run records the floats passed to
+    ``Core.request_frequency``.
     """
     sim = Simulator()
     core = Core(sim, context.dvfs, DEFAULT_CORE_POWER)
+    rubik.setup(sim, core, context)
+    session = rubik.native_session(sim, core, trace)
+    if session is not None:
+        session.run()
+        core.finalize(settle_dvfs=True)
+        calls = session._decision_log[:session._st.decision_count].tolist()
+        return calls, core, rubik
     calls = []
     orig = core.request_frequency
 
@@ -93,10 +107,6 @@ def run_decisions(trace, rubik, context, at=None):
         orig(f_hz)
 
     core.request_frequency = recorder
-    rubik.setup(sim, core, context)
-    if at is not None:
-        t, fn = at
-        sim.schedule_entry(t, (lambda: fn(rubik)), priority=0)
     for req in trace.to_requests():
         sim.schedule_entry(req.arrival_time,
                            (lambda r=req: core.enqueue(r)), priority=1)
@@ -117,6 +127,7 @@ def assert_paths_equivalent(trace, context, **rubik_kwargs):
     for name, flags in PATHS.items():
         calls, core, rubik = run_decisions(
             trace, Rubik(**flags, **rubik_kwargs), context)
+        assert rubik.decision_path == name  # the named path served it
         results[name] = (calls, meter_totals(core), rubik)
     scalar_calls, scalar_meter, _ = results["scalar"]
     assert scalar_calls, "no decisions recorded"
@@ -245,7 +256,7 @@ class TestHopelessOverloadFloor:
             Histogram.point_mass(1e6, bucket_width=1e4),
             Histogram.point_mass(5e-3, bucket_width=1e-4))
 
-    @pytest.mark.parametrize("path", PATH_PARAMS)
+    @pytest.mark.parametrize("path", PYTHON_PATHS)
     def test_fully_hopeless_queue_floors_at_nominal(self, path):
         ctx = SchemeContext(latency_bound_s=1e-4)
         sim = Simulator()
@@ -272,7 +283,7 @@ class TestHopelessOverloadFloor:
 
     def test_fully_hopeless_equivalence_all_paths(self):
         per_path = {}
-        for path in PATHS:
+        for path in PYTHON_PATHS:
             ctx = SchemeContext(latency_bound_s=1e-4)
             sim = Simulator()
             core = Core(sim, ctx.dvfs, DEFAULT_CORE_POWER)
@@ -326,33 +337,28 @@ class TestHopelessOverloadFloor:
         assert rubik.kernel_stats.invalidations_target > 0
 
 
-class TestMidRunToggles:
-    """Setting ``Rubik.path`` re-binds ``_decide`` and stays
-    decision-equivalent from the switch point on."""
+class TestPathBinding:
+    """``Rubik(path=...)`` is fixed at construction; setup() binds a
+    Python evaluator and only ``native_session`` serves a run in C."""
 
     def test_property_rebinding(self):
         r = Rubik()
         assert r.path == "auto"
-        auto_path = "native" if _NATIVE else "kernel"
-        assert r.decision_path == auto_path
-        r.path = "scalar"
-        assert r.decision_path == "scalar"
-        r.path = "kernel"
-        assert r.decision_path == "kernel"
-        assert r._decide is None and r.kernel_stats is None  # no setup yet
+        # Nothing has run yet, so nothing reports a path.
+        assert r.decision_path is None and r.kernel_stats is None
+        assert r._decide is None
+        with pytest.raises(AttributeError):
+            r.path = "scalar"  # fixed for the controller's lifetime
         ctx = SchemeContext(latency_bound_s=1e-3)
         sim = Simulator()
         r.setup(sim, Core(sim, ctx.dvfs, DEFAULT_CORE_POWER), ctx)
-        assert type(r._kernel) is DecisionKernel
-        assert r._decide == r._kernel.decide
-        r.path = "scalar"
-        assert r._kernel is None
-        assert r._decide.__func__ is Rubik._update_frequency_scalar
-        # "auto" falls back to the Python kernel when native is
-        # unavailable — decision_path reports the path actually taken.
-        r.path = "auto"
-        assert r.decision_path == auto_path
-        assert r._decide == r._kernel.decide
+        assert r.decision_path == "kernel"  # until a session serves it
+        assert type(r._decide.__self__) is DecisionKernel
+        assert r.kernel_stats is r._decide.__self__.stats
+        scalar = Rubik(path="scalar")
+        scalar.setup(sim, Core(sim, ctx.dvfs, DEFAULT_CORE_POWER), ctx)
+        assert scalar.decision_path == "scalar"
+        assert scalar._decide.__func__ is Rubik._update_frequency_scalar
 
     def test_kernel_mode_validation(self):
         for bad in ("native", "vectorized", "", None, True, False, 1):
@@ -362,10 +368,6 @@ class TestMidRunToggles:
             Rubik(kernel=True)  # only `path` selects the decision path
         with pytest.raises(TypeError):
             Rubik(vectorized=False)
-        r = Rubik()
-        with pytest.raises(ValueError):
-            r.path = "native"
-        assert r.path == "auto"  # rejected assignment left the path alone
 
     def test_first_kernel_decide_rebinds_to_kernel(self):
         """setup() binds ``_decide`` straight to the kernel's own
@@ -373,100 +375,28 @@ class TestMidRunToggles:
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
         _, _, rubik = run_decisions(trace, Rubik(path="kernel"), ctx)
-        assert type(rubik._kernel) is DecisionKernel
-        assert rubik._decide == rubik._kernel.decide
+        kernel = rubik._decide.__self__
+        assert type(kernel) is DecisionKernel
+        assert rubik._decide == kernel.decide
 
     @pytest.mark.native
     @skip_without_native
-    def test_first_native_decide_rebinds_to_native(self):
-        """Same binding contract for the native wrapper."""
-        from repro.core._native.kernel import NativeDecisionKernel
-
+    def test_ineligible_native_run_uses_python_kernel(self):
+        """On a machine with the library, a run the span loop cannot
+        serve (a recorder patched over ``request_frequency``) is served
+        by the Python kernel, and says so."""
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
-        _, _, rubik = run_decisions(trace, Rubik(), ctx)
-        assert isinstance(rubik._kernel, NativeDecisionKernel)
-        assert rubik._decide == rubik._kernel.decide
-
-    @staticmethod
-    def _assert_switch_equivalent(start, flip_to):
-        """Run with ``path=start``, set ``path=flip_to`` mid-run, and
-        check every decision against the scalar oracle."""
-        app = MASSTREE
-        n = 800
-        seed = 5
-        ctx = make_context(app, seed, n)
-        trace = Trace.generate_at_load(app, 0.6, n, seed)
-        ref_calls, ref_core, _ = run_decisions(
-            trace, Rubik(path="scalar"), ctx)
-        t_mid = float(trace.arrivals[n // 2])
-        calls, core, rubik = run_decisions(
-            trace, Rubik(path=start), ctx,
-            at=(t_mid, lambda r: setattr(r, "path", flip_to)))
-        # Decision-equivalence makes the switch invisible end to end —
-        # which in particular pins equivalence from the switch point on.
-        assert calls == ref_calls
-        assert meter_totals(core) == meter_totals(ref_core)
-        return rubik
-
-    @pytest.mark.parametrize("flips", [
-        ("kernel", "scalar"),
-        ("scalar", "kernel"),
-        ("kernel", "kernel"),  # re-selecting rebuilds the kernel mid-run
-    ])
-    def test_midrun_toggle_equivalent(self, flips):
-        rubik = self._assert_switch_equivalent(*flips)
-        if flips[-1] == "kernel":
-            stats = rubik.kernel_stats
-            assert stats is not None and stats.decisions > 0
-
-    @pytest.mark.native
-    @skip_without_native
-    @pytest.mark.parametrize("start,flip_to", [
-        ("kernel", "auto"),    # Python kernel -> native mid-run
-        ("auto", "kernel"),    # native -> Python kernel mid-run
-        ("auto", "scalar"),    # native -> scalar oracle
-        ("scalar", "auto"),    # scalar oracle -> native
-    ])
-    def test_midrun_native_toggle_equivalent(self, start, flip_to):
-        """Switching to/from the native kernel mid-run is invisible: the
-        replacement kernel rebuilds its incremental state from the live
-        queue and stays pinned to the scalar oracle."""
-        rubik = self._assert_switch_equivalent(start, flip_to)
-        assert rubik.decision_path == (
-            "native" if flip_to == "auto" else flip_to)
-
-    def test_toggle_back_and_forth_same_run(self):
-        app = MASSTREE
-        n = 900
-        seed = 11
-        ctx = make_context(app, seed, n)
-        trace = Trace.generate_at_load(app, 0.8, n, seed)
-        ref_calls, _, _ = run_decisions(
-            trace, Rubik(path="scalar"), ctx)
-        t1 = float(trace.arrivals[n // 3])
-        t2 = float(trace.arrivals[2 * n // 3])
-        rubik = Rubik()
-        sim_flip_done = []
-
-        calls = []
         sim = Simulator()
         core = Core(sim, ctx.dvfs, DEFAULT_CORE_POWER)
+        calls = []
         orig = core.request_frequency
         core.request_frequency = lambda f: (calls.append(f), orig(f))[1]
-        rubik.setup(sim, core, ctx)
-        sim.schedule_entry(t1, (lambda: setattr(rubik, "path", "scalar")),
-                           priority=0)
-        sim.schedule_entry(
-            t2, (lambda: (setattr(rubik, "path", "kernel"),
-                          sim_flip_done.append(True))), priority=0)
-        for req in trace.to_requests():
-            sim.schedule_entry(req.arrival_time,
-                               (lambda r=req: core.enqueue(r)), priority=1)
-        sim.run()
-        core.finalize(settle_dvfs=True)
-        assert sim_flip_done
-        assert calls == ref_calls
+        rubik = Rubik()
+        serve(sim, core, rubik, ctx, trace)
+        assert rubik.decision_path == "kernel"
+        assert type(rubik._decide.__self__) is DecisionKernel
+        assert rubik.kernel_stats.decisions == len(calls) == 600
 
 
 class TestKernelInternals:
@@ -518,20 +448,18 @@ class TestKernelInternals:
 
     def test_kernel_rebuilt_per_setup(self):
         """setup() must drop the previous run's kernel (stale DVFS grid
-        and stale epochs would otherwise leak across runs). A reused
-        controller keeps its demand model, so the oracle is a *reused
-        scalar* controller, not a fresh one."""
+        and stale epochs would otherwise leak across runs); the oracle
+        is a reused scalar controller."""
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
-        kern = Rubik()
+        kern = Rubik(path="kernel")
         scal = Rubik(path="scalar")
         run_decisions(trace, kern, ctx)
         run_decisions(trace, scal, ctx)
-        first = kern._kernel
-        assert first is not None
+        first = kern._decide.__self__
         calls_k, _, _ = run_decisions(trace, kern, ctx)
         calls_s, _, _ = run_decisions(trace, scal, ctx)
-        assert kern._kernel is not first  # rebuilt by setup()
+        assert kern._decide.__self__ is not first  # rebuilt by setup()
         assert calls_k == calls_s
 
     def test_quantized_nominal_floor_on_offgrid_nominal(self):
@@ -542,7 +470,7 @@ class TestKernelInternals:
         dvfs = DvfsConfig(frequencies=grid, nominal_hz=2.4e9)
         ctx = SchemeContext(latency_bound_s=1e-4, dvfs=dvfs)
         per_path = {}
-        for path in PATHS:
+        for path in PYTHON_PATHS:
             sim = Simulator()
             core = Core(sim, dvfs, DEFAULT_CORE_POWER, initial_hz=3.4e9)
             calls = []

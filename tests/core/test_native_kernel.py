@@ -1,4 +1,4 @@
-"""Native-kernel build gate, fallback, and whole-run span tests (PR 6).
+"""Native-kernel build gate, fallback, and whole-run span tests.
 
 Three contracts beyond the 3-path decision-oracle sweep in
 ``test_decision_kernel.py``:
@@ -9,8 +9,8 @@ Three contracts beyond the 3-path decision-oracle sweep in
   library;
 * a box where the library cannot load (simulated by a broken
   ``ctypes.CDLL``) warns once, then silently dispatches the Python
-  kernel — and ``decision_path`` / ``kernel_stats`` report the path
-  actually taken, never the wish;
+  kernel — and ``decision_path`` / ``kernel_stats`` report what served
+  the run, never the wish;
 * the whole-run C span loop (``run_trace`` handing the event loop to
   ``NativeRunSession``) is bitwise-identical to the Python event loop,
   and a pure-Python run under ``REPRO_NATIVE=0`` reproduces experiment
@@ -21,11 +21,17 @@ import warnings
 
 import pytest
 
+from repro.coloc.batch import BatchTask, generate_mixes
+from repro.coloc.interference import MicroarchInterference
+from repro.coloc.schemes import RubikColocScheme
 from repro.core._native import build
 from repro.core.controller import Rubik
 from repro.core.decision_kernel import DecisionKernel
 from repro.experiments.common import make_context
-from repro.sim.server import run_trace
+from repro.power.model import DEFAULT_CORE_POWER
+from repro.sim.core import Core
+from repro.sim.engine import Simulator
+from repro.sim.server import run_trace, serve
 from repro.sim.trace import Trace
 from repro.workloads.apps import MASSTREE
 
@@ -96,10 +102,10 @@ class TestEnvGate:
         assert build.load_library() is None
         assert not build.available()
         r = Rubik()
-        assert r.decision_path == "kernel"
         res = _small_run(r)
+        assert r.decision_path == "kernel"
         assert len(res.requests) == 200
-        assert type(r._kernel) is DecisionKernel
+        assert type(r._decide.__self__) is DecisionKernel
         assert r.kernel_stats is not None
         assert r.kernel_stats.decisions == 400
 
@@ -108,9 +114,11 @@ class TestEnvGate:
     def test_zero_flips_a_live_controller(self, monkeypatch):
         monkeypatch.delenv(build.NATIVE_ENV, raising=False)
         r = Rubik()
+        _small_run(r)
         assert r.decision_path == "native"
         monkeypatch.setenv(build.NATIVE_ENV, "0")
-        assert r.decision_path == "kernel"  # resolved per read
+        _small_run(r)
+        assert r.decision_path == "kernel"  # resolved per run
 
 
 class TestFallback:
@@ -137,13 +145,13 @@ class TestFallback:
         assert info["attempted"] and not info["loaded"]
         assert "dlopen failure" in info["error"]
 
-        # decision_path / kernel_stats report the path actually taken.
+        # decision_path / kernel_stats report what served the run.
         r = Rubik()
+        res = _small_run(r)
         assert r.path == "auto"  # the configured wish...
         assert r.decision_path == "kernel"  # ...vs the actual path
-        res = _small_run(r)
         assert len(res.requests) == 200
-        assert type(r._kernel) is DecisionKernel
+        assert type(r._decide.__self__) is DecisionKernel
         assert r.kernel_stats is not None
         assert r.kernel_stats.decisions == 400
 
@@ -189,6 +197,7 @@ class TestNativeSpan:
         r = Rubik()
         res = _small_run(r)
         assert engaged, "native span session did not engage"
+        assert r.decision_path == "native"
         assert len(res.requests) == 200
         assert r.kernel_stats is not None
         assert r.kernel_stats.decisions == 400
@@ -213,6 +222,26 @@ class TestNativeSpan:
         assert res_nat.segment_log  # instrumentation actually ran
         assert res_nat.freq_history
         assert _fingerprint(res_nat) == _fingerprint(res_py)
+
+    def test_instrumented_and_colocated_runs_report_native(self):
+        """The runs fig01 and fig10 make (segment log and frequency
+        history on) and a colocated RubikColoc core take the span."""
+        n = 300
+        ctx = make_context(MASSTREE, 11, n)
+        trace = Trace.generate_at_load(MASSTREE, 0.6, n, 11)
+        r = Rubik()
+        run_trace(trace, r, ctx, log_segments=True,
+                  record_freq_history=True)
+        assert r.decision_path == "native"
+        sim = Simulator()
+        task = BatchTask(generate_mixes(1, seed=0)[0][0], ctx.dvfs,
+                         DEFAULT_CORE_POWER)
+        core = Core(sim, ctx.dvfs, DEFAULT_CORE_POWER, background=task,
+                    interference_cycles=MicroarchInterference())
+        coloc = RubikColocScheme()
+        serve(sim, core, coloc, ctx, trace)
+        assert coloc.decision_path == "native"
+        assert coloc.kernel_stats.decisions == 2 * n
 
     def test_span_kernel_stats_match_python_kernel(self):
         n = 500

@@ -5,8 +5,9 @@ Per completion, ``rk_span`` adds the served cycles and memory time to
 the profiler's sliding windows and keeps their bucket counts, runs the
 trimmer's eviction and PI update (with NumPy's linear percentile), and
 folds every closed segment into the meter's sums and residency maps.
-The session imports that state at the start (a reused controller
-carries its window) and exports it at the end. Pinned here:
+Every run starts that state empty (``Rubik.setup`` resets it, and the
+session rejects a core whose meter has recorded time); the session
+exports it at the end. Pinned here:
 
 * a hypothesis sweep over apps, loads, seeds, feedback on and off, run
   lengths, plain and colocated cores and a reused controller, comparing
@@ -162,19 +163,6 @@ def test_native_state_matches_python(app, loads, seed, n, feedback,
     for got, want in zip(native, python):
         assert got[0] == want[0]
         assert got[1] == want[1]
-
-
-def test_reused_controller_carries_its_window():
-    """The second run starts from the first run's profiler window and
-    tables, so it never decides at max frequency for want of tables."""
-    context = make_context(MASSTREE, 3, 300)
-    rubik = Rubik()
-    for seed in (3, 4):
-        TABLE_CACHE.clear()
-        run_trace(Trace.generate_at_load(MASSTREE, 0.5, 300, seed), rubik,
-                  context)
-    assert rubik.profiler.total_observed == 600
-    assert rubik.kernel_stats.warmup_decisions == 0
 
 
 # -- the percentile -----------------------------------------------------

@@ -200,6 +200,25 @@ class TestPrototypes:
         found = abi_findings({"k.py": MINI_PROTO_PY})
         assert len(found) == 1 and "no C source" in found[0].message
 
+    def test_snippet_unbound_export_fires(self):
+        orphaned = MINI_PROTO_C + "i64 rk_orphan(double x) { return 1; }\n"
+        found = abi_findings({"k.py": MINI_PROTO_PY, "n.c": orphaned})
+        assert len(found) == 1
+        assert found[0].path == "n.c" and found[0].line == 5
+        assert "C exports rk_orphan but no ctypes prototype" \
+            in found[0].message
+
+    def test_snippet_static_and_restype_only_are_silent(self):
+        """A static helper is not an export, and a restype-only
+        assignment binds its function."""
+        extra = MINI_PROTO_C + "static void rk_inner(void) { }\n"
+        assert not abi_findings({"k.py": MINI_PROTO_PY, "n.c": extra})
+
+    def test_exports_without_bindings_reported(self):
+        found = abi_findings({"n.c": MINI_PROTO_C})
+        assert sorted(f.message.split()[2] for f in found) == [
+            "rk_reset", "rk_walk"]
+
     @pytest.fixture()
     def real(self):
         return {"kernel.py": KERNEL_PY.read_text(),
@@ -293,5 +312,19 @@ class TestPrototypes:
                                             "lib.rk_lindley2.")
         found = abi_findings({"kernel.py": mutated,
                               "rubik_native.c": real["rubik_native.c"]})
-        assert found and all("no C source defines rk_lindley2"
-                             in f.message for f in found)
+        renamed = [f for f in found if "rk_lindley2" in f.message]
+        assert renamed and all("no C source defines rk_lindley2"
+                               in f.message for f in renamed)
+        # ...and the C function the rename left unbound.
+        rest = [f.message for f in found if f not in renamed]
+        assert len(rest) == 1 and "C exports rk_lindley but" in rest[0]
+
+    def test_deleted_binding_leaves_an_unbound_export(self, real):
+        mutated = re.sub(r"\n *lib\.rk_percentile\.[^\n]*(\n +[^\n]*\])?",
+                         "", real["kernel.py"])
+        assert "rk_percentile" not in mutated
+        found = abi_findings({"kernel.py": mutated,
+                              "rubik_native.c": real["rubik_native.c"]})
+        assert len(found) == 1
+        assert found[0].path == "rubik_native.c"
+        assert "C exports rk_percentile but" in found[0].message

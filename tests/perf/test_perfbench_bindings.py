@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.core._native import build
+
 ROOT = Path(__file__).resolve().parents[2]
 
 SCRIPT = """
@@ -71,6 +73,10 @@ def test_traced_sweep_reports_every_layer(tmp_path):
     assert metrics["experiments.cells"] == 4
     # One Rubik run per fig06 cell, Rubik and Rubik (No Feedback) in fig09's.
     assert metrics["sim.run_trace.calls"] == 4
+    # Each names the path that served it: the span loop with the library.
+    served = "native" if build.available() else "kernel"
+    assert metrics[f"core.decision_path.{served}"] == 4
+    assert metrics["core.decisions"] > 0
     assert metrics["share.sim"] > 0
     for layer in ("static_oracle", "adrenaline", "dynamic_oracle", "replay"):
         assert metrics[f"schemes.{layer}.calls"] >= 1, layer

@@ -50,6 +50,12 @@ class TestPegasus:
         with pytest.raises(ValueError):
             Pegasus(step_down_margin=2.0)
 
+    @pytest.mark.parametrize("name", ["window_s", "adjust_period_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window_and_period(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Pegasus(**{name: value})
+
 
 class TestPegasusPowerTelemetry:
     def test_power_log_records_window_means(self):

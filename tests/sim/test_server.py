@@ -31,7 +31,7 @@ class TestRunResult:
 
     def test_warmup_excluded_from_metrics(self):
         res = run(n=1000)
-        assert len(res.measured()) == 1000 - res.warmup
+        assert len(res.response_times()) == 1000 - res.warmup
         assert res.warmup > 0
 
     def test_explicit_warmup(self):
