@@ -10,7 +10,6 @@ Used for:
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
@@ -74,7 +73,9 @@ def windowed_series(
     Returns (window-end times, reduced values). Windows slide by ``step_s``
     (default: the window size, i.e. tumbling windows). Empty windows are
     skipped. ``reducer`` defaults to the 95th percentile, the paper's tail
-    metric.
+    metric. A window ending at ``end`` holds the samples with
+    ``end - window_s <= t <= end``, found by binary search on the sorted
+    timestamps.
     """
     ts = np.asarray(timestamps, dtype=float)
     vs = np.asarray(values, dtype=float)
@@ -99,8 +100,8 @@ def windowed_series(
     end = ts[0] + window_s
     last = ts[-1]
     while end <= last + window_s:
-        lo = bisect.bisect_left(ts.tolist(), end - window_s)
-        hi = bisect.bisect_right(ts.tolist(), end)
+        lo = ts.searchsorted(end - window_s)
+        hi = ts.searchsorted(end, side="right")
         if hi > lo:
             out_t.append(end)
             out_v.append(float(reducer(vs[lo:hi])))

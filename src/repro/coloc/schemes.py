@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import CmpConfig
+from repro.config import CmpConfig, check_finite
 from repro.core.controller import Rubik
 from repro.power.model import CorePowerModel, CoreState
-from repro.schemes.base import Scheme, SchemeContext
+from repro.schemes.base import Scheme, SchemeContext, overrides
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
@@ -80,6 +80,17 @@ class StaticColocScheme(Scheme):
             core.request_frequency(self.lc_freq_hz)
         # else: the core hands over to batch at its preferred frequency.
 
+    def native_session(self, sim: Simulator, core: Core, trace):
+        """The C span loop under its fixed LC policy, unless a subclass
+        replaces an event hook."""
+        if overrides(self, StaticColocScheme):
+            return None
+        # Imported on first use, like Rubik's.
+        from repro.core._native.session import LC_FIXED, NativeRunSession
+
+        return NativeRunSession.create(sim, core, self, trace, LC_FIXED,
+                                       self.lc_freq_hz)
+
 
 class ChipLevelAllocator:
     """Shared chip controller for the HW-T / HW-TPW schemes.
@@ -129,6 +140,8 @@ class ChipLevelAllocator:
     ) -> None:
         if objective not in ("throughput", "tpw"):
             raise ValueError("objective must be 'throughput' or 'tpw'")
+        # A zero period would walk the tick chain forever.
+        check_finite("period_s", period_s, positive=True)
         if lc_demand is not None and (lc_demand[0] <= 0
                                       or lc_demand[1] < 0):
             raise ValueError("lc_demand needs positive mean cycles and "
@@ -297,16 +310,21 @@ class ChipLevelAllocator:
                 improved = True
         return [grid[l] for l in levels]
 
-    def _tick(self) -> None:
-        self._queued = False
-        self._boundary = self.sim.now
-        key = self._current_key()
+    def assignment(self, key: Tuple[str, ...]) -> List[float]:
+        """Each core's frequency for the occupant types ``key``,
+        memoized (the native chip loop fills its table from here)."""
         freqs = self._cache.get(key)
         if freqs is None:
             freqs = (self._assign_throughput(key)
                      if self.objective == "throughput"
                      else self._assign_tpw(key))
             self._cache[key] = freqs
+        return freqs
+
+    def _tick(self) -> None:
+        self._queued = False
+        self._boundary = self.sim.now
+        freqs = self.assignment(self._current_key())
         for core, f in zip(self.cores, freqs):
             core.dvfs.request(f)
 

@@ -7,10 +7,12 @@ chip-level HW-T/HW-TPW allocators and (b) the shared TDP; both are
 modeled by :class:`~repro.coloc.schemes.ChipLevelAllocator`.
 
 So only HW-T and HW-TPW step their cores through one coupled event
-loop, whose allocator ticks only after a core event. Under RubikColoc
-and StaticColoc each core runs alone, on its own simulator, through
-:func:`repro.sim.server.serve` (the C span loop for a native-path
-RubikColoc core); the cores share only the server's end, the latest of
+loop, whose allocator ticks only after a core event: the native chip
+loop (:class:`repro.core._native.session.NativeChipSession`) when the
+library loads, else the Python loop on one shared simulator. Under
+RubikColoc and StaticColoc each core runs alone, on its own simulator,
+through :func:`repro.sim.server.serve` (the C span loop when the
+library loads); the cores share only the server's end, the latest of
 their last completions, where every core's last segment closes. LC
 latencies are read off each core's completion columns, so a native
 core builds no ``Request`` records.
@@ -120,6 +122,48 @@ class _CompletionCount:
         self.count += 1
 
 
+def _run_coupled(sim: Simulator, cores: List[Core], traces: List[Trace],
+                 objective: str, lc_demand, horizon: float) -> float:
+    """Step an HW-T/HW-TPW server's cores and chip allocator on ``sim``
+    until every LC request has completed, or past ``horizon``; returns
+    the stop time.
+
+    The loop steps arrivals, completions and the allocator's ticks,
+    which it queues only after a core event (one tick at the first
+    100 us boundary after it), so idle stretches cost no ticks. The
+    native chip loop runs it when the library loads and the server is
+    one it models (:meth:`NativeChipSession.create`), else this Python
+    loop does, in the same order. The horizon cap is a safety net for a
+    wedged run (completions always drain queued work, so the completion
+    count normally ends the loop long before `max arrival + 100 s`).
+    The per-core runs have no timers and drain by construction, so only
+    this loop needs it. Note: since DVFS transitions apply lazily (no
+    FREQ_CHANGE heap events), the cap is checked at arrival/completion/
+    allocator-tick granularity only — a capped run can process a few
+    more of those than the event-driven machinery would have.
+    """
+    allocator = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
+                                   DEFAULT_CORE_POWER, objective=objective,
+                                   lc_demand=lc_demand, horizon_s=horizon)
+    # Imported on first use: a process that runs no HW server skips it.
+    from repro.core._native.session import NativeChipSession
+
+    session = NativeChipSession.create(sim, allocator, traces)
+    if session is not None:
+        return session.run()
+    completions = _CompletionCount()
+    for core, trace in zip(cores, traces):
+        core.add_listener(completions)
+        feed_arrivals(sim, core, trace.to_requests())
+    total = sum(len(trace) for trace in traces)
+    while completions.count < total:
+        if not sim.step():
+            break
+        if sim.now > horizon:
+            break
+    return sim.now
+
+
 def make_coloc_scheme(name: str, lc_static_hz: Optional[float] = None) -> Scheme:
     """Factory for the per-core scheme of each colocation policy."""
     if name == "RubikColoc":
@@ -185,7 +229,7 @@ def run_colocated_server(
     cores: List[Core] = []
     tasks: List[BatchTask] = []
     interferences: List[MicroarchInterference] = []
-    last_arrival = 0.0
+    traces: List[Trace] = []
     for ci in range(n_cores):
         sim = shared if shared is not None else Simulator()
         profile = mix[ci % len(mix)]
@@ -202,8 +246,7 @@ def run_colocated_server(
         trace = Trace.generate_at_load(app, load, n_req, seed=seed * 100 + ci)
         if shared is not None:
             scheme.setup(sim, core, context)
-            feed_arrivals(sim, core, trace.to_requests())
-            last_arrival = max(last_arrival, trace.arrivals[-1])
+            traces.append(trace)
         else:
             # Runs the core to its last completion, alone.
             serve(sim, core, scheme, context, trace)
@@ -212,33 +255,10 @@ def run_colocated_server(
         interferences.append(interference)
 
     if shared is not None:
-        completions = _CompletionCount()
-        for core in cores:
-            core.add_listener(completions)
-        horizon = last_arrival + 100.0  # generous cap
         objective = "throughput" if scheme_name == "HW-T" else "tpw"
-        ChipLevelAllocator(shared, cores, DEFAULT_CMP, DEFAULT_CORE_POWER,
-                           objective=objective, lc_demand=lc_demand,
-                           horizon_s=horizon)
-        total = n_req * n_cores
-        # The coupled loop steps arrivals, completions and the
-        # allocator's ticks, which it queues only after a core event
-        # (one tick at the first 100 us boundary after it), so idle
-        # stretches cost no ticks. The horizon cap is a safety net for
-        # a wedged run (completions always drain queued work, so the
-        # completion count normally ends the loop long before `max
-        # arrival + 100 s`). The per-core runs above have no timers and
-        # drain by construction, so only this loop needs it. Note:
-        # since DVFS transitions apply lazily (no FREQ_CHANGE heap
-        # events), the cap is checked at arrival/completion/allocator-
-        # tick granularity only — a capped run can process a few more
-        # of those than the event-driven machinery would have.
-        while completions.count < total:
-            if not shared.step():
-                break
-            if shared.now > horizon:
-                break
-        end = shared.now
+        horizon = max(trace.arrivals[-1] for trace in traces) + 100.0
+        end = _run_coupled(shared, cores, traces, objective, lc_demand,
+                           horizon)
     else:
         # The server ends at the latest last completion; each core's
         # clock moves there so its last (batch) segment closes where

@@ -4,9 +4,10 @@
 field-for-field (every field is 8 bytes wide, so there is no padding to
 disagree on; :func:`_bind` asserts ``sizeof`` against the library's
 ``rk_state_size()``).  :func:`_bind` sets every entry point's
-prototype once per loaded library.  The library has two users: Rubik's
-whole-run span loop (:mod:`repro.core._native.session`, which owns one
-``RKState`` per run) and the oracle searches (:func:`oracle_library`).
+prototype once per loaded library.  The library has two users: the
+session module (:mod:`repro.core._native.session`), whose span and
+chip loops own one ``RKState`` per core and pass the chip's own state
+as plain arguments, and the oracle searches (:func:`oracle_library`).
 """
 
 from __future__ import annotations
@@ -192,6 +193,13 @@ class RKState(ctypes.Structure):
         ("m_rank", _IP),
         ("m_seen", ctypes.c_int64 * 2),
         ("log_segments", ctypes.c_int64),
+        # LC frequency policy
+        ("lc_policy", ctypes.c_int64),
+        ("lc_hz", ctypes.c_double),
+        # Simulator sequence numbers (chip loop)
+        ("seq_next", _IP),
+        ("arr_seq", ctypes.c_int64),
+        ("comp_seq", ctypes.c_int64),
     ]
 
 
@@ -207,6 +215,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.rk_abi_version.restype = ctypes.c_int64
         lib.rk_span.argtypes = [ctypes.POINTER(RKState)]
         lib.rk_span.restype = ctypes.c_int64
+        lib.rk_chip.argtypes = [
+            ctypes.c_int64, ctypes.POINTER(ctypes.POINTER(RKState)),
+            ctypes.c_double, ctypes.c_double, ctypes.c_int64, _DP, _IP,
+            _IP, _IP, _DP, _DP, _IP]
+        lib.rk_chip.restype = ctypes.c_int64
         lib.rk_lindley.argtypes = [
             ctypes.c_int64, _VP, _VP, _VP, _VP, ctypes.c_double,
             _VP, _VP, _VP]

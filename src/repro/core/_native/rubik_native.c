@@ -1,22 +1,26 @@
 /* Native Rubik decision fold + event-step kernel (perf layer 7).
  *
  * One translation unit, no Python headers: the library is loaded
- * through ctypes (src/repro/core/_native/kernel.py binds it) and Rubik
- * runs only through rk_span, the whole-run span loop driven by
- * session.py; the oracle searches call rk_lindley and rk_dyn_round.  Every
+ * through ctypes (src/repro/core/_native/kernel.py binds it).  A core
+ * runs through rk_span, the whole-run span loop driven by session.py,
+ * under one LC frequency policy: Rubik's Eq. 2, a fixed LC frequency
+ * (StaticColoc) or none (a fixed-frequency run).  rk_chip steps the
+ * cores of an HW-T/HW-TPW server together with the chip allocator's
+ * ticks; the oracle searches call rk_lindley and rk_dyn_round.  Every
  * floating-point expression mirrors the Python implementation in
  * repro/core/decision_kernel.py, repro/sim/dvfs.py, repro/sim/core.py,
  * repro/core/profiler.py, repro/core/feedback.py,
  * repro/analysis/windows.py, repro/power/energy.py,
- * repro/coloc/batch.py and repro/coloc/interference.py
- * operation-for-operation: compiled for baseline x86-64/AArch64 with
- * -ffp-contract=off, each individual IEEE-754 double add/sub/mul/div
- * rounds exactly like the CPython float op, so the emitted decisions,
- * segment boundaries and completion times are bitwise-identical to the
- * Python paths (the scalar oracle remains the pin; see
- * tests/core/test_decision_kernel.py and test_native_kernel.py).  The
- * one libm call is exp() in the interference penalty, the function
- * math.exp calls, so it rounds the same (linked with -lm).
+ * repro/coloc/batch.py, repro/coloc/interference.py and
+ * repro/coloc/schemes.py operation-for-operation: compiled for baseline
+ * x86-64/AArch64 with -ffp-contract=off, each individual IEEE-754
+ * double add/sub/mul/div rounds exactly like the CPython float op, so
+ * the emitted decisions, segment boundaries and completion times are
+ * bitwise-identical to the Python paths (the scalar oracle remains the
+ * pin; see tests/core/test_decision_kernel.py and
+ * test_native_kernel.py).  The one libm call is exp() in the
+ * interference penalty, the function math.exp calls, so it rounds the
+ * same (linked with -lm).
  *
  * The struct layout below is mirrored field-for-field by
  * kernel.RKState (ctypes.Structure).  Every field is 8 bytes wide
@@ -36,6 +40,14 @@ typedef int64_t i64;
 #define RK_SURFACE 2      /* a table refresh is due (pmfs ready), re-enter */
 #define RK_FLUSH_SEGMENTS 3
 #define RK_FLUSH_HISTORY 4
+#define RK_CHIP_KEY 5     /* rk_chip: a tick met an unseen occupant mask */
+
+/* LC frequency policies (lc_policy): what the core's scheme requests on
+ * each arrival and completion, before the batch request a drained
+ * colocated core makes. */
+#define LC_EQ2 0     /* Rubik: the Eq. 2 decision, profiler, trimmer */
+#define LC_FIXED 1   /* StaticColoc: lc_hz while a request is in service */
+#define LC_NONE 2    /* nothing (a fixed-frequency or an HW core) */
 
 /* Span-loop phase (resume point after a surfacing return). */
 #define PH_NEXT 0    /* pick + process the next event */
@@ -245,11 +257,21 @@ typedef struct {
     i64 *m_rank;                 /* [2 * nsteps] first-seen rank + 1, 0 unseen */
     i64 m_seen[2];               /* keys seen per residency map */
     i64 log_segments;            /* write segment log rows */
+
+    /* LC frequency policy */
+    i64 lc_policy;               /* LC_EQ2 / LC_FIXED / LC_NONE */
+    double lc_hz;                /* LC_FIXED's frequency */
+
+    /* Simulator sequence numbers (the tie-break after time and
+     * priority), stamped only when rk_chip steps the core */
+    i64 *seq_next;               /* the chip's shared counter; NULL alone */
+    i64 arr_seq;                 /* the pending arrival's */
+    i64 comp_seq;                /* the pending completion's */
 } rk_state;
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 4; }
+i64 rk_abi_version(void) { return 5; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -500,6 +522,8 @@ static void schedule_completion(rk_state *s) {
     /* Simulator.schedule_entry clamps to the current clock. */
     s->completion_time = finish > s->now ? finish : s->now;
     s->completion_valid = 1;
+    if (s->seq_next)
+        s->comp_seq = (*s->seq_next)++;
 }
 
 /* DvfsDomain.request + Core._on_retarget (grid membership is
@@ -1120,9 +1144,9 @@ static void begin_service(rk_state *s, i64 rid) {
     open_segment(s);
 }
 
-/* Process one arrival; returns nonzero when a table refresh is due
- * before the decide (the profiler is unchanged since the last
- * completion). */
+/* Process one arrival; returns nonzero when an Eq. 2 core's table
+ * refresh is due before the decide (the profiler is unchanged since
+ * the last completion). */
 static i64 process_arrival(rk_state *s) {
     i64 rid = s->next_arrival++;
     s->now = s->tr_arrival[rid];
@@ -1133,13 +1157,14 @@ static i64 process_arrival(rk_state *s) {
         begin_service(s, rid);
     else
         rq_push(s, rid);
-    return refresh_surface(s);
+    return s->lc_policy == LC_EQ2 && refresh_surface(s);
 }
 
-/* Process one completion, then Rubik.on_completion's listener work in
- * its order: the profiler observes the served cycles (penalty
- * included) and the memory time, the trimmer the response time, and
- * the refresh guard runs; surfaces only when a refresh is due. */
+/* Process one completion, then (Eq. 2 only) Rubik.on_completion's
+ * listener work in its order: the profiler observes the served cycles
+ * (penalty included) and the memory time, the trimmer the response
+ * time, and the refresh guard runs; surfaces only when a refresh is
+ * due. */
 static i64 process_completion(rk_state *s) {
     s->now = s->completion_time;
     s->events++;
@@ -1160,39 +1185,63 @@ static i64 process_completion(rk_state *s) {
         open_segment(s);
     }
     s->completed++;
+    if (s->lc_policy != LC_EQ2)
+        return 0;
     prof_observe(s, s->out_cycles[rid], s->tr_memory[rid]);
     if (s->trimmer_on)
         trimmer_observe(s, rid);
     return refresh_surface(s);
 }
 
+/* The frequency requests an event owes once processed: the policy's
+ * own (Rubik's decide; StaticColocScheme's lc_hz on an arrival and on
+ * a completion that leaves a request in service, which is exactly
+ * while one is in service), then Core._on_completion's: the batch app
+ * resumes at its own frequency once the LC queue is empty (an arrival
+ * always leaves a request in service).  Restartable: only the decide
+ * returns early (RK_NEED_ROWS), before it changes anything. */
+static i64 listen(rk_state *s) {
+    if (s->lc_policy == LC_EQ2) {
+        i64 rc = rk_decide(s);
+        if (rc != RK_OK)
+            return rc;
+        if (s->decision_count < 2 * s->n_req)
+            s->decision_log[s->decision_count] = s->decided_hz;
+        s->decision_count++;
+        dvfs_request(s, s->decided_hz);
+    } else if (s->lc_policy == LC_FIXED && s->has_current) {
+        dvfs_request(s, s->lc_hz);
+    }
+    if (s->batch_on && !s->has_current)
+        dvfs_request(s, s->batch_hz);
+    return RK_OK;
+}
+
+/* Buffer headroom before an event: one event closes at most a handful
+ * of segments (close + <=4 transition boundaries, twice). */
+static i64 headroom(const rk_state *s) {
+    if (s->log_segments && s->seg_count + 16 > s->seg_cap)
+        return RK_FLUSH_SEGMENTS;
+    if (s->record_history && s->hist_count + 4 > s->hist_cap)
+        return RK_FLUSH_HISTORY;
+    return RK_OK;
+}
+
 /* Drive events until done, returning to Python only for NEED_ROWS, a
  * due table refresh, or a full segment-log/history buffer.  Re-enter
  * after servicing; `phase` records whether the current event still owes
- * its frequency decision. */
+ * its frequency requests. */
 i64 rk_span(rk_state *s) {
     for (;;) {
         if (s->phase == PH_DECIDE) {
-            i64 rc = rk_decide(s);
+            i64 rc = listen(s);
             if (rc != RK_OK)
                 return rc;
-            if (s->decision_count < 2 * s->n_req)
-                s->decision_log[s->decision_count] = s->decided_hz;
-            s->decision_count++;
-            dvfs_request(s, s->decided_hz);
-            /* Core._on_completion: the batch app resumes at its own
-             * frequency once the LC queue is empty, after the listeners
-             * (an arrival always leaves a request in service). */
-            if (s->batch_on && !s->has_current)
-                dvfs_request(s, s->batch_hz);
             s->phase = PH_NEXT;
         }
-        /* Buffer headroom: one event closes at most a handful of
-         * segments (close + <=4 transition boundaries, twice). */
-        if (s->log_segments && s->seg_count + 16 > s->seg_cap)
-            return RK_FLUSH_SEGMENTS;
-        if (s->record_history && s->hist_count + 4 > s->hist_cap)
-            return RK_FLUSH_HISTORY;
+        i64 rc = headroom(s);
+        if (rc != RK_OK)
+            return rc;
         i64 have_arrival = s->next_arrival < s->n_req;
         if (s->completion_valid) {
             /* COMPLETION_PRIORITY=0 beats ARRIVAL_PRIORITY=1 on ties. */
@@ -1214,6 +1263,152 @@ i64 rk_span(rk_state *s) {
             return RK_DONE;
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* chip loop: the HW-T/HW-TPW server (repro/coloc/server.py)          */
+/* ------------------------------------------------------------------ */
+/* The coupled Python loop steps all cores and the ChipLevelAllocator's
+ * ticks on one Simulator; events fire in (time, priority, seq) order,
+ * completions and ticks at priority 0, arrivals at 1.  Here every
+ * pending event carries the sequence number the Simulator would have
+ * given it: one shared counter is stamped wherever the Python loop
+ * schedules -- an arrival's successor in the chain before the arrival
+ * is admitted, each completion (re)schedule (schedule_completion), and
+ * each queued tick -- so only the order of stamping has to match. */
+
+/* Does event (t, p, q) fire before (t2, p2, q2)? */
+static i64 fires_before(double t, i64 p, i64 q, double t2, i64 p2, i64 q2) {
+    if (t != t2) return t < t2;
+    if (p != p2) return p < p2;
+    return q < q2;
+}
+
+/* ChipLevelAllocator._queue_tick after a core event at `now`: a tick at
+ * the chain's first boundary after now, none past the horizon.  The
+ * chain is walked with the same float additions. */
+static void chip_queue_tick(double now, double period, double horizon,
+                            i64 *seq, i64 *tick_seq, double *tick_at,
+                            double *boundary) {
+    if (*tick_seq >= 0)
+        return;
+    double b = *boundary;
+    double nxt = b + period;
+    while (nxt <= now) {
+        b = nxt;
+        nxt = b + period;
+    }
+    *boundary = b;
+    if (nxt > horizon)
+        return;
+    *tick_seq = (*seq)++;
+    *tick_at = nxt;
+}
+
+#define EV_NONE 0
+#define EV_TICK 1
+#define EV_ARRIVAL 2
+#define EV_COMPLETION 3
+
+/* Step the cores (each an LC_NONE core whose seq_next points at `seq`)
+ * and the allocator's lazy ticks until `total` completions, the
+ * horizon or the last event, as run_colocated_server's loop stops.
+ * The queued tick is (*tick_at, seq *tick_seq), none when *tick_seq
+ * < 0; *boundary is the chain's last boundary.  A tick requests each
+ * core's frequency from row `mask` of `table` ([2^ncores * ncores]),
+ * where bit c of mask is set while core c serves an LC request; a row
+ * with known[mask] == 0 returns RK_CHIP_KEY before the tick changes
+ * anything, for the caller to fill and re-enter.  Also returns for a
+ * full segment-log/history buffer of any core.  On RK_DONE every
+ * core's clock is the last event's time; *ticks counts fired ticks. */
+i64 rk_chip(i64 ncores, rk_state **cores, double period, double horizon,
+            i64 total, const double *table, const i64 *known, i64 *seq,
+            i64 *tick_seq, double *tick_at, double *boundary, i64 *ticks) {
+    i64 done = 0;
+    double now = 0.0;
+    for (i64 c = 0; c < ncores; c++) {
+        done += cores[c]->completed;
+        if (cores[c]->now > now)
+            now = cores[c]->now;
+    }
+    while (done < total) {
+        for (i64 c = 0; c < ncores; c++) {
+            i64 rc = headroom(cores[c]);
+            if (rc != RK_OK)
+                return rc;
+        }
+        i64 kind = EV_NONE, who = -1, prio = 0, q = 0;
+        double t = 0.0;
+        if (*tick_seq >= 0) {
+            kind = EV_TICK;
+            t = *tick_at;
+            q = *tick_seq;
+        }
+        for (i64 c = 0; c < ncores; c++) {
+            rk_state *s = cores[c];
+            if (s->completion_valid && (kind == EV_NONE || fires_before(
+                    s->completion_time, 0, s->comp_seq, t, prio, q))) {
+                kind = EV_COMPLETION;
+                who = c;
+                t = s->completion_time;
+                prio = 0;
+                q = s->comp_seq;
+            }
+            if (s->next_arrival < s->n_req) {
+                double at = s->tr_arrival[s->next_arrival];
+                if (kind == EV_NONE
+                        || fires_before(at, 1, s->arr_seq, t, prio, q)) {
+                    kind = EV_ARRIVAL;
+                    who = c;
+                    t = at;
+                    prio = 1;
+                    q = s->arr_seq;
+                }
+            }
+        }
+        if (kind == EV_NONE)
+            break;
+        now = t;
+        if (kind == EV_TICK) {
+            /* ChipLevelAllocator._tick */
+            i64 mask = 0;
+            for (i64 c = 0; c < ncores; c++)
+                if (cores[c]->has_current)
+                    mask |= (i64)1 << c;
+            if (!known[mask])
+                return RK_CHIP_KEY;
+            *tick_seq = -1;
+            *boundary = now;
+            (*ticks)++;
+            const double *freqs = table + mask * ncores;
+            for (i64 c = 0; c < ncores; c++) {
+                cores[c]->now = now;
+                dvfs_request(cores[c], freqs[c]);
+            }
+        } else {
+            /* A core event: feed_arrivals chains the successor before
+             * the arrival is admitted; the listeners then run (the HW
+             * scheme's are empty, the allocator queues a tick), and
+             * after them the drained core's batch request. */
+            rk_state *s = cores[who];
+            if (kind == EV_ARRIVAL) {
+                if (s->next_arrival + 1 < s->n_req)
+                    s->arr_seq = (*seq)++;
+                process_arrival(s);
+            } else {
+                process_completion(s);
+                done++;
+            }
+            chip_queue_tick(now, period, horizon, seq, tick_seq, tick_at,
+                            boundary);
+            listen(s);
+        }
+        if (now > horizon)
+            break;
+    }
+    for (i64 c = 0; c < ncores; c++)
+        cores[c]->now = now;
+    return RK_DONE;
 }
 
 /* ------------------------------------------------------------------ */

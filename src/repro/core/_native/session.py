@@ -1,19 +1,35 @@
-"""Whole-run native event loop (the ``rk_span`` driver).
+"""Whole-run native event loops (the ``rk_span`` and ``rk_chip`` drivers).
 
-This is the only way Rubik runs in the C library. When a run served by
-:func:`repro.sim.server.serve` (``run_trace``, and each RubikColoc core
-of a colocated server) is *eligible* — a plain
-:class:`~repro.sim.core.Core`, a :class:`~repro.core.controller.Rubik`
-with ``path="auto"`` whose class overrides no event hook, a loaded
-library and an un-instrumented simulator — the entire event loop runs
-inside the C library: event pop, clock advance, arrival/completion
-fold, Eq. 2 decision, DVFS state machine, segment accounting,
-completion scheduling, and the listener work Rubik does per completion.
-C keeps the demand profiler's window and bucket counts, the PI trimmer
-(its rolling window, percentile and target) and the energy meter's
-sums, so between table refreshes no Python code runs per completion or
-per segment. It returns to Python only when Python-owned state must
-act:
+This is the only way a core runs in the C library. When a run served by
+:func:`repro.sim.server.serve` (``run_trace``, and each RubikColoc or
+StaticColoc core of a colocated server) is *eligible* — a plain
+:class:`~repro.sim.core.Core`, a scheme the C loop models whose class
+overrides no event hook, a loaded library and an un-instrumented
+simulator — the entire event loop runs inside the C library: event
+pop, clock advance, arrival/completion fold, the scheme's frequency
+requests, DVFS state machine, segment accounting and completion
+scheduling. Each core runs under one LC frequency policy:
+
+* ``LC_EQ2`` — a :class:`~repro.core.controller.Rubik` with
+  ``path="auto"``: the Eq. 2 decision and the listener work Rubik does
+  per completion. C keeps the demand profiler's window and bucket
+  counts, the PI trimmer (its rolling window, percentile and target)
+  and the energy meter's sums, so between table refreshes no Python
+  code runs per completion or per segment;
+* ``LC_FIXED`` — a :class:`~repro.coloc.schemes.StaticColocScheme`:
+  its LC frequency on each arrival and on each completion that leaves
+  a request in service;
+* ``LC_NONE`` — a :class:`~repro.schemes.fixed.FixedFrequency` (and
+  :class:`~repro.schemes.static_oracle.StaticOracle`), or an HW-T/HW-TPW
+  core, whose scheme requests nothing.
+
+:class:`NativeChipSession` steps the six cores of an HW-T/HW-TPW
+server together (``rk_chip``), in the coupled Python loop's
+``(time, priority, seq)`` order, with the chip allocator's lazy ticks;
+Python keeps the allocator itself and fills each occupant mask's
+frequencies the first time a tick meets it.
+
+A span returns to Python only when Python-owned state must act:
 
 * ``RK_NEED_ROWS`` — the decision fold needs a longer tail-table row;
 * ``RK_SURFACE`` — a table refresh is due (C mirrors the controller's
@@ -23,14 +39,17 @@ act:
 * ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — the segment log or the
   DVFS history a caller asked for filled its buffer.
 
-Each run builds one session, which owns the run's ``RKState`` and every
-buffer C points into: the DVFS grid, the tail-table row storage, the
-trace columns and queues, and the profiler, trimmer and meter arrays.
-Nothing outlives the run but what it exports; the controller keeps only
-the run's :class:`~repro.core.decision_kernel.KernelStats`. Nothing is
-imported from an earlier run either: ``Rubik.setup`` gives every run a
-fresh profiler, trimmer and refresh clock, and :meth:`create` rejects
-a core whose meter has recorded time.
+(``rk_chip`` also returns for an occupant mask it has not seen.)
+
+Each core's run builds one session, which owns the run's ``RKState``
+and every buffer C points into: the DVFS grid, the tail-table row
+storage, the trace columns and queues, and the profiler, trimmer and
+meter arrays. Nothing outlives the run but what it exports; a Rubik
+controller keeps only the run's
+:class:`~repro.core.decision_kernel.KernelStats`. Nothing is imported
+from an earlier run either: ``Rubik.setup`` gives every run a fresh
+profiler, trimmer and refresh clock, and :meth:`create` rejects a core
+whose meter has recorded time.
 
 The core may carry no batch work, or exactly a
 :class:`~repro.coloc.batch.BatchTask` background with a
@@ -47,17 +66,18 @@ records on first read), meter totals and residency maps, segment log,
 DVFS transition count/history/pending state, the profiler window and
 counts, the trimmer's target, integral and window, the batch task's
 and the interference model's sums, the simulator clock and event
-count — is exported back at the end, so ``finalize``/``RunResult``
-code runs unchanged and the results are bitwise-identical to the
-Python kernel path.
+count, and the requests a stopped chip loop leaves in flight — is
+exported back at the end, so ``finalize``/``RunResult`` code runs
+unchanged and the results are bitwise-identical to the Python loop.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from bisect import bisect_left
 from collections import deque
-from typing import Optional, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -72,7 +92,7 @@ from repro.power.energy import STATE_CODES, EnergyMeter
 from repro.power.model import CorePowerModel
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
-from repro.sim.request import CompletionColumns
+from repro.sim.request import CompletionColumns, Request
 
 #: Segment-log rows between flushes; allocated only when the core logs
 #: its segments.
@@ -90,6 +110,17 @@ RK_NEED_ROWS = 1
 RK_SURFACE = 2
 RK_FLUSH_SEGMENTS = 3
 RK_FLUSH_HISTORY = 4
+RK_CHIP_KEY = 5
+
+#: LC frequency policies (rubik_native.c's ``lc_policy``): Rubik's
+#: Eq. 2, StaticColoc's fixed LC frequency, or no request at all.
+LC_EQ2 = 0
+LC_FIXED = 1
+LC_NONE = 2
+
+#: Most cores ``rk_chip`` steps: its frequency table has a row per
+#: occupant mask, ``2**cores`` of them.
+_CHIP_MAX_CORES = 8
 
 #: Segment state code -> CoreState, for the open segment's export.
 _STATE_OF_CODE = {code: state for state, code in STATE_CODES.items()}
@@ -113,26 +144,52 @@ def _iptr(arr: np.ndarray):
     return arr.ctypes.data_as(_IP)
 
 
-class NativeRunSession:
-    """One served run (a ``run_trace`` core or one colocated core)
-    driven through ``rk_span``."""
+def policy_dvfs(core: Core, scheme, policy: int):
+    """The DVFS config whose grid C looks frequencies up on: Rubik's
+    decision grid under Eq. 2, else the core's own."""
+    return scheme.context.dvfs if policy == LC_EQ2 else core.dvfs.config
 
-    def __init__(self, sim: Simulator, core: Core, rubik, lib,
-                 grid, trace) -> None:
+
+def policy_grid(core: Core, scheme, policy: int) -> List[float]:
+    return [float(f) for f in policy_dvfs(core, scheme, policy).frequencies]
+
+
+def check_demands(trace) -> None:
+    """Raise the ``ValueError`` a ``Request`` record raises for a
+    negative or an all-zero demand, before C serves the trace."""
+    cycles = np.asarray(trace.compute_cycles)
+    memory = np.asarray(trace.memory_time_s)
+    if (cycles < 0).any() or (memory < 0).any():
+        raise ValueError("demands must be non-negative")
+    if ((cycles == 0) & (memory == 0)).any():
+        raise ValueError("request must have positive demand")
+
+
+class NativeRunSession:
+    """One served core's run (a ``run_trace`` core or one colocated
+    core) driven through ``rk_span``, or one core of a
+    :class:`NativeChipSession`."""
+
+    def __init__(self, sim: Simulator, core: Core, scheme, lib,
+                 grid, trace, policy: int = LC_EQ2,
+                 lc_hz: float = 0.0) -> None:
         self.sim = sim
         self.core = core
-        self.rubik = rubik
+        #: The Rubik controller of an Eq. 2 core, else None.
+        self.rubik = scheme if policy == LC_EQ2 else None
         self._lib = lib
         # Zero-filled: only the non-zero starting values are set below.
         st = self._st = RKState()
         self._ref = ctypes.byref(st)
-        #: The run's decision-path counters. The controller holds this
-        #: object (its refreshes count the carries); C's branch counters
-        #: are copied in at the finish.
-        self.stats = KernelStats()
+        st.lc_policy = policy
+        st.lc_hz = lc_hz
+        #: The run's decision-path counters (Eq. 2 only). The controller
+        #: holds this object (its refreshes count the carries); C's
+        #: branch counters are copied in at the finish.
+        self.stats = KernelStats() if self.rubik is not None else None
 
-        # The decision grid and the fold's starting keys.
-        decision_dvfs = rubik.context.dvfs
+        # The grid and the fold's starting keys.
+        decision_dvfs = policy_dvfs(core, scheme, policy)
         self._grid = grid
         self._grid_arr = np.array(grid, dtype=np.float64)
         self._inv_grid_arr = np.array([1.0 / f for f in grid],
@@ -165,7 +222,8 @@ class NativeRunSession:
         # Served cycles, penalty included. Its own array: the trace
         # column above may be the trace's array itself.
         self._out_cycles = np.zeros(n, dtype=np.float64)
-        self._decision_log = np.zeros(2 * n, dtype=np.float64)
+        self._decision_log = np.zeros(
+            2 * n if self.rubik is not None else 0, dtype=np.float64)
         self._events_committed = 0
 
         st.now = sim.now
@@ -230,7 +288,7 @@ class NativeRunSession:
 
         self._import_meter()
 
-        # Colocated batch work import (a RubikColoc core; see create()).
+        # Colocated batch work import (see eligible()).
         background = core.background
         st.batch_on = int(background is not None)
         if background is not None:
@@ -250,16 +308,18 @@ class NativeRunSession:
         st.batch_interval_start = (interval_start
                                    if interval_start is not None else 0.0)
 
-        # Refresh guard.
-        st.profiler_min_samples = rubik.profiler.min_samples
-        st.refresh_period = rubik.update_period_s
-        st.last_table_update = rubik._last_table_update
-        st.samples_at_last_update = rubik._samples_at_last_update
-        self._import_profiler()
-        self._import_trimmer(n)
-        # Table row storage, allocated by the first table pair bound.
-        self._row_cap = _ROW_CAP
-        self._bind_tables(rubik.tables)
+        rubik = self.rubik
+        if rubik is not None:
+            # Refresh guard.
+            st.profiler_min_samples = rubik.profiler.min_samples
+            st.refresh_period = rubik.update_period_s
+            st.last_table_update = rubik._last_table_update
+            st.samples_at_last_update = rubik._samples_at_last_update
+            self._import_profiler()
+            self._import_trimmer(n)
+            # Table row storage, allocated by the first table pair bound.
+            self._row_cap = _ROW_CAP
+            self._bind_tables(rubik.tables)
 
         # Mid-run meter/segment-log readers call flush_accounting(),
         # which exports the C sums before folding the Python buffer.
@@ -267,37 +327,55 @@ class NativeRunSession:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, sim: Simulator, core: Core, rubik,
-               trace) -> Optional["NativeRunSession"]:
-        """Build a session when the library loads and the run is
-        eligible, else None.
-
-        Eligibility is deliberately conservative: any instrumentation or
-        configuration the C loop does not model (a background other than
-        a ``BatchTask`` with a ``MicroarchInterference`` penalty, extra
-        listeners, monkeypatched core methods, subclassed simulator,
-        core, profiler, trimmer, meter or power model, a frequency off
-        the decision grid, pre-populated state: a queue, completions, a
-        profiler or trimmer window, a meter with recorded time) falls
-        back to the Python event loop, which handles everything.
+    def create(cls, sim: Simulator, core: Core, scheme, trace,
+               policy: int = LC_EQ2,
+               lc_hz: float = 0.0) -> Optional["NativeRunSession"]:
+        """Build a session for ``scheme`` under ``policy`` (``lc_hz`` is
+        ``LC_FIXED``'s frequency) when the library loads and the run is
+        eligible (see :meth:`eligible`), else None.
 
         Raises the ``ValueError`` the Python loop's ``Request`` records
         raise for a trace with a negative or all-zero demand.
         """
-        if len(trace) == 0:
-            return None
         lib = build.load_library()
-        if lib is None:
+        if lib is None or sim._heap:
             return None
+        grid = policy_grid(core, scheme, policy)
+        if not cls.eligible(sim, core, scheme, trace, policy, lc_hz,
+                            [scheme], grid):
+            return None
+        check_demands(trace)
+        return cls(sim, core, scheme, _bind(lib), grid, trace, policy,
+                   lc_hz)
+
+    @classmethod
+    def eligible(cls, sim: Simulator, core: Core, scheme, trace,
+                 policy: int, lc_hz: float, listeners: list,
+                 grid: List[float]) -> bool:
+        """Whether the C loop models this core's run, its simulator's
+        pending events aside.
+
+        Eligibility is deliberately conservative: any instrumentation or
+        configuration the C loop does not model (a background other than
+        a ``BatchTask`` with a ``MicroarchInterference`` penalty,
+        listeners other than ``listeners``, monkeypatched core methods,
+        subclassed simulator, core, profiler, trimmer, meter or power
+        model, a frequency off ``grid``, pre-populated state: a queue,
+        completions, a profiler or trimmer window, a meter with recorded
+        time, an arrival before the clock) falls back to the Python
+        event loop, which handles everything.
+        """
+        # The Python loop starts an arrival that predates the clock at
+        # the clock (``schedule_entry`` clamps it); C does not clamp.
+        if len(trace) == 0 or trace.arrivals[0] < sim.now:
+            return False
         if type(sim) is not Simulator or type(core) is not Core:
-            return None
-        if sim._heap:
-            return None
+            return False
         background = core.background
         penalty = core._interference_cycles
         if background is None:
             if penalty is not None:
-                return None
+                return False
         else:
             # Imported here so a run without batch work never loads the
             # colocation package (which sits above this one).
@@ -305,49 +383,46 @@ class NativeRunSession:
             from repro.coloc.interference import MicroarchInterference
             if (type(background) is not BatchTask
                     or type(penalty) is not MicroarchInterference):
-                return None  # C repeats exactly these two models' arithmetic
+                return False  # C repeats exactly these two models
         if (core.current is not None or core.queue or core._pending_arrivals
                 or core._columns is not None or core._completed
                 or core._segment_buffer):
-            return None
-        if core.listeners != [rubik]:
-            return None
+            return False
+        if core.listeners != listeners:
+            return False
         # A monkeypatched hot-path method (decision recorders in the
         # oracle tests) must observe every call: stay on the Python loop.
         for name in ("request_frequency", "enqueue", "flush_accounting"):
             if name in core.__dict__:
-                return None
+                return False
         if core.dvfs.on_retarget is None or not core.dvfs._track_boundaries:
-            return None
+            return False
         # C repeats these models' arithmetic, and nothing else, and
         # starts each of them empty.
-        profiler, meter = rubik.profiler, core.meter
-        if (type(profiler) is not DemandProfiler or profiler.total_observed
-                or type(meter) is not EnergyMeter or meter.total_time_s
+        meter = core.meter
+        if (type(meter) is not EnergyMeter or meter.total_time_s
                 or type(meter.model) is not CorePowerModel):
-            return None
-        trimmer = rubik.trimmer
-        if trimmer is not None and (
-                type(trimmer) is not LatencyTargetTrimmer
-                or type(trimmer._estimator) is not RollingTailEstimator
-                or trimmer._estimator.count()):
-            return None
-        grid = [float(f) for f in rubik.context.dvfs.frequencies]
-        if not cls._frequencies_on_grid(core, set(grid)):
-            return None
-        cycles = np.asarray(trace.compute_cycles)
-        memory = np.asarray(trace.memory_time_s)
-        if (cycles < 0).any() or (memory < 0).any():
-            raise ValueError("demands must be non-negative")
-        if ((cycles == 0) & (memory == 0)).any():
-            raise ValueError("request must have positive demand")
-        return cls(sim, core, rubik, _bind(lib), grid, trace)
+            return False
+        if policy == LC_EQ2:
+            profiler = scheme.profiler
+            if (type(profiler) is not DemandProfiler
+                    or profiler.total_observed):
+                return False
+            trimmer = scheme.trimmer
+            if trimmer is not None and (
+                    type(trimmer) is not LatencyTargetTrimmer
+                    or type(trimmer._estimator) is not RollingTailEstimator
+                    or trimmer._estimator.count()):
+                return False
+        grid_set = set(grid)
+        if policy == LC_FIXED and lc_hz not in grid_set:
+            return False
+        return cls._frequencies_on_grid(core, grid_set)
 
     @staticmethod
     def _frequencies_on_grid(core: Core, grid: Set[float]) -> bool:
-        """The C meter looks every segment frequency up on the decision
-        grid: the imported frequencies must be on it (decisions always
-        are)."""
+        """The C meter looks every segment frequency up on the grid: the
+        imported frequencies must be on it (requests always are)."""
         dvfs = core.dvfs
         freqs = [dvfs._current_hz, core._seg_freq]
         freqs += [f for f in (dvfs._pending_target, dvfs._latched_target)
@@ -637,15 +712,48 @@ class NativeRunSession:
             interference.total_penalty_cycles = st.pen_total
             interference.penalized_requests = st.pen_count
 
-        self._export_profiler()
-        self._export_trimmer()
-        for field, counter in _STAT_FIELDS:
-            setattr(self.stats, field, getattr(st, counter))
+        if self.rubik is not None:
+            self._export_profiler()
+            self._export_trimmer()
+            for field, counter in _STAT_FIELDS:
+                setattr(self.stats, field, getattr(st, counter))
+        if st.has_current or st.rq_len:
+            self._export_in_flight()
+        # FIFO: the first `completed` requests are the finished ones.
+        done = st.completed
         core._columns = CompletionColumns(
-            self._arrivals, self._out_start, self._out_finish,
-            self._out_cycles, self._memory, self._predicted)
+            self._arrivals[:done], self._out_start[:done],
+            self._out_finish[:done], self._out_cycles[:done],
+            self._memory[:done], self._predicted[:done])
         core._completed = None  # built from the columns on first read
         core._external_flush = None
+
+    def _export_in_flight(self) -> None:
+        """Leave the requests a stopped chip loop left in the system as
+        the Python loop leaves them: the one in service (its served
+        cycles, start and progress), the queue behind it, and their
+        arrival times."""
+        st = self._st
+        core = self.core
+
+        def record(rid: int, cycles: float) -> Request:
+            return Request(rid, float(self._arrivals[rid]), cycles,
+                           float(self._memory[rid]),
+                           predicted_cycles=float(self._predicted[rid]))
+
+        if st.has_current:
+            rid = st.cur_rid
+            current = core.current = record(rid,
+                                            float(self._out_cycles[rid]))
+            current.start_time = float(self._out_start[rid])
+            current.progress = st.cur_progress
+        queued = [int(self._rid_ring[(st.rq_head + i) & st.rq_mask])
+                  for i in range(st.rq_len)]
+        core.queue = deque(record(rid, float(self._cycles[rid]))
+                           for rid in queued)
+        core._pending_arrivals = deque(
+            float(self._arr_ring[(st.arr_head + i) & st.arr_mask])
+            for i in range(st.arr_len))
 
     def _export_profiler(self) -> None:
         """Leave the profiler as the Python loop leaves it: the window,
@@ -684,3 +792,140 @@ class NativeRunSession:
         estimator._samples = deque(zip(finish.tolist(), latency.tolist()))
         estimator._last_time = max(estimator._last_time,
                                    float(self._out_finish[-1]))
+
+
+class NativeChipSession:
+    """The cores of an HW-T/HW-TPW server and its chip allocator's lazy
+    ticks, stepped together through ``rk_chip``.
+
+    Each core runs as an ``LC_NONE`` :class:`NativeRunSession` (the HW
+    scheme requests nothing; the allocator sets every frequency). C
+    keeps the tick chain and requests each core's frequency from a
+    table with one row per occupant mask (bit ``c`` set while core
+    ``c`` serves an LC request). A mask C has not seen yet surfaces:
+    the allocator's memoized :meth:`ChipLevelAllocator.assignment`
+    fills its row, exactly as the Python tick fills its memo.
+    """
+
+    def __init__(self, sim: Simulator, allocator, sessions, lib) -> None:
+        self.sim = sim
+        self.allocator = allocator
+        self._sessions = sessions
+        self._lib = lib
+        n = len(sessions)
+        self._names = [
+            "idle" if s.core.background is None
+            else s.core.background.profile.name for s in sessions]
+        self._table = np.zeros((1 << n, n), dtype=np.float64)
+        self._known = np.zeros(1 << n, dtype=np.int64)
+        # The Simulator's sequence numbers as the coupled loop stamps
+        # them: the allocator's first tick 0, each core's first arrival
+        # 1..n in core order.
+        self._seq = np.array([n + 1], dtype=np.int64)
+        self._tick_seq = np.zeros(1, dtype=np.int64)
+        self._tick_at = np.array([allocator._boundary + allocator.period_s],
+                                 dtype=np.float64)
+        self._boundary = np.array([allocator._boundary], dtype=np.float64)
+        self._ticks = np.zeros(1, dtype=np.int64)
+        for c, session in enumerate(sessions):
+            session._st.seq_next = _iptr(self._seq)
+            session._st.arr_seq = c + 1
+        self._cores = (ctypes.POINTER(RKState) * n)(
+            *(ctypes.pointer(session._st) for session in sessions))
+        horizon = allocator.horizon_s
+        self._args = (
+            n, self._cores, allocator.period_s,
+            math.inf if horizon is None else horizon,
+            sum(len(s._arrivals) for s in sessions),
+            _dptr(self._table), _iptr(self._known), _iptr(self._seq),
+            _iptr(self._tick_seq), _dptr(self._tick_at),
+            _dptr(self._boundary), _iptr(self._ticks))
+
+    @classmethod
+    def create(cls, sim: Simulator, allocator,
+               traces: Sequence) -> Optional["NativeChipSession"]:
+        """Take over a freshly built server — the allocator's first tick
+        its simulator's only event, no arrival fed yet — when the
+        library loads and every core is eligible, else None (and the
+        simulator is left untouched).
+
+        Eligible: a plain ``ChipLevelAllocator`` over at most
+        ``_CHIP_MAX_CORES`` cores sharing one frequency grid, each a
+        plain core whose only listeners are its ``HwScheme`` and the
+        allocator (see :meth:`NativeRunSession.eligible`). A subclassed
+        allocator, scheme, core or simulator, another background or an
+        extra listener keeps the coupled Python loop.
+
+        Raises the ``Request`` records' ``ValueError`` for a trace with
+        a negative or all-zero demand.
+        """
+        lib = build.load_library()
+        if lib is None:
+            return None
+        # Imported here: the colocation package sits above this one.
+        from repro.coloc.schemes import ChipLevelAllocator, HwScheme
+        cores = allocator.cores
+        if (type(allocator) is not ChipLevelAllocator
+                or allocator.sim is not sim
+                or not 0 < len(cores) <= _CHIP_MAX_CORES
+                or len(traces) != len(cores)):
+            return None
+        heap = sim._heap
+        if not (allocator._queued and len(heap) == 1
+                and heap[0][3] == allocator._tick
+                and heap[0][0] == allocator._boundary + allocator.period_s):
+            return None
+        grid = [float(f) for f in allocator._grid]
+        for core, trace in zip(cores, traces):
+            scheme = core.listeners[0] if core.listeners else None
+            if (type(scheme) is not HwScheme
+                    or policy_grid(core, scheme, LC_NONE) != grid
+                    or not NativeRunSession.eligible(
+                        sim, core, scheme, trace, LC_NONE, 0.0,
+                        [scheme, allocator], grid)):
+                return None
+        for trace in traces:
+            check_demands(trace)
+        lib = _bind(lib)
+        sessions = [NativeRunSession(sim, core, core.listeners[0], lib,
+                                     grid, trace, LC_NONE)
+                    for core, trace in zip(cores, traces)]
+        heap[0][3] = None  # the first tick is C's now
+        return cls(sim, allocator, sessions, lib)
+
+    def run(self) -> float:
+        """Step the server until ``run_colocated_server``'s loop would
+        stop, export every core, and return the stop time (the
+        simulator's clock)."""
+        chip = self._lib.rk_chip
+        args = self._args
+        while True:
+            rc = chip(*args)
+            if rc == RK_DONE:
+                break
+            if rc == RK_CHIP_KEY:
+                self._fill_row()
+            elif rc == RK_FLUSH_SEGMENTS:
+                for session in self._sessions:
+                    session._flush_segments()
+            elif rc == RK_FLUSH_HISTORY:
+                for session in self._sessions:
+                    session._flush_history()
+            else:
+                raise RuntimeError(f"native chip loop failed (rc={rc})")
+        for session in self._sessions:
+            session._finish()
+        self.sim.absorb_span(self.sim.now, int(self._ticks[0]))
+        return self.sim.now
+
+    def _fill_row(self) -> None:
+        """A tick met an occupant mask C has not seen: fill its row
+        from the allocator's memoized assignment."""
+        mask = 0
+        for c, session in enumerate(self._sessions):
+            if session._st.has_current:
+                mask |= 1 << c
+        key = tuple("lc" if mask >> c & 1 else name
+                    for c, name in enumerate(self._names))
+        self._table[mask] = self.allocator.assignment(key)
+        self._known[mask] = 1

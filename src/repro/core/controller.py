@@ -46,7 +46,7 @@ from repro.core.tail_tables import (
     DEFAULT_NUM_ROWS,
     TargetTailTables,
 )
-from repro.schemes.base import Scheme, SchemeContext
+from repro.schemes.base import Scheme, SchemeContext, overrides
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
@@ -132,9 +132,11 @@ class Rubik(Scheme):
         self.trimmer: Optional[LatencyTargetTrimmer] = None
         self._last_table_update = float("-inf")
         self._samples_at_last_update = 0
+        #: Table refreshes of the current (or last) run.
         self.table_updates = 0
-        #: Refresh-subsystem counters: snapshots taken, table-cache
-        #: hits/misses, lazily built table cells carried over by reuse.
+        #: The current (or last) run's refresh-subsystem counters:
+        #: snapshots taken, table-cache hits/misses, lazily built table
+        #: cells carried over by reuse.
         self.refresh_stats = RefreshStats()
 
     @property
@@ -150,13 +152,16 @@ class Rubik(Scheme):
     def setup(self, sim: Simulator, core: Core, context: SchemeContext) -> None:
         super().setup(sim, core, context)
         # Every run starts from fresh learned state: a reused controller
-        # carries no window, tables or refresh clock across runs.
+        # carries no window, tables or refresh clock across runs, and
+        # counts its refreshes per run, as it does its decisions.
         profiler = self.profiler
         self.profiler = DemandProfiler(profiler.window, profiler.min_samples,
                                        profiler.num_buckets)
         self.tables = None
         self._last_table_update = float("-inf")
         self._samples_at_last_update = 0
+        self.table_updates = 0
+        self.refresh_stats = RefreshStats()
         if self.feedback_enabled:
             self.trimmer = LatencyTargetTrimmer(
                 bound_s=context.latency_bound_s,
@@ -264,11 +269,7 @@ class Rubik(Scheme):
         Python evaluator setup() bound serves the run. The controller
         keeps the session's ``KernelStats``, never the session.
         """
-        if self._path != "auto":
-            return None
-        cls = type(self)
-        if any(getattr(cls, hook) is not getattr(Rubik, hook)
-               for hook in _SPAN_HOOKS):
+        if self._path != "auto" or overrides(self, Rubik, _SPAN_HOOKS):
             return None
         # Imported on first use: processes that never run Rubik skip it.
         from repro.core._native.session import NativeRunSession

@@ -12,13 +12,26 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.config import DEFAULT_DVFS, TAIL_PERCENTILE, DvfsConfig
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
 from repro.sim.request import Request
 from repro.workloads.base import AppProfile
+
+
+#: The hooks the core calls on every event (CoreListener protocol).
+EVENT_HOOKS = ("on_arrival", "on_completion")
+
+
+def overrides(scheme: "Scheme", base: type,
+              hooks: Sequence[str] = EVENT_HOOKS) -> bool:
+    """Whether ``scheme``'s class replaces any of ``base``'s ``hooks``:
+    a native event loop stands in for ``base``'s hooks only."""
+    cls = type(scheme)
+    return any(getattr(cls, hook) is not getattr(base, hook)
+               for hook in hooks)
 
 
 def check_bound(bound_s: float) -> float:
@@ -86,7 +99,7 @@ class Scheme(abc.ABC):
     def native_session(self, sim: Simulator, core: Core, trace):
         """Optional whole-run native event loop for this scheme.
 
-        Called by :func:`repro.sim.server.run_trace` after :meth:`setup`;
+        Called by :func:`repro.sim.server.serve` after :meth:`setup`;
         a non-None return value takes over the entire event loop (see
         :class:`repro.core._native.session.NativeRunSession`). The
         default — any scheme without a native port — returns None and

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.schemes.base import Scheme
+from repro.schemes.base import Scheme, overrides
+from repro.sim.core import Core
+from repro.sim.engine import Simulator
 
 
 class FixedFrequency(Scheme):
@@ -35,3 +37,13 @@ class FixedFrequency(Scheme):
             raise ValueError(
                 f"fixed frequency {self._freq_hz} is not on the DVFS grid")
         return self._freq_hz
+
+    def native_session(self, sim: Simulator, core: Core, trace):
+        """The C span loop with no LC policy (the scheme requests
+        nothing after setup), unless a subclass adds an event hook."""
+        if overrides(self, Scheme):
+            return None
+        # Imported on first use, like Rubik's.
+        from repro.core._native.session import LC_NONE, NativeRunSession
+
+        return NativeRunSession.create(sim, core, self, trace, LC_NONE)

@@ -4,7 +4,9 @@ The allocator's greedy ascents index per-occupant tables; the per-call
 greedy they replaced is kept below as the reference they must equal.
 Its ticks are lazy (queued only after a core event); the every-period
 timer chain they replaced is kept below as ``EagerAllocator``, and whole
-colocated runs must come out the same under both.
+colocated runs must come out the same under both. A subclassed
+allocator keeps the coupled Python loop, so with the native library
+loaded that comparison pins the C chip loop against the timer chain.
 """
 
 import dataclasses
@@ -23,6 +25,8 @@ from repro.coloc.schemes import (
 )
 from repro.coloc.server import run_colocated_server
 from repro.config import DEFAULT_CMP, DEFAULT_DVFS
+from repro.core._native import build
+from repro.core._native.session import NativeChipSession
 from repro.experiments.common import make_context
 from repro.power.model import DEFAULT_CORE_POWER
 from repro.sim.core import Core
@@ -252,6 +256,16 @@ class TestTicking:
             ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                DEFAULT_CORE_POWER, objective="nope")
 
+    @pytest.mark.parametrize("period", [0.0, -1e-4, float("nan"),
+                                        float("inf")])
+    def test_rejects_bad_period(self, period):
+        """A zero period used to hang the first tick queued after a
+        core event (the chain walk never passed the clock)."""
+        sim, cores = make_cores(["namd"])
+        with pytest.raises(ValueError, match="period_s"):
+            ChipLevelAllocator(sim, cores, DEFAULT_CMP,
+                               DEFAULT_CORE_POWER, period_s=period)
+
 
 class TestLcOccupantModel:
     """The LC occupant is modeled by its app's mean demand split, so an
@@ -336,3 +350,35 @@ def test_lazy_ticks_match_the_timer_chain(scheme):
                 assert value.tolist() == want.tolist(), (app, load, name)
             else:
                 assert value == want, (app, load, seed, mix, name)
+
+
+@pytest.mark.native
+@pytest.mark.skipif(not build.available(),
+                    reason="native library unavailable")
+@pytest.mark.parametrize("allocator_cls, chips", [
+    (ChipLevelAllocator, 1), (EagerAllocator, 0), (_RecordingAllocator, 0)])
+def test_only_the_plain_allocator_takes_the_chip_loop(allocator_cls,
+                                                      chips):
+    """``EagerAllocator`` and ``_RecordingAllocator`` run the coupled
+    Python loop (the recorder sees its ticks); the plain allocator runs
+    the C chip loop."""
+    made, runs = [], []
+    real_run = NativeChipSession.run
+
+    def making(*args, **kwargs):
+        made.append(allocator_cls(*args, **kwargs))
+        return made[-1]
+
+    def counting_run(self):
+        runs.append(self)
+        return real_run(self)
+
+    context = make_context(MASSTREE, 3, 120)
+    with mock.patch.object(coloc_server, "ChipLevelAllocator", making), \
+            mock.patch.object(NativeChipSession, "run", counting_run):
+        run_colocated_server(MASSTREE, 0.5, generate_mixes(1, seed=0)[0],
+                             "HW-TPW", context, 3, 60)
+    assert len(runs) == chips
+    if allocator_cls is _RecordingAllocator:
+        assert made[0].ticks
+

@@ -9,6 +9,7 @@ import pytest
 from repro.config import DvfsConfig
 from repro.core._native import build
 from repro.core.controller import Rubik
+from repro.core.table_cache import TABLE_CACHE
 from repro.experiments.common import make_context
 from repro.schemes.base import SchemeContext
 from repro.schemes.fixed import FixedFrequency
@@ -177,19 +178,25 @@ class TestReuse:
     ])
     def test_reused_controller_matches_a_fresh_one(self, path):
         """A controller reused for a second trace starts it from fresh
-        learned state (profiler window, tables, refresh clock), so the
-        run equals a fresh controller's. Keeping the first run's clock,
-        it refreshed no table in the whole second run."""
+        learned state (profiler window, tables, refresh clock) and fresh
+        per-run counters, so the run and its counters equal a fresh
+        controller's. Keeping the first run's clock, it refreshed no
+        table in the whole second run."""
         ctx = make_context(MASSTREE, 3, 3000)
         first, second = (Trace.generate_at_load(MASSTREE, 0.5, 3000, seed)
                          for seed in (3, 4))
         reused = Rubik(path=path)
         run_trace(first, reused, ctx)
-        updates = reused.table_updates
+        assert reused.table_updates > 0
+        # Both runs of the second trace start from an empty table cache,
+        # so their cache hits and misses compare too.
+        TABLE_CACHE.clear()
         again = run_trace(second, reused, ctx, record_freq_history=True)
         fresh = Rubik(path=path)
+        TABLE_CACHE.clear()
         want = run_trace(second, fresh, ctx, record_freq_history=True)
         assert reused.decision_path == fresh.decision_path == (
             "native" if path == "auto" else path)
-        assert reused.table_updates - updates == fresh.table_updates > 0
+        assert reused.table_updates == fresh.table_updates > 0
+        assert reused.refresh_stats == fresh.refresh_stats
         assert _result_fields(again) == _result_fields(want)

@@ -259,6 +259,28 @@ class TestPrototypes:
         assert fn.restype == "double"
         assert not self._mutate(real, "rk_percentile", lambda args: None)
 
+    def test_parses_the_chip_entry_point(self, real):
+        """The chip loop takes its state as plain arguments (no second
+        struct to mirror): a pointer to the cores' ``rk_state``
+        pointers, then scalars and typed pointers the rule checks."""
+        from repro.lint.c_abi import parse_functions
+
+        fn = parse_functions(real["rubik_native.c"])["rk_chip"]
+        assert fn.params == (
+            "i64", "rk_state**", "double", "double", "i64", "double*",
+            "i64*", "i64*", "i64*", "double*", "double*", "i64*")
+        assert fn.restype == "i64"
+        assert not self._mutate(real, "rk_chip", lambda args: None)
+
+    def test_chip_table_and_mask_swap_fires(self, real):
+        def swap(args):
+            # rk_chip(..., table, known, ...): the double and i64 arrays
+            args[5], args[6] = args[6], args[5]
+
+        found = self._mutate(real, "rk_chip", swap)
+        assert len(found) == 1
+        assert "#5 (C declares 'double*'" in found[0].message
+
     def test_percentile_argument_swap_fires(self, real):
         def swap(args):
             # rk_percentile(n, values, pct, scratch): the pct and a pointer
