@@ -201,15 +201,19 @@ class ChipLevelAllocator:
         self._queued = True
         self.sim.schedule(nxt, self._tick)
 
-    def _occupant_key(self, core: Core) -> str:
-        if core.current is not None:
-            return "lc"
-        if core.background is not None:
-            return core.background.profile.name  # type: ignore[attr-defined]
-        return "idle"
+    def occupant_key(self, serving: Sequence[bool]) -> Tuple[str, ...]:
+        """The memo key of the cores' occupant types, ``serving[c]``
+        true while core ``c`` serves an LC request: ``"lc"``, else the
+        core's batch app's name, else ``"idle"`` (the native chip loop
+        keys its table rows through here too)."""
+        return tuple(
+            "lc" if lc
+            else "idle" if core.background is None
+            else core.background.profile.name  # type: ignore[attr-defined]
+            for core, lc in zip(self.cores, serving))
 
     def _current_key(self) -> Tuple[str, ...]:
-        return tuple(self._occupant_key(c) for c in self.cores)
+        return self.occupant_key([c.current is not None for c in self.cores])
 
     # ------------------------------------------------------------------
     def _lc_mean_demand(self) -> Tuple[float, float]:

@@ -135,12 +135,13 @@ def _run_coupled(sim: Simulator, cores: List[Core], traces: List[Trace],
     one it models (:meth:`NativeChipSession.create`), else this Python
     loop does, in the same order. The horizon cap is a safety net for a
     wedged run (completions always drain queued work, so the completion
-    count normally ends the loop long before `max arrival + 100 s`).
-    The per-core runs have no timers and drain by construction, so only
-    this loop needs it. Note: since DVFS transitions apply lazily (no
-    FREQ_CHANGE heap events), the cap is checked at arrival/completion/
-    allocator-tick granularity only — a capped run can process a few
-    more of those than the event-driven machinery would have.
+    count normally ends the loop long before `max arrival + 100 s`; the
+    chip loop asserts that it did). The per-core runs have no timers
+    and drain by construction, so only this loop needs it. Note: since
+    DVFS transitions apply lazily (no FREQ_CHANGE heap events), the cap
+    is checked at arrival/completion/allocator-tick granularity only —
+    a capped run can process a few more of those than the event-driven
+    machinery would have.
     """
     allocator = ChipLevelAllocator(sim, cores, DEFAULT_CMP,
                                    DEFAULT_CORE_POWER, objective=objective,

@@ -65,10 +65,10 @@ Everything the Python event loop would have produced — the completions
 records on first read), meter totals and residency maps, segment log,
 DVFS transition count/history/pending state, the profiler window and
 counts, the trimmer's target, integral and window, the batch task's
-and the interference model's sums, the simulator clock and event
-count, and the requests a stopped chip loop leaves in flight — is
-exported back at the end, so ``finalize``/``RunResult`` code runs
-unchanged and the results are bitwise-identical to the Python loop.
+and the interference model's sums, and the simulator clock and event
+count — is exported back at the end, so ``finalize``/``RunResult`` code
+runs unchanged and the results are bitwise-identical to the Python
+loop.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from repro.power.energy import STATE_CODES, EnergyMeter
 from repro.power.model import CorePowerModel
 from repro.sim.core import Core
 from repro.sim.engine import Simulator
-from repro.sim.request import CompletionColumns, Request
+from repro.sim.request import CompletionColumns
 
 #: Segment-log rows between flushes; allocated only when the core logs
 #: its segments.
@@ -437,7 +437,6 @@ class NativeRunSession:
         """Drive the span loop to completion and export final state."""
         span = self._lib.rk_span
         ref = self._ref
-        st = self._st
         while True:
             rc = span(ref)
             if rc == RK_DONE:
@@ -452,8 +451,6 @@ class NativeRunSession:
                 self._flush_history()
             else:
                 raise RuntimeError(f"native span failed (rc={rc})")
-        assert st.completed == st.n_req and st.arr_len == 0
-        assert not st.has_current and st.rq_len == 0
         self._finish()
 
     # ------------------------------------------------------------------
@@ -671,8 +668,11 @@ class NativeRunSession:
     # ------------------------------------------------------------------
     def _finish(self) -> None:
         """Export every piece of state the Python loop would have left
-        behind, so ``finalize``/``RunResult`` run unchanged."""
+        behind, so ``finalize``/``RunResult`` run unchanged. Every
+        request has completed: no run stops with requests in flight."""
         st = self._st
+        assert st.completed == st.n_req and st.arr_len == 0
+        assert not st.has_current and st.rq_len == 0
         core = self.core
         self._commit_clock()
         self._flush()
@@ -717,43 +717,11 @@ class NativeRunSession:
             self._export_trimmer()
             for field, counter in _STAT_FIELDS:
                 setattr(self.stats, field, getattr(st, counter))
-        if st.has_current or st.rq_len:
-            self._export_in_flight()
-        # FIFO: the first `completed` requests are the finished ones.
-        done = st.completed
         core._columns = CompletionColumns(
-            self._arrivals[:done], self._out_start[:done],
-            self._out_finish[:done], self._out_cycles[:done],
-            self._memory[:done], self._predicted[:done])
+            self._arrivals, self._out_start, self._out_finish,
+            self._out_cycles, self._memory, self._predicted)
         core._completed = None  # built from the columns on first read
         core._external_flush = None
-
-    def _export_in_flight(self) -> None:
-        """Leave the requests a stopped chip loop left in the system as
-        the Python loop leaves them: the one in service (its served
-        cycles, start and progress), the queue behind it, and their
-        arrival times."""
-        st = self._st
-        core = self.core
-
-        def record(rid: int, cycles: float) -> Request:
-            return Request(rid, float(self._arrivals[rid]), cycles,
-                           float(self._memory[rid]),
-                           predicted_cycles=float(self._predicted[rid]))
-
-        if st.has_current:
-            rid = st.cur_rid
-            current = core.current = record(rid,
-                                            float(self._out_cycles[rid]))
-            current.start_time = float(self._out_start[rid])
-            current.progress = st.cur_progress
-        queued = [int(self._rid_ring[(st.rq_head + i) & st.rq_mask])
-                  for i in range(st.rq_len)]
-        core.queue = deque(record(rid, float(self._cycles[rid]))
-                           for rid in queued)
-        core._pending_arrivals = deque(
-            float(self._arr_ring[(st.arr_head + i) & st.arr_mask])
-            for i in range(st.arr_len))
 
     def _export_profiler(self) -> None:
         """Leave the profiler as the Python loop leaves it: the window,
@@ -813,9 +781,6 @@ class NativeChipSession:
         self._sessions = sessions
         self._lib = lib
         n = len(sessions)
-        self._names = [
-            "idle" if s.core.background is None
-            else s.core.background.profile.name for s in sessions]
         self._table = np.zeros((1 << n, n), dtype=np.float64)
         self._known = np.zeros(1 << n, dtype=np.int64)
         # The Simulator's sequence numbers as the coupled loop stamps
@@ -894,9 +859,13 @@ class NativeChipSession:
         return cls(sim, allocator, sessions, lib)
 
     def run(self) -> float:
-        """Step the server until ``run_colocated_server``'s loop would
-        stop, export every core, and return the stop time (the
-        simulator's clock)."""
+        """Step the server until every request has completed, export
+        every core, and return the stop time (the simulator's clock).
+
+        The C loop also stops past the allocator's horizon, as the
+        Python loop does; the horizon ``run_colocated_server`` sets
+        (the last arrival + 100 s) lies far past any run's end, so
+        ``_finish`` asserts that no request is left in flight."""
         chip = self._lib.rk_chip
         args = self._args
         while True:
@@ -921,11 +890,10 @@ class NativeChipSession:
     def _fill_row(self) -> None:
         """A tick met an occupant mask C has not seen: fill its row
         from the allocator's memoized assignment."""
-        mask = 0
-        for c, session in enumerate(self._sessions):
-            if session._st.has_current:
-                mask |= 1 << c
-        key = tuple("lc" if mask >> c & 1 else name
-                    for c, name in enumerate(self._names))
-        self._table[mask] = self.allocator.assignment(key)
+        serving = [bool(session._st.has_current)
+                   for session in self._sessions]
+        mask = sum(1 << c for c, lc in enumerate(serving) if lc)
+        allocator = self.allocator
+        self._table[mask] = allocator.assignment(
+            allocator.occupant_key(serving))
         self._known[mask] = 1

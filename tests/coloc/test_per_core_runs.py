@@ -11,7 +11,7 @@ loaded, and ``build.load_library`` patched to None as on a machine
 without ``cc`` -- and a hypothesis sweep compares the two paths core by
 core. The chip loop is also driven directly on exact ties (one trace on
 all six cores, arrivals and completions on the allocator's 100 us
-boundaries) and through a horizon stop that leaves requests in flight.
+boundaries).
 """
 
 import contextlib
@@ -222,19 +222,15 @@ def test_per_core_runs_match_coupled_loop(path, scheme, references):
 
 def core_state(core):
     """Everything a reader can see of one colocated core after its run:
-    the completed records, any request still in the system, the segment
-    log, the batch and penalty sums, the DVFS state and the meter."""
+    the completed records, the segment log, the batch and penalty sums,
+    the DVFS state and the meter."""
     meter = core.meter
-
-    def row(r):
-        return (r.rid, r.arrival_time, r.compute_cycles, r.memory_time_s,
-                r.start_time, r.finish_time, r.progress, r.predicted_cycles)
-
-    in_flight = [row(r) for r in core.pending_requests()]
     dvfs = core.dvfs
     return (
-        [row(r) for r in core.completed], in_flight,
-        list(core._pending_arrivals), core.queue_epoch, core.segment_log,
+        [(r.rid, r.arrival_time, r.compute_cycles, r.memory_time_s,
+          r.start_time, r.finish_time, r.progress, r.predicted_cycles)
+         for r in core.completed],
+        core.queue_epoch, core.segment_log,
         core.background.instructions, core.background.run_time_s,
         core._interference_cycles.total_penalty_cycles,
         core._interference_cycles.penalized_requests,
@@ -292,12 +288,13 @@ def _recorded_run(app, load, mix, seed, n, path, scheme):
 @pytest.mark.native
 @pytest.mark.skipif(not build.available(),
                     reason="native library unavailable")
+@pytest.mark.parametrize("scheme", COLOC_SCHEME_NAMES)
 @settings(max_examples=15, deadline=None)
 @given(app=st.sampled_from(sorted(APPS)), load=st.floats(0.05, 1.5),
        seed=st.integers(0, 2**16), mix=st.integers(0, len(MIXES) - 1),
-       n=st.integers(60, 400), scheme=st.sampled_from(COLOC_SCHEME_NAMES))
-def test_native_colocated_cores_match_python(app, load, seed, mix, n,
-                                             scheme):
+       n=st.integers(60, 400))
+def test_native_colocated_cores_match_python(scheme, app, load, seed, mix,
+                                             n):
     native = _recorded_run(APPS[app], load, MIXES[mix], seed, n, "native",
                            scheme)
     python = _recorded_run(APPS[app], load, MIXES[mix], seed, n, "python",
@@ -355,12 +352,13 @@ def _chip_server(traces, objective, penalty_cycles):
     return sim, cores
 
 
-def _drive_chip(traces, objective, horizon, penalty_cycles, how):
+def _drive_chip(traces, objective, penalty_cycles, how):
     """Run one HW server by ``how`` -- ``"reference"`` (the coupled loop
     above), ``"python"`` or ``"native"`` (``run_colocated_server``'s
     helper on each path) -- and return what it leaves behind."""
     sim, cores = _chip_server(traces, objective, penalty_cycles)
     lc_demand = MASSTREE.mean_demands()
+    horizon = max(t.arrivals[-1] for t in traces) + 100.0
     if how == "reference":
         reference_coupled_loop(sim, cores, traces, objective, lc_demand,
                                horizon)
@@ -414,29 +412,10 @@ def _tie_traces(kind, seed):
 def test_chip_loop_breaks_exact_ties_like_the_coupled_loop(objective, kind,
                                                            seed):
     traces = _tie_traces(kind, seed)
-    horizon = max(t.arrivals[-1] for t in traces) + 100.0
     penalty = 0.0 if kind == "completions-on-ticks" else 3e4
-    want = _drive_chip(traces, objective, horizon, penalty, "reference")
+    want = _drive_chip(traces, objective, penalty, "reference")
     for how in ("python", "native"):
-        assert _drive_chip(traces, objective, horizon, penalty, how) \
-            == want, how
-
-
-@pytest.mark.native
-@pytest.mark.skipif(not build.available(),
-                    reason="native library unavailable")
-@pytest.mark.parametrize("objective", ["throughput", "tpw"])
-def test_horizon_stop_leaves_the_same_requests_in_flight(objective):
-    """Overloaded cores stopped at a horizon inside the run: the C loop
-    exports the requests in service and queued as the Python loop
-    leaves them."""
-    traces = [Trace.generate_at_load(MASSTREE, 1.4, 200, seed)
-              for seed in range(DEFAULT_CMP.num_cores)]
-    horizon = float(np.median([t.arrivals[-1] for t in traces]))
-    want = _drive_chip(traces, objective, horizon, 3e4, "reference")
-    assert any(state[1] for state in want[2])  # requests left in flight
-    for how in ("python", "native"):
-        assert _drive_chip(traces, objective, horizon, 3e4, how) == want
+        assert _drive_chip(traces, objective, penalty, how) == want, how
 
 
 # -- which cores take the C loop ---------------------------------------
