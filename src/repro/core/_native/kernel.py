@@ -72,7 +72,8 @@ class RKState(ctypes.Structure):
         ("decided_hz", ctypes.c_double),
         ("need_row_c", ctypes.c_int64),
         ("need_row_m", ctypes.c_int64),
-        ("need_len", ctypes.c_int64),
+        ("need_len_c", ctypes.c_int64),
+        ("need_len_m", ctypes.c_int64),
         # KernelStats branch counters
         ("st_idle", ctypes.c_int64),
         ("st_warmup", ctypes.c_int64),
@@ -200,6 +201,27 @@ class RKState(ctypes.Structure):
         ("seq_next", _IP),
         ("arr_seq", ctypes.c_int64),
         ("comp_seq", ctypes.c_int64),
+        # tail-table row growth
+        ("tt_base_c", _DP),
+        ("tt_base_m", _DP),
+        ("tt_len", ctypes.c_int64 * 2),
+        ("tt_width", ctypes.c_double * 2),
+        ("tt_eps_q", ctypes.c_double * 2),
+        ("tt_max_explicit", ctypes.c_int64),
+        ("tt_fft_max", ctypes.c_int64),
+        ("tt_tw", _DP),
+        ("tt_tw_n", ctypes.c_int64),
+        ("tt_scratch", _DP),
+        ("tt_pow_c", _DP),
+        ("tt_pow_m", _DP),
+        ("tt_npow", ctypes.c_int64 * 2),
+        ("tt_btr_c", _DP),
+        ("tt_btr_m", _DP),
+        ("tt_bsize", ctypes.c_int64 * 2),
+        ("tt_rtr_c", _DP),
+        ("tt_rtr_m", _DP),
+        ("tt_rsize_c", _IP),
+        ("tt_rsize_m", _IP),
     ]
 
 
@@ -232,6 +254,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.rk_percentile.argtypes = [ctypes.c_int64, _VP, ctypes.c_double,
                                       _VP]
         lib.rk_percentile.restype = ctypes.c_double
+        lib.rk_grow_row.argtypes = [ctypes.POINTER(RKState), ctypes.c_int64,
+                                    ctypes.c_int64, ctypes.c_int64]
+        lib.rk_grow_row.restype = ctypes.c_int64
         size = lib.rk_state_size()
         if size != ctypes.sizeof(RKState):
             raise RuntimeError(

@@ -36,7 +36,7 @@ typedef int64_t i64;
 /* Return codes of rk_span (and of the fold, rk_decide). */
 #define RK_OK 0
 #define RK_DONE 0
-#define RK_NEED_ROWS 1    /* fill need_row_c/need_row_m rows, re-enter */
+#define RK_NEED_ROWS 1    /* Python builds need_row_c/need_row_m, re-enter */
 #define RK_SURFACE 2      /* a table refresh is due (pmfs ready), re-enter */
 #define RK_FLUSH_SEGMENTS 3
 #define RK_FLUSH_HISTORY 4
@@ -109,9 +109,10 @@ typedef struct {
 
     /* -- decide I/O -------------------------------------------------- */
     double decided_hz;   /* out: the Eq. 2 frequency request */
-    i64 need_row_c;      /* out on RK_NEED_ROWS */
+    i64 need_row_c;      /* out on RK_NEED_ROWS: the rows, and the */
     i64 need_row_m;
-    i64 need_len;
+    i64 need_len_c;      /* length Python must build each to (0: none) */
+    i64 need_len_m;
 
     /* -- KernelStats branch counters --------------------------------- */
     i64 st_idle;
@@ -267,11 +268,35 @@ typedef struct {
     i64 *seq_next;               /* the chip's shared counter; NULL alone */
     i64 arr_seq;                 /* the pending arrival's */
     i64 comp_seq;                /* the pending completion's */
+
+    /* tail-table row growth (TailTable._grow_row, see tt_grow): table
+     * 0 is the bound cycles table, 1 the memory table; every buffer is
+     * session-owned, sized by Python at bind time */
+    double *tt_base_c;           /* [tt_len[0]] the base pmf */
+    double *tt_base_m;           /* [tt_len[1]] */
+    i64 tt_len[2];               /* base pmf lengths */
+    double tt_width[2];          /* base bucket widths */
+    double tt_eps_q[2];          /* quantile - 1e-12, computed by Python */
+    i64 tt_max_explicit;         /* explicit columns per row */
+    i64 tt_fft_max;              /* FFT size capacity (>= every column's) */
+    double *tt_tw;               /* [tt_fft_max + 2] twiddles (tt_twiddles) */
+    i64 tt_tw_n;                 /* the size tt_tw holds; 0 before use */
+    double *tt_scratch;          /* [tt_fft_max + 2] one column's work */
+    double *tt_pow_c;            /* column i's base-transform power at */
+    double *tt_pow_m;            /*   tt_pow_offset(len, i) */
+    i64 tt_npow[2];              /* powers built: columns 1..tt_npow */
+    double *tt_btr_c;            /* [tt_fft_max + 2] the base's transform */
+    double *tt_btr_m;
+    i64 tt_bsize[2];             /* its FFT size; 0: none */
+    double *tt_rtr_c;            /* [nrows * (tt_fft_max + 2)] each row's */
+    double *tt_rtr_m;            /*   conditioned pmf's transform */
+    i64 *tt_rsize_c;             /* [nrows] its FFT size; 0: none */
+    i64 *tt_rsize_m;
 } rk_state;
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 5; }
+i64 rk_abi_version(void) { return 6; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -573,8 +598,449 @@ static void compute_elapsed(rk_state *s, double *ec, double *em) {
 }
 
 /* ------------------------------------------------------------------ */
+/* tail-table row growth (repro/core/tail_tables.py, _grow_row)       */
+/* ------------------------------------------------------------------ */
+/* Cell (r, i) of a tail table is an integer: the first bucket where a
+ * CDF reaches the quantile, capped at the cell's support.  Column 0
+ * searches the cumsum of the row's conditioned pmf for eps_q = q -
+ * 1e-12; column i >= 1 searches the cumsum of irfft(rfft(cond_r) *
+ * rfft(base)^i), clipped at zero, for eps_q times its last entry, at
+ * the FFT size _grow_row uses.  C has its own real FFT (iterative
+ * radix-2), so its CDF differs from numpy's pocketfft in the last bits;
+ * the index is the same whenever both CDF entries around the crossing
+ * lie farther from the threshold than the two can disagree.  tt_grow
+ * accepts an index only then, and hands the cell to Python otherwise.
+ *
+ * The error bound.  Both CDFs approximate the same exact prefix sums.
+ * For a pmf x and the power B^i of a pmf's transform (|B| <= 1), a
+ * radix-2 FFT of size N with twiddles within 2u has a relative 2-norm
+ * error of at most 8u log2 N per transform (Higham, Accuracy and
+ * Stability of Numerical Algorithms, Thm. 24.2; u = 2^-53), and each of
+ * the i - 1 complex products behind B^i adds 3u.  Through the forward
+ * transforms, the power, the product and the inverse transform the
+ * result's 2-norm error is at most u (8 log2 N (i + 2) + 3 i); a CDF
+ * entry moves by at most sqrt(N) times that (the 1-norm), plus N u for
+ * the cumsum: tt_error_bound.  Column i's index is then certain when
+ * the crossing's gap exceeds 4 bounds (each CDF entry and the threshold
+ * eps_q * total each within two), and tt_grow requires the gap to
+ * exceed TT_MARGIN = 1e-10 and 4 bounds to stay below it (true for
+ * every size up to 8192 at i <= 17: 2.1e-11 per bound there; a default
+ * table's largest, N = 2048 at i = 15, has 8.0e-12).  The largest
+ * |CDF_C - CDF_numpy| measured over every cell of perfbench's sweeps
+ * and a paper-scale regeneration is 2.5e-14, 1/4000 of the margin
+ * (docs/performance.md, Layer 2).  The cells inside the margin are
+ * whole-count ties: a window of N samples puts a CDF entry at exactly
+ * q when q N is an integer, about 1e-12 above eps_q. */
+#define TT_MARGIN 1e-10
+#define TT_EPS_MASS 1e-12      /* histogram.py _EPS_MASS */
+#define TT_U 1.1102230246251565e-16
+#define TT_TWO_PI 6.283185307179586
+
+static double tt_error_bound(i64 n, i64 i) {
+    double lg = 0.0;
+    for (i64 m = n; m > 1; m >>= 1)
+        lg += 1.0;
+    return sqrt((double)n) * TT_U * (8.0 * lg * (double)(i + 2)
+                                     + 3.0 * (double)i)
+        + (double)n * TT_U;
+}
+
+/* _grow_row's FFT size of column i: the smallest power of two covering
+ * need = len + i * (len - 1) buckets, the widest row's support. */
+static i64 tt_col_size(i64 len, i64 i) {
+    i64 need = len + i * (len - 1);
+    i64 size = 1;
+    while (size < need)
+        size <<= 1;
+    return size;
+}
+
+/* Offset of column i's power in a table's power buffer: columns 1..i-1
+ * before it, each a half spectrum of size / 2 + 1 complex values. */
+static i64 tt_pow_offset(i64 len, i64 i) {
+    i64 off = 0;
+    for (i64 j = 1; j < i; j++)
+        off += tt_col_size(len, j) + 2;
+    return off;
+}
+
+/* cos and sin of 2 pi k / n for 0 <= k <= n / 4 (n a multiple of 4),
+ * from the nearer end of the quarter, so that 0 and 1 come out exact. */
+static void tt_unit_root(i64 k, i64 n, double *c, double *sn) {
+    if (8 * k <= n) {
+        double a = TT_TWO_PI * (double)k / (double)n;
+        *c = cos(a);
+        *sn = sin(a);
+    } else {
+        double a = TT_TWO_PI * (double)(n / 4 - k) / (double)n;
+        *c = sin(a);
+        *sn = cos(a);
+    }
+}
+
+/* tw[k] = exp(-2 pi i k / n) for k = 0..n/2, interleaved (re, im). */
+static void tt_twiddles(double *tw, i64 n) {
+    tw[0] = 1.0;
+    tw[1] = 0.0;
+    if (n < 4) {
+        if (n == 2) {
+            tw[2] = -1.0;
+            tw[3] = 0.0;
+        }
+        return;
+    }
+    for (i64 k = 1; k <= n / 2; k++) {
+        double c, sn;
+        if (k <= n / 4) {
+            tt_unit_root(k, n, &c, &sn);
+        } else {
+            /* angle pi/2 + phi: cos = -sin(phi), sin = cos(phi) */
+            double cp, sp;
+            tt_unit_root(k - n / 4, n, &cp, &sp);
+            c = -sp;
+            sn = cp;
+        }
+        tw[2 * k] = c;
+        tw[2 * k + 1] = -sn;
+    }
+}
+
+/* In-place iterative radix-2 complex FFT of h points (a power of two)
+ * on interleaved pairs a[0..2h), unscaled: exp(-2 pi i / h) kernel, or
+ * its conjugate when inverse.  tw holds tw_n's twiddles. */
+static void tt_cfft(double *a, i64 h, const double *tw, i64 tw_n,
+                    int inverse) {
+    for (i64 i = 1, j = 0; i < h; i++) {
+        i64 bit = h >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j) {
+            double t = a[2 * i];
+            a[2 * i] = a[2 * j];
+            a[2 * j] = t;
+            t = a[2 * i + 1];
+            a[2 * i + 1] = a[2 * j + 1];
+            a[2 * j + 1] = t;
+        }
+    }
+    for (i64 i = 0; i + 1 < h; i += 2) {
+        double *u = a + 2 * i;
+        double r = u[2], m = u[3];
+        u[2] = u[0] - r;
+        u[3] = u[1] - m;
+        u[0] += r;
+        u[1] += m;
+    }
+    double sign = inverse ? -1.0 : 1.0;
+    for (i64 len = 4; len <= h; len <<= 1) {
+        i64 half = len >> 1;
+        i64 step = 2 * (tw_n / len);
+        for (i64 i = 0; i < h; i += len) {
+            double *u = a + 2 * i;
+            double *v = u + 2 * half;
+            const double *w = tw;
+            for (i64 j = 0; j < half; j++, w += step) {
+                double wr = w[0], wi = sign * w[1];
+                double vr = v[2 * j], vi = v[2 * j + 1];
+                double tr = vr * wr - vi * wi;
+                double ti = vr * wi + vi * wr;
+                v[2 * j] = u[2 * j] - tr;
+                v[2 * j + 1] = u[2 * j + 1] - ti;
+                u[2 * j] += tr;
+                u[2 * j + 1] += ti;
+            }
+        }
+    }
+}
+
+/* np.fft.rfft of x[0..n) in place: the half spectrum X[0..n/2] lands
+ * in x[0..n+2) as interleaved pairs (n a power of two).  The even and
+ * odd samples are one complex signal of n/2 points; its transform Z
+ * splits into theirs, E_k = (Z_k + conj Z_{h-k}) / 2 and O_k = (Z_k -
+ * conj Z_{h-k}) / 2i, and X_k = E_k + exp(-2 pi i k / n) O_k. */
+static void tt_rfft(double *x, i64 n, const double *tw, i64 tw_n) {
+    if (n == 1) {
+        x[1] = 0.0;
+        return;
+    }
+    i64 h = n / 2;
+    tt_cfft(x, h, tw, tw_n, 0);
+    double zr = x[0], zi = x[1];
+    x[0] = zr + zi;
+    x[1] = 0.0;
+    x[2 * h] = zr - zi;
+    x[2 * h + 1] = 0.0;
+    i64 stride = 2 * (tw_n / n);
+    for (i64 k = 1; k < h - k; k++) {
+        i64 m = h - k;
+        double ar = x[2 * k], ai = x[2 * k + 1];
+        double br = x[2 * m], bi = x[2 * m + 1];
+        double er = 0.5 * (ar + br), ei = 0.5 * (ai - bi);
+        double or_ = 0.5 * (ai + bi), oi = -0.5 * (ar - br);
+        double wr = tw[k * stride], wi = tw[k * stride + 1];
+        double tr = wr * or_ - wi * oi;
+        double ti = wr * oi + wi * or_;
+        x[2 * k] = er + tr;
+        x[2 * k + 1] = ei + ti;
+        x[2 * m] = er - tr;
+        x[2 * m + 1] = ti - ei;
+    }
+    if (h >= 2)
+        x[h + 1] = -x[h + 1];   /* k = h/2: X = conj Z */
+}
+
+/* np.fft.irfft(X, n) in place, times n (the caller scales): the
+ * inverse of tt_rfft's split, then an inverse transform of n/2 points.
+ * Like numpy, it ignores the imaginary parts of X[0] and X[n/2]. */
+static void tt_irfft_unscaled(double *x, i64 n, const double *tw,
+                              i64 tw_n) {
+    if (n == 1)
+        return;
+    i64 h = n / 2;
+    double x0 = x[0], xh = x[2 * h];
+    x[0] = x0 + xh;
+    x[1] = x0 - xh;
+    i64 stride = 2 * (tw_n / n);
+    for (i64 k = 1; k < h - k; k++) {
+        i64 m = h - k;
+        double ar = x[2 * k], ai = x[2 * k + 1];
+        double br = x[2 * m], bi = x[2 * m + 1];
+        double er = ar + br, ei = ai - bi;
+        double dr = ar - br, di = ai + bi;
+        double wr = tw[k * stride], wi = tw[k * stride + 1];
+        double or_ = dr * wr + di * wi;
+        double oi = di * wr - dr * wi;
+        x[2 * k] = er - oi;
+        x[2 * k + 1] = ei + or_;
+        x[2 * m] = er + oi;
+        x[2 * m + 1] = or_ - ei;
+    }
+    if (h >= 2) {
+        x[h] = 2.0 * x[h];          /* k = h/2: Z = 2 conj X */
+        x[h + 1] = -2.0 * x[h + 1];
+    }
+    tt_cfft(x, h, tw, tw_n, 1);
+}
+
+/* First index of the non-decreasing a[0..n) with a[k] >= x, else n
+ * (np.searchsorted, side "left"). */
+static i64 tt_search(const double *a, i64 n, double x) {
+    i64 lo = 0, hi = n;
+    while (lo < hi) {
+        i64 mid = (lo + hi) >> 1;
+        if (a[mid] < x) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* The capped index of the crossing of cdf[0..n) at thr, or -1 when a
+ * CDF entry beside it lies within `margin` of thr (the index numpy
+ * returns is then not certain). */
+static i64 tt_certified(const double *cdf, i64 n, double thr, i64 cap,
+                        double margin) {
+    i64 idx = tt_search(cdf, n, thr);
+    i64 k = idx < cap ? idx : cap;
+    if (k > 0 && !(thr - cdf[k - 1] > margin))
+        return -1;
+    if (idx == k && !(cdf[k] - thr > margin))
+        return -1;
+    return k;
+}
+
+/* Table t's fields and row `row`'s slices, picked once per call. */
+typedef struct {
+    const double *base;
+    i64 len;
+    double width;
+    double eps_q;
+    double bound;
+    double *pow;
+    double *btr;
+    double *rtr;
+    i64 *rsize;
+    double *cells;
+    i64 *rowlen;
+} tt_view;
+
+static tt_view tt_table(rk_state *s, i64 t, i64 row) {
+    tt_view v;
+    i64 stride = s->tt_fft_max + 2;
+    v.base = t ? s->tt_base_m : s->tt_base_c;
+    v.len = s->tt_len[t];
+    v.width = s->tt_width[t];
+    v.eps_q = s->tt_eps_q[t];
+    v.bound = (t ? s->mbounds : s->cbounds)[row];
+    v.pow = t ? s->tt_pow_m : s->tt_pow_c;
+    v.btr = t ? s->tt_btr_m : s->tt_btr_c;
+    v.rtr = (t ? s->tt_rtr_m : s->tt_rtr_c) + row * stride;
+    v.rsize = (t ? s->tt_rsize_m : s->tt_rsize_c) + row;
+    v.cells = (t ? s->rows_m : s->rows_c) + row * s->row_cap;
+    v.rowlen = (t ? s->rowlen_m : s->rowlen_c) + row;
+    return v;
+}
+
+/* Base-transform power of column p, built after column p - 1's: the
+ * chain _grow_row keeps per FFT size (power p = power p-1 * base). */
+static void tt_build_power(rk_state *s, i64 t, const tt_view *v, i64 p) {
+    i64 n = tt_col_size(v->len, p);
+    i64 bins = n / 2 + 1;
+    if (s->tt_bsize[t] != n) {
+        for (i64 j = 0; j < n; j++)
+            v->btr[j] = j < v->len ? v->base[j] : 0.0;
+        tt_rfft(v->btr, n, s->tt_tw, s->tt_tw_n);
+        s->tt_bsize[t] = n;
+    }
+    double *out = v->pow + tt_pow_offset(v->len, p);
+    const double *b = v->btr;
+    i64 chain;
+    if (p > 1 && tt_col_size(v->len, p - 1) == n) {
+        const double *prev = v->pow + tt_pow_offset(v->len, p - 1);
+        for (i64 k = 0; k < 2 * bins; k++)
+            out[k] = prev[k];
+        chain = 1;
+    } else {
+        for (i64 k = 0; k < 2 * bins; k++)
+            out[k] = b[k];
+        chain = p - 1;
+    }
+    for (i64 c = 0; c < chain; c++) {
+        for (i64 k = 0; k < bins; k++) {
+            double ar = out[2 * k], ai = out[2 * k + 1];
+            double br = b[2 * k], bi = b[2 * k + 1];
+            out[2 * k] = ar * br - ai * bi;
+            out[2 * k + 1] = ar * bi + ai * br;
+        }
+    }
+    s->tt_npow[t] = p;
+}
+
+/* Build table t's row `row` in C to min(n, max_explicit) explicit
+ * cells, as TailTable._grow_row would.  Returns 0 when the row reaches
+ * n, else the length Python must build it to: i + 1 for a cell i whose
+ * index C cannot certify, or n for the CLT positions past
+ * max_explicit (whose moments are numpy dots). */
+static i64 tt_grow(rk_state *s, i64 t, i64 row, i64 n) {
+    i64 max_explicit = s->tt_max_explicit;
+    i64 want = n < max_explicit ? n : max_explicit;
+    tt_view v = tt_table(s, t, row);
+    i64 have = *v.rowlen;
+    if (have < want) {
+        /* Histogram.condition_on_elapsed on the row's lower bound: the
+         * shift is Python's int(elapsed / width), not the bound's
+         * bucket index (the two differ when the bound's division
+         * rounds down). */
+        i64 len = v.len;
+        i64 shift = (i64)(v.bound / v.width);
+        const double *src = v.base;
+        double total = 1.0;       /* shift 0: the base itself */
+        i64 clen = len;
+        int point = 0;
+        if (shift > 0) {
+            total = 0.0;
+            for (i64 j = shift; j < len; j++)
+                total += v.base[j];
+            /* A total this close to the exhaustion cut could fall on
+             * either side of numpy's pairwise sum. */
+            if (fabs(total - TT_EPS_MASS) <= 1e-6 * TT_EPS_MASS)
+                return n;
+            if (shift >= len || total <= TT_EPS_MASS) {
+                point = 1;
+                clen = 1;
+            } else {
+                src = v.base + shift;
+                clen = len - shift;
+            }
+        }
+        double *x = s->tt_scratch;
+        if (have == 0) {
+            /* Histogram.quantile of the conditioned row */
+            double acc = 0.0;
+            for (i64 j = 0; j < clen; j++) {
+                acc += point ? 1.0 : shift > 0 ? src[j] / total : src[j];
+                x[j] = acc;
+            }
+            i64 k = tt_certified(x, clen, v.eps_q, clen - 1, TT_MARGIN);
+            if (k < 0)
+                return 1;
+            v.cells[0] = (double)(k + 1) * v.width;
+            *v.rowlen = have = 1;
+        }
+        if (s->tt_tw_n != s->tt_fft_max) {
+            tt_twiddles(s->tt_tw, s->tt_fft_max);
+            s->tt_tw_n = s->tt_fft_max;
+        }
+        for (i64 i = have; i < want; i++) {
+            i64 size = tt_col_size(len, i);
+            double bound = tt_error_bound(size, i);
+            if (!(4.0 * bound < TT_MARGIN))
+                return i + 1;
+            if (*v.rsize != size) {
+                for (i64 j = 0; j < size; j++)
+                    v.rtr[j] = j >= clen ? 0.0
+                        : point ? 1.0 : shift > 0 ? src[j] / total : src[j];
+                tt_rfft(v.rtr, size, s->tt_tw, s->tt_tw_n);
+                *v.rsize = size;
+            }
+            while (s->tt_npow[t] < i)
+                tt_build_power(s, t, &v, s->tt_npow[t] + 1);
+            const double *p = v.pow + tt_pow_offset(len, i);
+            i64 bins = size / 2 + 1;
+            for (i64 k = 0; k < bins; k++) {
+                double ar = v.rtr[2 * k], ai = v.rtr[2 * k + 1];
+                double br = p[2 * k], bi = p[2 * k + 1];
+                x[2 * k] = ar * br - ai * bi;
+                x[2 * k + 1] = ar * bi + ai * br;
+            }
+            tt_irfft_unscaled(x, size, s->tt_tw, s->tt_tw_n);
+            /* np.maximum(pmf, 0.0) and cumsum, scaled by 1 / size */
+            double inv = 1.0 / (double)size;
+            double acc = 0.0;
+            for (i64 j = 0; j < size; j++) {
+                double y = x[j] * inv;
+                if (y > 0.0)
+                    acc += y;
+                x[j] = acc;
+            }
+            i64 support = clen + i * (len - 1);
+            i64 k = tt_certified(x, size, v.eps_q * acc, support - 1,
+                                 TT_MARGIN);
+            if (k < 0)
+                return i + 1;
+            v.cells[i] = (double)(k + 1) * v.width;
+            *v.rowlen = i + 1;
+        }
+    }
+    return n > *v.rowlen ? n : 0;
+}
+
+/* tt_grow for one table row, for the property test against the eager
+ * build in tests/core/test_lazy_tail_tables.py. */
+i64 rk_grow_row(rk_state *s, i64 t, i64 row, i64 n) {
+    return tt_grow(s, t, row, n);
+}
+
+/* ------------------------------------------------------------------ */
 /* decision kernel (DecisionKernel ported verbatim)                   */
 /* ------------------------------------------------------------------ */
+/* Both rows of the pair at least n long, as the kernel's
+ * extended_row_list calls leave them: C builds the explicit cells it
+ * can certify; otherwise RK_NEED_ROWS names the rows and the lengths
+ * Python must build them to.  Changes nothing but the rows. */
+static i64 ensure_rows(rk_state *s, i64 row_c, i64 row_m, i64 n) {
+    if (s->rowlen_c[row_c] >= n && s->rowlen_m[row_m] >= n)
+        return RK_OK;
+    i64 need_c = s->rowlen_c[row_c] < n ? tt_grow(s, 0, row_c, n) : 0;
+    i64 need_m = s->rowlen_m[row_m] < n ? tt_grow(s, 1, row_m, n) : 0;
+    if (!need_c && !need_m)
+        return RK_OK;
+    s->need_row_c = row_c;
+    s->need_row_m = row_m;
+    s->need_len_c = need_c;
+    s->need_len_m = need_m;
+    return RK_NEED_ROWS;
+}
+
 static i64 ensure_mono(rk_state *s, i64 upto) {
     if (!s->mono_ok) return 0;
     i64 k = s->mono_len;
@@ -595,6 +1061,7 @@ static i64 ensure_mono(rk_state *s, i64 upto) {
     return 1;
 }
 
+/* 1: served; 0: re-fold; -1: RK_NEED_ROWS (nothing changed yet). */
 static i64 arrival_fast(rk_state *s, i64 n, double now, double target) {
     i64 fidx = s->k_fidx;
     const double *grid = s->grid;
@@ -619,7 +1086,11 @@ static i64 arrival_fast(rk_state *s, i64 n, double now, double target) {
         s->st_fast_arr++;
         return 1;
     }
-    i64 n_idx = n - 1;  /* rows cover n: decide pre-checked */
+    /* The kernel extends the rows to the new position here, and only
+     * here: a pinned-top arrival leaves them as they are. */
+    if (ensure_rows(s, s->k_row_c, s->k_row_m, n) != RK_OK)
+        return -1;
+    i64 n_idx = n - 1;
     double c_i = crow[n_idx];
     double slack = (target - (now - ring_get(s, n - 1))) - mrow[n_idx];
     if (slack <= 0.0) {
@@ -699,8 +1170,8 @@ static i64 completion_fast(rk_state *s, i64 n, double now, double target) {
 
 static void full_fold(rk_state *s, i64 n, double now, double target,
                       i64 row_c, i64 row_m, i64 epoch) {
-    /* Rows cover n (decide pre-checked), so the fold cannot surface:
-     * the counter increments exactly once per completed fold. */
+    /* Rows cover n (the decide grew them first), so the fold cannot
+     * surface: the counter increments exactly once per completed fold. */
     s->st_cert++;
     if (row_c != s->k_row_c || row_m != s->k_row_m
             || s->tables_gen != s->k_tables_gen) {
@@ -770,8 +1241,11 @@ static void full_fold(rk_state *s, i64 n, double now, double target,
 }
 
 /* DecisionKernel.decide.  Restartable: RK_NEED_ROWS is returned before
- * any state (counters included) is mutated, so the session fills the
- * requested rows and rk_span simply calls again. */
+ * any state (counters included) but the rows is mutated, so the session
+ * fills the requested rows and rk_span simply calls again.  The rows
+ * grow where the kernel's reads extend them: to n before a lean or a
+ * full fold, in arrival_fast past its pinned-top exit, never in
+ * completion_fast. */
 static i64 rk_decide(rk_state *s) {
     i64 n = s->arr_len;
     if (n == 0) {
@@ -792,18 +1266,13 @@ static i64 rk_decide(rk_state *s) {
     compute_elapsed(s, &elapsed_c, &elapsed_m);
     i64 row_c = rk_bisect_right(s->cbounds, s->nrows, elapsed_c) - 1;
     i64 row_m = rk_bisect_right(s->mbounds, s->nrows, elapsed_m) - 1;
-    /* Row availability, checked up front so every later branch (lean
-     * fold, arrival extension, full fold) can run to completion. */
-    if (s->rowlen_c[row_c] < n || s->rowlen_m[row_m] < n) {
-        s->need_row_c = row_c;
-        s->need_row_m = row_m;
-        s->need_len = n;
-        return RK_NEED_ROWS;
-    }
     const double *grid = s->grid;
     i64 last = s->nsteps - 1;
 
     if (n < s->cert_min_queue) {
+        i64 rc = ensure_rows(s, row_c, row_m, n);
+        if (rc != RK_OK)
+            return rc;
         /* Lean fold.  The cached-pair bookkeeping mirrors the Python
          * refetch: the row lists are append-only, so the mono prefix
          * resets only when the pair (row indices or table identity)
@@ -858,15 +1327,19 @@ static i64 rk_decide(rk_state *s) {
     }
 
     i64 epoch = s->queue_epoch;
+    i64 *invalidation = 0;   /* counted once the fold can run */
     if (s->certs && epoch == s->k_epoch + 1) {
         if (s->tables_gen != s->k_tables_gen) {
-            s->st_inv_tables++;
+            invalidation = &s->st_inv_tables;
         } else if (target != s->k_target) {
-            s->st_inv_target++;
+            invalidation = &s->st_inv_target;
         } else if (row_c != s->k_row_c || row_m != s->k_row_m) {
-            s->st_inv_row++;
+            invalidation = &s->st_inv_row;
         } else if (n == s->k_n + 1) {
-            if (arrival_fast(s, n, now, target)) {
+            i64 fast = arrival_fast(s, n, now, target);
+            if (fast < 0)
+                return RK_NEED_ROWS;
+            if (fast) {
                 s->k_epoch = epoch;
                 s->k_n = n;
                 return RK_OK;
@@ -879,8 +1352,13 @@ static i64 rk_decide(rk_state *s) {
             }
         }
     } else if (s->certs) {
-        s->st_inv_epoch++;
+        invalidation = &s->st_inv_epoch;
     }
+    i64 rc = ensure_rows(s, row_c, row_m, n);
+    if (rc != RK_OK)
+        return rc;
+    if (invalidation)
+        (*invalidation)++;
     full_fold(s, n, now, target, row_c, row_m, epoch);
     return RK_OK;
 }

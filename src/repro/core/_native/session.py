@@ -31,7 +31,9 @@ frequencies the first time a tick meets it.
 
 A span returns to Python only when Python-owned state must act:
 
-* ``RK_NEED_ROWS`` — the decision fold needs a longer tail-table row;
+* ``RK_NEED_ROWS`` — a tail-table row needs cells C does not build:
+  the CLT positions past ``max_explicit``, or a cell whose quantile
+  index C cannot certify (see :class:`NativeTailRows`);
 * ``RK_SURFACE`` — a table refresh is due (C mirrors the controller's
   guards exactly); C has written both windows' pmfs, and the session
   wraps them as the profiler's snapshot for
@@ -42,9 +44,10 @@ A span returns to Python only when Python-owned state must act:
 (``rk_chip`` also returns for an occupant mask it has not seen.)
 
 Each core's run builds one session, which owns the run's ``RKState``
-and every buffer C points into: the DVFS grid, the tail-table row
-storage, the trace columns and queues, and the profiler, trimmer and
-meter arrays. Nothing outlives the run but what it exports; a Rubik
+and every buffer C points into: the DVFS grid, the tail-table rows and
+the transforms C builds them with, the trace columns and queues, and
+the profiler, trimmer and meter arrays. Nothing outlives the run but
+what it exports (the cells C built go to the tables' row lists); a Rubik
 controller keeps only the run's
 :class:`~repro.core.decision_kernel.KernelStats`. Nothing is imported
 from an earlier run either: ``Rubik.setup`` gives every run a fresh
@@ -74,6 +77,7 @@ loop.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from bisect import bisect_left
 from collections import deque
@@ -101,7 +105,8 @@ _SEG_CAP = 2048
 #: records its history.
 _HIST_CAP = 8192
 
-#: Tail-table row capacity first allocated per row; doubled on demand.
+#: Tail-table row capacity first allocated per row (at least
+#: ``max_explicit``); doubled on demand.
 _ROW_CAP = 64
 
 #: rk_span's return codes (rubik_native.c).
@@ -163,6 +168,177 @@ def check_demands(trace) -> None:
         raise ValueError("demands must be non-negative")
     if ((cycles == 0) & (memory == 0)).any():
         raise ValueError("request must have positive demand")
+
+
+@functools.lru_cache(maxsize=64)
+def _column_layout(base_len: int, max_explicit: int):
+    """(FFT size bound, power-buffer length) of a table: the size
+    ``TailTable._grow_row`` takes for each column 1..max_explicit-1
+    (at least a power of two covering the base, which column 0's CDF
+    needs), and one half spectrum (``size + 2`` doubles) per column's
+    power."""
+    sizes = [1 << (base_len + i * (base_len - 1) - 1).bit_length()
+             for i in range(1, max_explicit)]
+    return (max(sizes, default=1 << (base_len - 1).bit_length()),
+            sum(size + 2 for size in sizes))
+
+
+class NativeTailRows:
+    """The C side of a Rubik run's bound tail-table pair.
+
+    C reads each row from arrays owned here and, when a decide finds a
+    row short, builds the missing explicit cells itself (``tt_grow`` in
+    rubik_native.c): the conditioning, its own real FFT at
+    ``_grow_row``'s size, and the quantile index, accepted only when it
+    is certain to equal numpy's. A cell it cannot certify (a near-tie)
+    and every CLT position past ``max_explicit`` come back as
+    ``RK_NEED_ROWS``, and :meth:`serve` has the table build them.
+
+    The tables' append-only row lists stay the record: :meth:`bind`
+    copies a pair's built rows in, and :meth:`write_back` appends the
+    cells C built to them, before a refresh resolves a pair and at the
+    run's end, so cache hits, ``RefreshStats`` and every later read see
+    what the Python kernel would have left. Every buffer C uses (the
+    base pmfs, transforms, powers, twiddles and scratch) is an array
+    owned here; index 0 is the cycles table, 1 the memory table.
+    """
+
+    def __init__(self, st: RKState) -> None:
+        self._st = st
+        #: The bound ``TargetTailTables`` (None before the first).
+        self.tables = None
+        self._nrows = 0
+        self._row_cap = 0
+        self._fft_cap = 0
+        self._base = [np.zeros(0), np.zeros(0)]
+        self._pow = [np.zeros(0), np.zeros(0)]
+
+    def bind(self, tables) -> None:
+        """Point C at a table pair: its bounds, bases and built rows."""
+        st = self._st
+        self.tables = tables
+        if tables is None:
+            st.tables_ready = 0
+            return
+        pair = (tables.cycles, tables.memory)
+        nrows = pair[0].num_rows
+        max_explicit = pair[0].max_explicit
+        layouts = [_column_layout(t._base_len, max_explicit) for t in pair]
+        fft_max = max(layouts[0][0], layouts[1][0])
+        if (nrows != self._nrows or fft_max > self._fft_cap
+                or max_explicit > self._row_cap):
+            self._alloc(nrows, max(_ROW_CAP, max_explicit, self._row_cap),
+                        max(fft_max, self._fft_cap))
+        st.tt_max_explicit = max_explicit
+        st.tt_npow[0] = st.tt_npow[1] = 0
+        st.tt_bsize[0] = st.tt_bsize[1] = 0
+        self._rsize.fill(0)
+        self._rowlen.fill(0)
+        self._bounds[:] = (pair[0]._row_bounds_list,
+                           pair[1]._row_bounds_list)
+        for t, (table, (_, pow_len)) in enumerate(zip(pair, layouts)):
+            base_len = table._base_len
+            if base_len > self._base[t].size or pow_len > self._pow[t].size:
+                self._alloc_table(t, base_len, pow_len)
+            self._base[t][:base_len] = table.base.pmf
+            st.tt_len[t] = base_len
+            st.tt_width[t] = table.base.bucket_width
+            st.tt_eps_q[t] = table._eps_q
+            for row, tails in table._row_lists.items():
+                if len(tails) > self._row_cap:
+                    self._grow_rows(len(tails))
+                self._rows[t, row, :len(tails)] = tails
+                self._rowlen[t, row] = len(tails)
+        st.tables_ready = 1
+        st.tables_gen += 1
+
+    def write_back(self) -> None:
+        """Append the cells C built to the bound tables' row lists."""
+        if self.tables is None:
+            return
+        for t, lengths in enumerate(self._rowlen.tolist()):
+            for row, length in enumerate(lengths):
+                if length:
+                    self._write_row(t, row, length)
+
+    def serve(self, t: int, row: int, need: int) -> None:
+        """Build table ``t``'s row to ``need`` in Python, after the cells
+        C built, and hand the new cells to C."""
+        have = int(self._rowlen[t, row])
+        self._write_row(t, row, have)
+        tails = self._table(t).extended_row_list(row, need)
+        if len(tails) > self._row_cap:
+            self._grow_rows(len(tails))
+        self._rows[t, row, have:len(tails)] = tails[have:]
+        self._rowlen[t, row] = len(tails)
+
+    # ------------------------------------------------------------------
+    def _table(self, t: int):
+        return self.tables.memory if t else self.tables.cycles
+
+    def _write_row(self, t: int, row: int, length: int) -> None:
+        """Extend the row's list to C's first ``length`` cells (the list
+        is always a prefix of C's row)."""
+        lists = self._table(t)._row_lists
+        tails = lists.get(row)
+        listed = 0 if tails is None else len(tails)
+        if length > listed:
+            cells = self._rows[t, row, listed:length].tolist()
+            if tails is None:
+                lists[row] = cells
+            else:
+                tails.extend(cells)
+
+    def _alloc(self, nrows: int, row_cap: int, fft_max: int) -> None:
+        """Rows, bounds and the per-row transforms, twiddles and scratch
+        for FFT sizes up to ``fft_max``; C computes the twiddles on
+        first use."""
+        st = self._st
+        width = fft_max + 2
+        self._nrows = nrows
+        self._fft_cap = fft_max
+        self._bounds = np.zeros((2, nrows), dtype=np.float64)
+        self._rowlen = np.zeros((2, nrows), dtype=np.int64)
+        self._rsize = np.zeros((2, nrows), dtype=np.int64)
+        self._tw = np.zeros(width, dtype=np.float64)
+        self._scratch = np.zeros(width, dtype=np.float64)
+        self._btr = np.zeros((2, width), dtype=np.float64)
+        self._rtr = np.zeros((2, nrows * width), dtype=np.float64)
+        st.cbounds, st.mbounds = map(_dptr, self._bounds)
+        st.rowlen_c, st.rowlen_m = map(_iptr, self._rowlen)
+        st.tt_rsize_c, st.tt_rsize_m = map(_iptr, self._rsize)
+        st.tt_btr_c, st.tt_btr_m = map(_dptr, self._btr)
+        st.tt_rtr_c, st.tt_rtr_m = map(_dptr, self._rtr)
+        st.tt_tw = _dptr(self._tw)
+        st.tt_tw_n = 0
+        st.tt_scratch = _dptr(self._scratch)
+        st.tt_fft_max = fft_max
+        st.nrows = nrows
+        self._row_cap = 0
+        self._grow_rows(row_cap)
+
+    def _grow_rows(self, need: int) -> None:
+        cap = max(self._row_cap, 1)
+        while cap < need:
+            cap *= 2
+        rows = np.zeros((2, self._nrows, cap), dtype=np.float64)
+        if self._row_cap:
+            rows[:, :, :self._row_cap] = self._rows
+        self._rows = rows
+        self._row_cap = cap
+        st = self._st
+        st.rows_c, st.rows_m = map(_dptr, rows)
+        st.row_cap = cap
+
+    def _alloc_table(self, t: int, base_len: int, pow_len: int) -> None:
+        st = self._st
+        self._base[t] = np.zeros(max(base_len, self._base[t].size))
+        self._pow[t] = np.zeros(max(pow_len, self._pow[t].size))
+        base, power = _dptr(self._base[t]), _dptr(self._pow[t])
+        if t:
+            st.tt_base_m, st.tt_pow_m = base, power
+        else:
+            st.tt_base_c, st.tt_pow_c = base, power
 
 
 class NativeRunSession:
@@ -317,9 +493,8 @@ class NativeRunSession:
             st.samples_at_last_update = rubik._samples_at_last_update
             self._import_profiler()
             self._import_trimmer(n)
-            # Table row storage, allocated by the first table pair bound.
-            self._row_cap = _ROW_CAP
-            self._bind_tables(rubik.tables)
+            self._rows = NativeTailRows(st)
+            self._rows.bind(rubik.tables)
 
         # Mid-run meter/segment-log readers call flush_accounting(),
         # which exports the C sums before folding the Python buffer.
@@ -468,14 +643,17 @@ class NativeRunSession:
         self._commit_clock()
         st = self._st
         rubik = self.rubik
+        # The cache's hit accounting (columns_carried) and any later
+        # holder of the bound pair read the cells C built.
+        self._rows.write_back()
         rubik._refresh_tables(self._histogram(0, 1.0),
                               self._histogram(1, ZERO_MEMORY_WIDTH),
                               st.observed_total)
         st.last_table_update = rubik._last_table_update
         st.samples_at_last_update = rubik._samples_at_last_update
         tables = rubik.tables
-        if tables is not self._tables_obj:
-            self._bind_tables(tables)
+        if tables is not self._rows.tables:
+            self._rows.bind(tables)
 
     def _histogram(self, stream: int, point_width: float) -> Histogram:
         """Stream ``stream``'s snapshot, as ``DemandProfiler.snapshot``
@@ -490,78 +668,15 @@ class NativeRunSession:
     # ------------------------------------------------------------------
     # table binding / row filling
     # ------------------------------------------------------------------
-    def _bind_tables(self, tables) -> None:
-        """Point C at a new table pair; its rows fill lazily from the
-        tables' own append-only per-row caches on ``RK_NEED_ROWS``."""
-        st = self._st
-        self._tables_obj = tables
-        if tables is None:
-            st.tables_ready = 0
-            return
-        cbounds = tables.cycles._row_bounds_list
-        mbounds = tables.memory._row_bounds_list
-        nrows = len(cbounds)
-        assert len(mbounds) == nrows
-        if nrows != st.nrows:
-            self._cbounds_arr = np.empty(nrows, dtype=np.float64)
-            self._mbounds_arr = np.empty(nrows, dtype=np.float64)
-            self._rows_c_arr = np.zeros((nrows, self._row_cap),
-                                        dtype=np.float64)
-            self._rows_m_arr = np.zeros((nrows, self._row_cap),
-                                        dtype=np.float64)
-            self._rowlen_c_arr = np.zeros(nrows, dtype=np.int64)
-            self._rowlen_m_arr = np.zeros(nrows, dtype=np.int64)
-            st.cbounds = _dptr(self._cbounds_arr)
-            st.mbounds = _dptr(self._mbounds_arr)
-            st.rows_c = _dptr(self._rows_c_arr)
-            st.rows_m = _dptr(self._rows_m_arr)
-            st.rowlen_c = _iptr(self._rowlen_c_arr)
-            st.rowlen_m = _iptr(self._rowlen_m_arr)
-            st.nrows = nrows
-            st.row_cap = self._row_cap
-        self._cbounds_arr[:] = cbounds
-        self._mbounds_arr[:] = mbounds
-        self._rowlen_c_arr[:] = 0
-        self._rowlen_m_arr[:] = 0
-        st.tables_ready = 1
-        st.tables_gen += 1
-
     def _fill_rows(self) -> None:
-        """Service RK_NEED_ROWS: copy the tables' (append-only) cached
-        row lists into the flattened arrays, delta-only per row."""
+        """Service RK_NEED_ROWS: Python builds the rows C could not (a
+        near-tie cell, or the CLT positions)."""
         st = self._st
-        tables = self._tables_obj
-        n = st.need_len
-        crow = tables.cycles.extended_row_list(st.need_row_c, n)
-        mrow = tables.memory.extended_row_list(st.need_row_m, n)
-        need = max(len(crow), len(mrow))
-        if need > st.row_cap:
-            self._grow_rows(need)
-        rc, rm = st.need_row_c, st.need_row_m
-        old_c = int(self._rowlen_c_arr[rc])
-        if len(crow) > old_c:
-            self._rows_c_arr[rc, old_c:len(crow)] = crow[old_c:]
-            self._rowlen_c_arr[rc] = len(crow)
-        old_m = int(self._rowlen_m_arr[rm])
-        if len(mrow) > old_m:
-            self._rows_m_arr[rm, old_m:len(mrow)] = mrow[old_m:]
-            self._rowlen_m_arr[rm] = len(mrow)
-
-    def _grow_rows(self, need: int) -> None:
-        st = self._st
-        new_cap = self._row_cap
-        while new_cap < need:
-            new_cap *= 2
-        nrows = st.nrows
-        for attr_rows, attr_ptr in (("_rows_c_arr", "rows_c"),
-                                    ("_rows_m_arr", "rows_m")):
-            old = getattr(self, attr_rows)
-            new = np.zeros((nrows, new_cap), dtype=np.float64)
-            new[:, :self._row_cap] = old
-            setattr(self, attr_rows, new)
-            setattr(st, attr_ptr, _dptr(new))
-        self._row_cap = new_cap
-        st.row_cap = new_cap
+        rows = self._rows
+        if st.need_len_c:
+            rows.serve(0, st.need_row_c, st.need_len_c)
+        if st.need_len_m:
+            rows.serve(1, st.need_row_m, st.need_len_m)
 
     # ------------------------------------------------------------------
     # imports (session start)
@@ -713,6 +828,7 @@ class NativeRunSession:
             interference.penalized_requests = st.pen_count
 
         if self.rubik is not None:
+            self._rows.write_back()
             self._export_profiler()
             self._export_trimmer()
             for field, counter in _STAT_FIELDS:

@@ -247,13 +247,6 @@ class Rubik(Scheme):
             stats.cache_hits += 1
             stats.columns_carried += (tables.cycles.built_cells()
                                       + tables.memory.built_cells())
-        if tables is self.tables:
-            # Steady state: the fingerprint re-resolved to the pair the
-            # controller already holds — the decision kernel's per-queue
-            # state (keyed on table identity) survives this refresh.
-            stats.object_carries += 1
-            if self.kernel_stats is not None:
-                self.kernel_stats.refresh_carries += 1
         self.tables = tables
         self._last_table_update = self.sim.now
         self._samples_at_last_update = observed

@@ -51,7 +51,7 @@ pair's *identity*: the cached ``c``/``m`` row lists are the tail
 tables' own append-only per-row caches, so a steady-state refresh that
 re-resolves the snapshot fingerprint to the same pair
 (``TailTableCache`` hit) carries the kernel's state across the refresh
-untouched (counted as ``refresh_carries``). The ``Core.queue_epoch``
+untouched. The ``Core.queue_epoch``
 counter guarantees the kernel saw exactly one queue delta since its
 last decision; any skip (a queue change it did not decide on) safely
 degrades to a full fold.
@@ -91,8 +91,6 @@ class KernelStats:
             change.
         invalidations_epoch: re-folds forced by a queue-epoch skip
             (a queue delta the kernel did not decide on).
-        refresh_carries: decisions taken after a refresh re-resolved to
-            the *same* table pair (kernel state survived the refresh).
     """
 
     idle_decisions: int = 0
@@ -105,7 +103,6 @@ class KernelStats:
     invalidations_target: int = 0
     invalidations_row: int = 0
     invalidations_epoch: int = 0
-    refresh_carries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         out = dataclasses.asdict(self)

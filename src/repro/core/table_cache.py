@@ -61,18 +61,12 @@ class RefreshStats:
             already built in reused table pairs at hit time, summed
             over both tables — lazy build work the hit avoided
             re-paying.
-        object_carries: refreshes whose cache hit re-resolved to the
-            very table pair the controller already held (steady-state
-            fingerprints). Everything keyed on table identity — notably
-            the decision kernel's incremental per-queue state — survives
-            such a refresh untouched.
     """
 
     snapshots: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     columns_carried: int = 0
-    object_carries: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -140,9 +134,11 @@ class TailTableCache:
 #: Process-wide cache every Rubik instance consults: ablation variants
 #: and repeated `compare_schemes` runs over identical demand windows
 #: share builds. Pool workers hold their own copy (bitwise-invisible).
-#: The default bound must comfortably exceed one run's refresh count
-#: (~22 at bench scale) or a rerun evicts its own fingerprints and the
-#: warm-reuse guarantee quietly degrades —
+#: A run's refresh count varies widely: a serial dvfs-sweep refreshes 2
+#: to 434 times per run (median 20), and at this bound makes 565 hits
+#: and 7,606 evictions over 8,235 lookups. A 4,096 bound raised the hits
+#: to 3,305 with no change in CPU time (one run each), so the bound
+#: stays. A cold+warm pair of one short run still fits:
 #: ``test_warm_run_hits_and_matches_cold_bitwise`` asserts zero
-#: evictions across a cold+warm pair to keep that cliff self-diagnosing.
+#: evictions across it, to keep that cliff self-diagnosing.
 TABLE_CACHE = TailTableCache()

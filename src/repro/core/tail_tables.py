@@ -161,7 +161,7 @@ class TailTable:
         count = min(count, self.max_explicit)
         if len(tails) >= count:
             return tails
-        cond = self._conditioned[row]
+        cond = self._condition(row)
         base = self.base
         base_len = self._base_len
         cond_len = cond.pmf.size

@@ -428,8 +428,6 @@ class TestKernelInternals:
         trace = Trace.generate_at_load(app, 0.5, 800, 21)
         _, _, rubik = run_decisions(trace, Rubik(), ctx)
         stats = rubik.kernel_stats
-        assert rubik.refresh_stats.object_carries > 0
-        assert stats.refresh_carries == rubik.refresh_stats.object_carries
         assert stats.invalidations_tables <= 1
         # The window normalizes to one fingerprint: at most one rebuild,
         # every other refresh a cache hit.

@@ -165,6 +165,26 @@ def test_native_state_matches_python(app, loads, seed, n, feedback,
         assert got[1] == want[1]
 
 
+def test_cache_hits_count_the_cells_c_built():
+    """Constant demand re-resolves every refresh to the pair already
+    bound: each hit counts the cells built so far (``columns_carried``),
+    which on the span loop C built, so they must be in the tables' row
+    lists before the refresh resolves the pair."""
+    import dataclasses as dc
+
+    app = dc.replace(MASSTREE, service_cv=0.0, long_fraction=0.0)
+    context = make_context(app, 21, 800)
+    trace = Trace.generate_at_load(app, 0.5, 800, 21)
+    stats = {}
+    for path in ("auto", "kernel"):
+        TABLE_CACHE.clear()
+        rubik = Rubik(path=path)
+        run_trace(trace, rubik, context)
+        stats[path] = rubik.refresh_stats.as_dict()
+    assert stats["auto"]["columns_carried"] > 0
+    assert stats["auto"] == stats["kernel"]
+
+
 # -- the percentile -----------------------------------------------------
 
 

@@ -147,6 +147,20 @@ class TestRealSources:
         # both positions drift: the swap cannot be shadowed
         assert sum("name drift" in f.message for f in found) == 2
 
+    def test_row_growth_fields_are_checked(self, real):
+        """The tail-table fields C builds rows with are mirrored too: a
+        pointee or array-length slip in the ctypes copy fires."""
+        for old, new, field in (
+                ('("tt_rsize_c", _IP)', '("tt_rsize_c", _DP)', "tt_rsize_c"),
+                ("ctypes.c_double * 2),\n        (\"tt_eps_q\"",
+                 "ctypes.c_double * 3),\n        (\"tt_eps_q\"",
+                 "tt_width")):
+            assert old in real["kernel.py"], "fixture rot: " + field
+            found = abi_findings({
+                "kernel.py": real["kernel.py"].replace(old, new, 1),
+                "rubik_native.c": real["rubik_native.c"]})
+            assert found and all(field in f.message for f in found)
+
     def test_type_mutation_in_c_copy_fires(self, real):
         m = re.search(r"^(\s*)double (\w+);", real["rubik_native.c"],
                       re.MULTILINE)
@@ -258,6 +272,24 @@ class TestPrototypes:
         assert fn.params == ("i64", "double*", "double", "double*")
         assert fn.restype == "double"
         assert not self._mutate(real, "rk_percentile", lambda args: None)
+
+    def test_parses_the_row_growth_entry_point(self, real):
+        """``rk_grow_row`` runs the span loop's tail-table row growth for
+        the eager-build property test: the state, then the table, row
+        and length as scalars."""
+        from repro.lint.c_abi import parse_functions
+
+        fn = parse_functions(real["rubik_native.c"])["rk_grow_row"]
+        assert fn.params == ("rk_state*", "i64", "i64", "i64")
+        assert fn.restype == "i64"
+        assert not self._mutate(real, "rk_grow_row", lambda args: None)
+
+        def as_double(args):
+            args[2] = "ctypes.c_double"
+
+        found = self._mutate(real, "rk_grow_row", as_double)
+        assert len(found) == 1
+        assert "#2 (C declares 'i64'" in found[0].message
 
     def test_parses_the_chip_entry_point(self, real):
         """The chip loop takes its state as plain arguments (no second
