@@ -53,7 +53,7 @@ _LIBS = ("-lm",)
 
 #: ``rk_abi_version()`` of the source this loader and the ctypes mirror
 #: (``kernel.RKState``) are written for.
-ABI_VERSION = 6
+ABI_VERSION = 7
 
 _COMPILERS = ("cc", "gcc", "clang")
 

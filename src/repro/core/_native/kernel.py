@@ -222,6 +222,9 @@ class RKState(ctypes.Structure):
         ("tt_rtr_m", _DP),
         ("tt_rsize_c", _IP),
         ("tt_rsize_m", _IP),
+        # table refresh
+        ("snap_bounds", _DP),
+        ("prof_point_width", ctypes.c_double * 2),
     ]
 
 
@@ -244,7 +247,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.rk_chip.restype = ctypes.c_int64
         lib.rk_lindley.argtypes = [
             ctypes.c_int64, _VP, _VP, _VP, _VP, ctypes.c_double,
-            _VP, _VP, _VP]
+            ctypes.c_int64, _VP, _VP, _VP]
         lib.rk_lindley.restype = ctypes.c_int64
         lib.rk_dyn_round.argtypes = [
             ctypes.c_int64, _VP, _VP, _VP, _VP, _VP, ctypes.c_int64,
@@ -257,6 +260,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.rk_grow_row.argtypes = [ctypes.POINTER(RKState), ctypes.c_int64,
                                     ctypes.c_int64, ctypes.c_int64]
         lib.rk_grow_row.restype = ctypes.c_int64
+        lib.rk_row_bounds.argtypes = [_DP, ctypes.c_int64, ctypes.c_double,
+                                      ctypes.c_int64, _DP]
+        lib.rk_row_bounds.restype = None
+        lib.rk_bind.argtypes = [ctypes.POINTER(RKState)]
+        lib.rk_bind.restype = None
         size = lib.rk_state_size()
         if size != ctypes.sizeof(RKState):
             raise RuntimeError(

@@ -4,7 +4,8 @@
  * through ctypes (src/repro/core/_native/kernel.py binds it).  A core
  * runs through rk_span, the whole-run span loop driven by session.py,
  * under one LC frequency policy: Rubik's Eq. 2, a fixed LC frequency
- * (StaticColoc) or none (a fixed-frequency run).  rk_chip steps the
+ * (StaticColoc) or none (a fixed-frequency run); an Eq. 2 core's table
+ * refreshes bind through rk_bind.  rk_chip steps the
  * cores of an HW-T/HW-TPW server together with the chip allocator's
  * ticks; the oracle searches call rk_lindley and rk_dyn_round.  Every
  * floating-point expression mirrors the Python implementation in
@@ -271,12 +272,13 @@ typedef struct {
 
     /* tail-table row growth (TailTable._grow_row, see tt_grow): table
      * 0 is the bound cycles table, 1 the memory table; every buffer is
-     * session-owned, sized by Python at bind time */
-    double *tt_base_c;           /* [tt_len[0]] the base pmf */
-    double *tt_base_m;           /* [tt_len[1]] */
+     * session-owned, sized once for the largest table the profiler can
+     * produce (prof_buckets buckets, tt_max_explicit columns) */
+    double *tt_base_c;           /* [prof_buckets] the base pmf (tt_len[0]) */
+    double *tt_base_m;           /* [prof_buckets] (tt_len[1]) */
     i64 tt_len[2];               /* base pmf lengths */
     double tt_width[2];          /* base bucket widths */
-    double tt_eps_q[2];          /* quantile - 1e-12, computed by Python */
+    double tt_eps_q[2];          /* quantile - 1e-12, set once per run */
     i64 tt_max_explicit;         /* explicit columns per row */
     i64 tt_fft_max;              /* FFT size capacity (>= every column's) */
     double *tt_tw;               /* [tt_fft_max + 2] twiddles (tt_twiddles) */
@@ -292,11 +294,17 @@ typedef struct {
     double *tt_rtr_m;            /*   conditioned pmf's transform */
     i64 *tt_rsize_c;             /* [nrows] its FFT size; 0: none */
     i64 *tt_rsize_m;
+
+    /* table refresh: at RK_SURFACE C leaves the demand snapshot -- each
+     * window's pmf (prof_pmf, or a point mass where prof_valid is 0)
+     * and its table's row bounds -- and rk_bind binds it as the pair */
+    double *snap_bounds;         /* [2 * nrows] out at RK_SURFACE */
+    double prof_point_width[2];  /* a point-mass snapshot's bucket width */
 } rk_state;
 
 i64 rk_state_size(void) { return (i64)sizeof(rk_state); }
 
-i64 rk_abi_version(void) { return 6; }
+i64 rk_abi_version(void) { return 7; }
 
 /* ------------------------------------------------------------------ */
 /* bisect re-implementations (exact Python semantics on doubles)      */
@@ -975,17 +983,25 @@ static i64 tt_grow(rk_state *s, i64 t, i64 row, i64 n) {
             double bound = tt_error_bound(size, i);
             if (!(4.0 * bound < TT_MARGIN))
                 return i + 1;
-            if (*v.rsize != size) {
-                for (i64 j = 0; j < size; j++)
-                    v.rtr[j] = j >= clen ? 0.0
-                        : point ? 1.0 : shift > 0 ? src[j] / total : src[j];
-                tt_rfft(v.rtr, size, s->tt_tw, s->tt_tw_n);
-                *v.rsize = size;
-            }
             while (s->tt_npow[t] < i)
                 tt_build_power(s, t, &v, s->tt_npow[t] + 1);
-            const double *p = v.pow + tt_pow_offset(len, i);
             i64 bins = size / 2 + 1;
+            if (*v.rsize != size) {
+                if (shift == 0 && s->tt_bsize[t] == size) {
+                    /* Row 0 conditions on no elapsed work: its transform
+                     * is the base's at this size (same input, same code) */
+                    for (i64 k = 0; k < 2 * bins; k++)
+                        v.rtr[k] = v.btr[k];
+                } else {
+                    for (i64 j = 0; j < size; j++)
+                        v.rtr[j] = j >= clen ? 0.0
+                            : point ? 1.0 : shift > 0 ? src[j] / total
+                            : src[j];
+                    tt_rfft(v.rtr, size, s->tt_tw, s->tt_tw_n);
+                }
+                *v.rsize = size;
+            }
+            const double *p = v.pow + tt_pow_offset(len, i);
             for (i64 k = 0; k < bins; k++) {
                 double ar = v.rtr[2 * k], ai = v.rtr[2 * k + 1];
                 double br = p[2 * k], bi = p[2 * k + 1];
@@ -1018,6 +1034,80 @@ static i64 tt_grow(rk_state *s, i64 t, i64 row, i64 n) {
  * build in tests/core/test_lazy_tail_tables.py. */
 i64 rk_grow_row(rk_state *s, i64 t, i64 row, i64 n) {
     return tt_grow(s, t, row, n);
+}
+
+/* ------------------------------------------------------------------ */
+/* table refresh: the snapshot's row bounds and the bind              */
+/* ------------------------------------------------------------------ */
+/* TailTable.__init__'s row bounds of the base pmf[0..len) with bucket
+ * width `width`: row 0 starts at 0.0, and row r >= 1 at the upper edge
+ * of the first bucket whose CDF -- np.cumsum's sequential sum -- reaches
+ * r / nrows - 1e-12 (np.searchsorted, side "left"), capped at the last
+ * bucket.  The thresholds rise with r and the CDF never falls, so one
+ * walk up the CDF meets every crossing a binary search finds. */
+void rk_row_bounds(const double *pmf, i64 len, double width, i64 nrows,
+                   double *out) {
+    out[0] = 0.0;
+    i64 idx = 0;
+    double cdf = pmf[0];
+    for (i64 r = 1; r < nrows; r++) {
+        double thr = (double)r / (double)nrows - 1e-12;
+        while (idx < len && cdf < thr) {
+            idx++;
+            if (idx < len)
+                cdf += pmf[idx];
+        }
+        i64 k = idx < len - 1 ? idx : len - 1;
+        out[r] = (double)(k + 1) * width;
+    }
+}
+
+/* Stream k's snapshot table's row bounds, into snap_bounds (a point
+ * mass is the one-bucket pmf DemandProfiler.snapshot gives). */
+static void snapshot_bounds(rk_state *s, i64 k) {
+    static const double point = 1.0;
+    double *out = s->snap_bounds + k * s->nrows;
+    if (s->prof_valid[k])
+        rk_row_bounds(s->prof_pmf + k * s->prof_buckets, s->prof_buckets,
+                      s->prof_width[k], s->nrows, out);
+    else
+        rk_row_bounds(&point, 1, s->prof_point_width[k], s->nrows, out);
+}
+
+/* Bind the snapshot the last RK_SURFACE left as the table pair, after a
+ * refresh resolved a pair other than the bound one.  That pair is a pure
+ * function of the snapshot (a cache hit's fingerprint is these pmf bytes
+ * and widths), so its bases and row bounds are these, bit for bit.
+ * Every row starts empty and every transform and power is rebuilt on
+ * first use; the session then copies a hit's built rows in. */
+void rk_bind(rk_state *s) {
+    for (i64 t = 0; t < 2; t++) {
+        double *base = t ? s->tt_base_m : s->tt_base_c;
+        if (s->prof_valid[t]) {
+            const double *pmf = s->prof_pmf + t * s->prof_buckets;
+            for (i64 j = 0; j < s->prof_buckets; j++)
+                base[j] = pmf[j];
+            s->tt_len[t] = s->prof_buckets;
+            s->tt_width[t] = s->prof_width[t];
+        } else {
+            base[0] = 1.0;
+            s->tt_len[t] = 1;
+            s->tt_width[t] = s->prof_point_width[t];
+        }
+        const double *snap = s->snap_bounds + t * s->nrows;
+        double *bounds = t ? s->mbounds : s->cbounds;
+        i64 *rowlen = t ? s->rowlen_m : s->rowlen_c;
+        i64 *rsize = t ? s->tt_rsize_m : s->tt_rsize_c;
+        for (i64 r = 0; r < s->nrows; r++) {
+            bounds[r] = snap[r];
+            rowlen[r] = 0;
+            rsize[r] = 0;
+        }
+        s->tt_npow[t] = 0;
+        s->tt_bsize[t] = 0;
+    }
+    s->tables_ready = 1;
+    s->tables_gen++;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1586,12 +1676,15 @@ static i64 refresh_due(const rk_state *s) {
     return 1;
 }
 
-/* Surface for a due refresh, with both pmfs ready for the snapshot. */
+/* Surface for a due refresh, with both pmfs and their tables' row
+ * bounds ready for the snapshot. */
 static i64 refresh_surface(rk_state *s) {
     if (!refresh_due(s))
         return 0;
-    prof_snapshot(s, 0);
-    prof_snapshot(s, 1);
+    for (i64 k = 0; k < 2; k++) {
+        prof_snapshot(s, k);
+        snapshot_bounds(s, k);
+    }
     return 1;
 }
 
@@ -1902,10 +1995,11 @@ i64 rk_chip(i64 ncores, rk_state **cores, double period, double horizon,
  * arrival - (cs - svc), a running max, then + cs -- and not the
  * max(arrival, prev) + svc recurrence, which can differ by an ulp.
  * Writes svc, finish and response; returns the count of responses
- * above bound. */
+ * above bound, or `stop` as soon as that many are (the replay is then
+ * infeasible, and the buffers past that response are left unwritten). */
 i64 rk_lindley(i64 n, const double *arrival, const double *hi,
                const double *lo, const uint8_t *mask, double bound,
-               double *svc, double *finish, double *response) {
+               i64 stop, double *svc, double *finish, double *response) {
     double cs = 0.0;
     double run = 0.0;
     i64 above = 0;
@@ -1921,6 +2015,8 @@ i64 rk_lindley(i64 n, const double *arrival, const double *hi,
         finish[i] = f;
         response[i] = r;
         above += r > bound;
+        if (above >= stop)
+            break;
     }
     return above;
 }

@@ -35,9 +35,11 @@ A span returns to Python only when Python-owned state must act:
   the CLT positions past ``max_explicit``, or a cell whose quantile
   index C cannot certify (see :class:`NativeTailRows`);
 * ``RK_SURFACE`` — a table refresh is due (C mirrors the controller's
-  guards exactly); C has written both windows' pmfs, and the session
-  wraps them as the profiler's snapshot for
-  :meth:`Rubik._refresh_tables`;
+  guards exactly); C has written both windows' pmfs and their tables'
+  row bounds, and the session wraps the pmfs as the profiler's snapshot
+  for :meth:`Rubik._refresh_tables`, whose tables take C's bounds on a
+  cache miss. When the resolved pair is not the bound one, C binds the
+  snapshot itself (``rk_bind``, see :class:`NativeTailRows`);
 * ``RK_FLUSH_SEGMENTS`` / ``RK_FLUSH_HISTORY`` — the segment log or the
   DVFS history a caller asked for filled its buffer.
 
@@ -108,6 +110,10 @@ _HIST_CAP = 8192
 #: Tail-table row capacity first allocated per row (at least
 #: ``max_explicit``); doubled on demand.
 _ROW_CAP = 64
+
+#: Bucket width of each stream's point-mass snapshot (cycles, memory),
+#: as ``DemandProfiler.snapshot`` builds it.
+_POINT_WIDTHS = (1.0, ZERO_MEMORY_WIDTH)
 
 #: rk_span's return codes (rubik_native.c).
 RK_DONE = 0
@@ -194,63 +200,78 @@ class NativeTailRows:
     and every CLT position past ``max_explicit`` come back as
     ``RK_NEED_ROWS``, and :meth:`serve` has the table build them.
 
-    The tables' append-only row lists stay the record: :meth:`bind`
-    copies a pair's built rows in, and :meth:`write_back` appends the
-    cells C built to them, before a refresh resolves a pair and at the
-    run's end, so cache hits, ``RefreshStats`` and every later read see
-    what the Python kernel would have left. Every buffer C uses (the
-    base pmfs, transforms, powers, twiddles and scratch) is an array
-    owned here; index 0 is the cycles table, 1 the memory table.
+    C binds every table switch itself, from the demand snapshot it
+    surfaced with (``rk_bind``: the bases, bucket widths and row
+    bounds). The resolved pair is a pure function of that snapshot — a
+    cache hit's fingerprint is its pmf bytes and widths — so its bases
+    and bounds are the snapshot's bit for bit, and :meth:`bind` only
+    copies a hit's built rows in. The tables' append-only row lists
+    stay the record: :meth:`write_back` appends the cells C built to
+    them, before a refresh resolves a pair and at the run's end, so
+    cache hits, ``RefreshStats`` and every later read see what the
+    Python kernel would have left.
+
+    Every buffer C uses (the bases, bounds, rows, transforms, powers,
+    twiddles and scratch) is an array owned here, allocated once for
+    the largest table the run's profiler can produce: ``max_buckets``
+    buckets and ``max_explicit`` columns. Only the rows grow, for the
+    CLT positions. Index 0 is the cycles table, 1 the memory table.
     """
 
-    def __init__(self, st: RKState) -> None:
+    def __init__(self, st: RKState, lib, nrows: int, max_buckets: int,
+                 max_explicit: int, quantile: float) -> None:
         self._st = st
+        self._ref = ctypes.byref(st)
+        self._rk_bind = lib.rk_bind
         #: The bound ``TargetTailTables`` (None before the first).
         self.tables = None
-        self._nrows = 0
+        fft_max, pow_len = _column_layout(max_buckets, max_explicit)
+        width = fft_max + 2
+        self._snap = np.zeros((2, nrows), dtype=np.float64)
+        self._bounds = np.zeros((2, nrows), dtype=np.float64)
+        self._rowlen = np.zeros((2, nrows), dtype=np.int64)
+        self._rsize = np.zeros((2, nrows), dtype=np.int64)
+        self._base = np.zeros((2, max_buckets), dtype=np.float64)
+        self._pow = np.zeros((2, pow_len), dtype=np.float64)
+        self._btr = np.zeros((2, width), dtype=np.float64)
+        self._rtr = np.zeros((2, nrows * width), dtype=np.float64)
+        self._tw = np.zeros(width, dtype=np.float64)
+        self._scratch = np.zeros(width, dtype=np.float64)
+        st.nrows = nrows
+        st.snap_bounds = _dptr(self._snap)
+        st.cbounds, st.mbounds = map(_dptr, self._bounds)
+        st.rowlen_c, st.rowlen_m = map(_iptr, self._rowlen)
+        st.tt_rsize_c, st.tt_rsize_m = map(_iptr, self._rsize)
+        st.tt_base_c, st.tt_base_m = map(_dptr, self._base)
+        st.tt_pow_c, st.tt_pow_m = map(_dptr, self._pow)
+        st.tt_btr_c, st.tt_btr_m = map(_dptr, self._btr)
+        st.tt_rtr_c, st.tt_rtr_m = map(_dptr, self._rtr)
+        st.tt_tw = _dptr(self._tw)
+        st.tt_scratch = _dptr(self._scratch)
+        st.tt_fft_max = fft_max
+        st.tt_max_explicit = max_explicit
+        st.tt_eps_q[0] = st.tt_eps_q[1] = quantile - 1e-12
         self._row_cap = 0
-        self._fft_cap = 0
-        self._base = [np.zeros(0), np.zeros(0)]
-        self._pow = [np.zeros(0), np.zeros(0)]
+        self._grow_rows(max(_ROW_CAP, max_explicit))
+
+    def snapshot_bounds(self) -> List[List[float]]:
+        """The (cycles, memory) row bounds C computed for the snapshot
+        it surfaced with."""
+        return self._snap.tolist()
 
     def bind(self, tables) -> None:
-        """Point C at a table pair: its bounds, bases and built rows."""
-        st = self._st
+        """Point C at the pair a refresh resolved for the snapshot C
+        surfaced with: C binds the snapshot, then a hit's built rows
+        are copied in."""
         self.tables = tables
-        if tables is None:
-            st.tables_ready = 0
-            return
-        pair = (tables.cycles, tables.memory)
-        nrows = pair[0].num_rows
-        max_explicit = pair[0].max_explicit
-        layouts = [_column_layout(t._base_len, max_explicit) for t in pair]
-        fft_max = max(layouts[0][0], layouts[1][0])
-        if (nrows != self._nrows or fft_max > self._fft_cap
-                or max_explicit > self._row_cap):
-            self._alloc(nrows, max(_ROW_CAP, max_explicit, self._row_cap),
-                        max(fft_max, self._fft_cap))
-        st.tt_max_explicit = max_explicit
-        st.tt_npow[0] = st.tt_npow[1] = 0
-        st.tt_bsize[0] = st.tt_bsize[1] = 0
-        self._rsize.fill(0)
-        self._rowlen.fill(0)
-        self._bounds[:] = (pair[0]._row_bounds_list,
-                           pair[1]._row_bounds_list)
-        for t, (table, (_, pow_len)) in enumerate(zip(pair, layouts)):
-            base_len = table._base_len
-            if base_len > self._base[t].size or pow_len > self._pow[t].size:
-                self._alloc_table(t, base_len, pow_len)
-            self._base[t][:base_len] = table.base.pmf
-            st.tt_len[t] = base_len
-            st.tt_width[t] = table.base.bucket_width
-            st.tt_eps_q[t] = table._eps_q
+        self._rk_bind(self._ref)
+        for t, table in enumerate((tables.cycles, tables.memory)):
             for row, tails in table._row_lists.items():
-                if len(tails) > self._row_cap:
-                    self._grow_rows(len(tails))
-                self._rows[t, row, :len(tails)] = tails
-                self._rowlen[t, row] = len(tails)
-        st.tables_ready = 1
-        st.tables_gen += 1
+                length = len(tails)
+                if length > self._row_cap:
+                    self._grow_rows(length)
+                self._rows[t, row, :length] = tails
+                self._rowlen[t, row] = length
 
     def write_back(self) -> None:
         """Append the cells C built to the bound tables' row lists."""
@@ -289,39 +310,11 @@ class NativeTailRows:
             else:
                 tails.extend(cells)
 
-    def _alloc(self, nrows: int, row_cap: int, fft_max: int) -> None:
-        """Rows, bounds and the per-row transforms, twiddles and scratch
-        for FFT sizes up to ``fft_max``; C computes the twiddles on
-        first use."""
-        st = self._st
-        width = fft_max + 2
-        self._nrows = nrows
-        self._fft_cap = fft_max
-        self._bounds = np.zeros((2, nrows), dtype=np.float64)
-        self._rowlen = np.zeros((2, nrows), dtype=np.int64)
-        self._rsize = np.zeros((2, nrows), dtype=np.int64)
-        self._tw = np.zeros(width, dtype=np.float64)
-        self._scratch = np.zeros(width, dtype=np.float64)
-        self._btr = np.zeros((2, width), dtype=np.float64)
-        self._rtr = np.zeros((2, nrows * width), dtype=np.float64)
-        st.cbounds, st.mbounds = map(_dptr, self._bounds)
-        st.rowlen_c, st.rowlen_m = map(_iptr, self._rowlen)
-        st.tt_rsize_c, st.tt_rsize_m = map(_iptr, self._rsize)
-        st.tt_btr_c, st.tt_btr_m = map(_dptr, self._btr)
-        st.tt_rtr_c, st.tt_rtr_m = map(_dptr, self._rtr)
-        st.tt_tw = _dptr(self._tw)
-        st.tt_tw_n = 0
-        st.tt_scratch = _dptr(self._scratch)
-        st.tt_fft_max = fft_max
-        st.nrows = nrows
-        self._row_cap = 0
-        self._grow_rows(row_cap)
-
     def _grow_rows(self, need: int) -> None:
         cap = max(self._row_cap, 1)
         while cap < need:
             cap *= 2
-        rows = np.zeros((2, self._nrows, cap), dtype=np.float64)
+        rows = np.zeros((2, self._rowlen.shape[1], cap), dtype=np.float64)
         if self._row_cap:
             rows[:, :, :self._row_cap] = self._rows
         self._rows = rows
@@ -329,16 +322,6 @@ class NativeTailRows:
         st = self._st
         st.rows_c, st.rows_m = map(_dptr, rows)
         st.row_cap = cap
-
-    def _alloc_table(self, t: int, base_len: int, pow_len: int) -> None:
-        st = self._st
-        self._base[t] = np.zeros(max(base_len, self._base[t].size))
-        self._pow[t] = np.zeros(max(pow_len, self._pow[t].size))
-        base, power = _dptr(self._base[t]), _dptr(self._pow[t])
-        if t:
-            st.tt_base_m, st.tt_pow_m = base, power
-        else:
-            st.tt_base_c, st.tt_pow_c = base, power
 
 
 class NativeRunSession:
@@ -493,8 +476,9 @@ class NativeRunSession:
             st.samples_at_last_update = rubik._samples_at_last_update
             self._import_profiler()
             self._import_trimmer(n)
-            self._rows = NativeTailRows(st)
-            self._rows.bind(rubik.tables)
+            self._rows = NativeTailRows(
+                st, lib, rubik.num_rows, rubik.profiler.num_buckets,
+                rubik.max_explicit, rubik.context.tail_quantile)
 
         # Mid-run meter/segment-log readers call flush_accounting(),
         # which exports the C sums before folding the Python buffer.
@@ -536,9 +520,9 @@ class NativeRunSession:
         listeners other than ``listeners``, monkeypatched core methods,
         subclassed simulator, core, profiler, trimmer, meter or power
         model, a frequency off ``grid``, pre-populated state: a queue,
-        completions, a profiler or trimmer window, a meter with recorded
-        time, an arrival before the clock) falls back to the Python
-        event loop, which handles everything.
+        completions, a profiler or trimmer window, bound tables, a meter
+        with recorded time, an arrival before the clock) falls back to
+        the Python event loop, which handles everything.
         """
         # The Python loop starts an arrival that predates the clock at
         # the clock (``schedule_entry`` clamps it); C does not clamp.
@@ -581,7 +565,7 @@ class NativeRunSession:
         if policy == LC_EQ2:
             profiler = scheme.profiler
             if (type(profiler) is not DemandProfiler
-                    or profiler.total_observed):
+                    or profiler.total_observed or scheme.tables is not None):
                 return False
             trimmer = scheme.trimmer
             if trimmer is not None and (
@@ -638,30 +622,32 @@ class NativeRunSession:
 
     def _refresh(self) -> None:
         """A table refresh is due before the owed decision: hand C's
-        profiler snapshot to the controller and bind the resolved
-        tables. The trimmer's target stays C's."""
+        profiler snapshot and row bounds to the controller, and bind
+        the resolved tables when they changed. The trimmer's target
+        stays C's."""
         self._commit_clock()
         st = self._st
         rubik = self.rubik
+        rows = self._rows
         # The cache's hit accounting (columns_carried) and any later
         # holder of the bound pair read the cells C built.
-        self._rows.write_back()
-        rubik._refresh_tables(self._histogram(0, 1.0),
-                              self._histogram(1, ZERO_MEMORY_WIDTH),
-                              st.observed_total)
+        rows.write_back()
+        rubik._refresh_tables(self._histogram(0), self._histogram(1),
+                              st.observed_total, rows.snapshot_bounds())
         st.last_table_update = rubik._last_table_update
         st.samples_at_last_update = rubik._samples_at_last_update
         tables = rubik.tables
-        if tables is not self._rows.tables:
-            self._rows.bind(tables)
+        if tables is not rows.tables:
+            rows.bind(tables)
 
-    def _histogram(self, stream: int, point_width: float) -> Histogram:
+    def _histogram(self, stream: int) -> Histogram:
         """Stream ``stream``'s snapshot, as ``DemandProfiler.snapshot``
         builds it: C's normalized pmf, or the point mass at zero when
         the window's maximum is not positive."""
         st = self._st
         if not st.prof_valid[stream]:
-            return Histogram.point_mass(0.0, bucket_width=point_width)
+            return Histogram.point_mass(
+                0.0, bucket_width=_POINT_WIDTHS[stream])
         return Histogram._from_normalized(st.prof_width[stream],
                                           self._prof_pmf[stream].copy())
 
@@ -697,6 +683,7 @@ class NativeRunSession:
         for k in range(2):
             st.prof_max[k] = -np.inf
             st.prof_rebin[k] = 1
+            st.prof_point_width[k] = _POINT_WIDTHS[k]
 
     def _import_trimmer(self, n: int) -> None:
         st = self._st

@@ -29,7 +29,7 @@ or per-request hints (contrast with Adrenaline).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.config import check_size
 from repro.core.decision_kernel import DecisionKernel, KernelStats
@@ -57,9 +57,11 @@ DEFAULT_UPDATE_PERIOD_S = 0.1
 #: The decision paths ``Rubik(path=...)`` accepts.
 PATHS = ("auto", "kernel", "scalar")
 
-#: The methods the native span loop stands in for: a subclass that
-#: overrides any of them keeps the Python event loop.
-_SPAN_HOOKS = ("on_arrival", "on_completion", "_maybe_refresh_tables")
+#: The methods the native span loop stands in for, or whose result it
+#: binds as a pure function of its snapshot: a subclass that overrides
+#: any of them keeps the Python event loop.
+_SPAN_HOOKS = ("on_arrival", "on_completion", "_maybe_refresh_tables",
+               "_refresh_tables")
 
 
 class Rubik(Scheme):
@@ -218,17 +220,22 @@ class Rubik(Scheme):
         assert snapshot is not None
         self._refresh_tables(*snapshot, profiler.total_observed)
 
-    def _refresh_tables(self, cycles: Histogram, memory: Histogram,
-                        observed: int) -> None:
+    def _refresh_tables(
+            self, cycles: Histogram, memory: Histogram, observed: int,
+            row_bounds: Optional[Sequence[List[float]]] = None) -> None:
         """Resolve the table pair of a demand snapshot taken after
         ``observed`` completions. The native span loop calls this with
-        its own profiler's snapshot when C finds a refresh due."""
+        its own profiler's snapshot when C finds a refresh due, and with
+        the (cycles, memory) tables' row bounds C computed for it, which
+        a miss's tables take instead of computing them."""
         stats = self.refresh_stats
         stats.snapshots += 1
         # A table pair is a pure function of the snapshot + parameters,
         # so an unchanged fingerprint reuses the previous build outright
-        # — including every lazily built row / FFT power it has
-        # accumulated since (value-identical to rebuilding).
+        # — including every lazily built row it has accumulated since
+        # (value-identical to rebuilding), and the FFT powers Python's
+        # own row builds made. The span loop carries only the rows over
+        # into C, which rebuilds its own transforms.
         key = snapshot_fingerprint(
             cycles, memory, self.context.tail_quantile,
             self.num_rows, self.max_explicit)
@@ -240,6 +247,7 @@ class Rubik(Scheme):
                 quantile=self.context.tail_quantile,
                 num_rows=self.num_rows,
                 max_explicit=self.max_explicit,
+                row_bounds=row_bounds,
             )
             TABLE_CACHE.put(key, tables)
             stats.cache_misses += 1

@@ -135,10 +135,13 @@ class TailTableCache:
 #: and repeated `compare_schemes` runs over identical demand windows
 #: share builds. Pool workers hold their own copy (bitwise-invisible).
 #: A run's refresh count varies widely: a serial dvfs-sweep refreshes 2
-#: to 434 times per run (median 20), and at this bound makes 565 hits
-#: and 7,606 evictions over 8,235 lookups. A 4,096 bound raised the hits
-#: to 3,305 with no change in CPU time (one run each), so the bound
-#: stays. A cold+warm pair of one short run still fits:
+#: to 434 times per run (median 20). At seed offset 1 and this bound it
+#: makes 533 hits and 7,545 evictions over 8,142 lookups, and the native
+#: span loop builds 160,524 table cells (counted as the session writes
+#: them back to the row lists). A 4,096 bound makes 3,141 hits, yet the
+#: cells built fall only to 141,192 (-12%): the windows that repeat are
+#: shallow ones. The process then peaks at 85 MB instead of 49 MB, so
+#: the bound stays. A cold+warm pair of one short run still fits:
 #: ``test_warm_run_hits_and_matches_cold_bitwise`` asserts zero
 #: evictions across it, to keep that cliff self-diagnosing.
 TABLE_CACHE = TailTableCache()

@@ -21,8 +21,9 @@ The build shares work across cells: cell ``(r, i)`` is the quantile of
 ``cond_r * base^(*i)`` (``*`` denoting convolution), so each cell is one
 multiply by a shared power of the base's transform and one inverse FFT,
 instead of a chain of sequential convolutions. And it builds only what
-is read: construction computes the row bounds alone, and each row is
-conditioned and extended on first read, to the deepest position read —
+is read: construction computes the row bounds alone (or takes them
+from the caller: the native span loop's C computes them), and each row
+is conditioned and extended on first read, to the deepest position read —
 a refresh's controller typically reads one to three rows a few
 positions deep. This is what keeps the paper's periodic refresh at the
 ~0.2 ms scale.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class TailTable:
         quantile: float = 0.95,
         num_rows: int = DEFAULT_NUM_ROWS,
         max_explicit: int = DEFAULT_MAX_EXPLICIT,
+        row_bounds: Optional[List[float]] = None,
     ) -> None:
         """Args:
             base: distribution of per-request demand, ``P[S = c]``.
@@ -65,6 +67,10 @@ class TailTable:
             num_rows: elapsed-work bands (paper: octiles).
             max_explicit: queue positions computed by convolution; deeper
                 positions use the Gaussian approximation.
+            row_bounds: the ``num_rows`` row bounds this constructor
+                would compute, as python floats, when the caller has
+                them (the native span loop's C computes them with the
+                same arithmetic, ``rk_row_bounds``); the list is kept.
         """
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
@@ -74,21 +80,25 @@ class TailTable:
         self.quantile = quantile
         self.num_rows = num_rows
         self.max_explicit = max_explicit
-        self._z = _normal_quantile(quantile)
 
         # Row boundaries: elapsed-work quantiles of the base distribution.
         # Row r covers elapsed in [bounds[r], bounds[r+1]); row 0 is w = 0.
         # One searchsorted over the base CDF does Histogram.quantile's
         # arithmetic for every bound at once (same epsilon, same cap at
         # the last bucket, same upper bucket edge).
-        idx = base.cumulative().searchsorted(
-            np.arange(1, num_rows) / num_rows - 1e-12)
-        np.minimum(idx, base.pmf.size - 1, out=idx)
-        self.row_bounds = np.concatenate(([0.0],
-                                          (idx + 1) * base.bucket_width))
+        if row_bounds is None:
+            idx = base.cumulative().searchsorted(
+                np.arange(1, num_rows) / num_rows - 1e-12)
+            np.minimum(idx, base.pmf.size - 1, out=idx)
+            self.row_bounds = np.concatenate(([0.0],
+                                              (idx + 1) * base.bucket_width))
+            row_bounds = self.row_bounds.tolist()
+        elif len(row_bounds) != num_rows:
+            raise ValueError(f"row_bounds must hold num_rows={num_rows} "
+                             f"bounds (got {len(row_bounds)})")
         # Python-float mirror for bisect in the per-event fast path (same
         # ordering semantics as np.searchsorted side="right").
-        self._row_bounds_list = self.row_bounds.tolist()
+        self._row_bounds_list = row_bounds
 
         # Everything else is built per row on first read: a refresh's
         # controller typically reads one to three rows a few positions
@@ -107,6 +117,17 @@ class TailTable:
         #: FFT size -> [transform of base^(*1), base^(*2), ...] at that
         #: size, shared by every row's columns.
         self._powers: Dict[int, List[np.ndarray]] = {}
+
+    @functools.cached_property
+    def row_bounds(self) -> np.ndarray:
+        """The row bounds as an array (built on first read when the
+        constructor was given them)."""
+        return np.array(self._row_bounds_list)
+
+    @functools.cached_property
+    def _z(self) -> float:
+        """The standard normal quantile of the CLT positions."""
+        return _normal_quantile(self.quantile)
 
     @functools.cached_property
     def base_mean(self) -> float:
@@ -296,9 +317,16 @@ class TargetTailTables:
         quantile: float = 0.95,
         num_rows: int = DEFAULT_NUM_ROWS,
         max_explicit: int = DEFAULT_MAX_EXPLICIT,
+        row_bounds: Optional[Sequence[List[float]]] = None,
     ) -> None:
-        self.cycles = TailTable(cycles, quantile, num_rows, max_explicit)
-        self.memory = TailTable(memory, quantile, num_rows, max_explicit)
+        """``row_bounds``: the (cycles, memory) tables' row bounds, when
+        the caller has them (see :class:`TailTable`)."""
+        cycle_bounds, memory_bounds = (
+            (None, None) if row_bounds is None else row_bounds)
+        self.cycles = TailTable(cycles, quantile, num_rows, max_explicit,
+                                cycle_bounds)
+        self.memory = TailTable(memory, quantile, num_rows, max_explicit,
+                                memory_bounds)
 
     def constraint(self, position: int, elapsed_cycles: float,
                    elapsed_memory_s: float) -> tuple:

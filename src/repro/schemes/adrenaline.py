@@ -28,6 +28,7 @@ from repro.schemes.replay import (
     ReplayResult,
     bound_met_by_count,
     busy_energy,
+    failing_count,
     lindley_finish_times,
     meets_bound,
     replay,
@@ -114,7 +115,9 @@ class _CandidateReplays:
 class _NativeCandidateReplays(_CandidateReplays):
     """:class:`_CandidateReplays` with each replay one ``rk_lindley``
     call into buffers reused across candidates; a feasible run returns
-    copies. Every address is taken once per tune or per threshold."""
+    copies. Every address is taken once per tune or per threshold. A
+    replay stops at the count of responses over the bound that makes it
+    infeasible (:func:`failing_count`), whose buffers are never read."""
 
     def __init__(self, lib, trace: Trace, service: List[np.ndarray],
                  bound_s: float, pct: float) -> None:
@@ -127,6 +130,7 @@ class _NativeCandidateReplays(_CandidateReplays):
         self._out = np.empty((3, len(trace)))
         self._out_at = [row.ctypes.data for row in self._out]
         self._boosted_at = 0
+        self._stop = failing_count(len(trace), pct)
 
     def classify(self, threshold_cycles: float) -> None:
         super().classify(threshold_cycles)
@@ -137,7 +141,7 @@ class _NativeCandidateReplays(_CandidateReplays):
         above = self._replay(
             n, self._arrivals_at, self._service_at[bi],
             self._service_at[si], self._boosted_at, self.bound_s,
-            *self._out_at)
+            self._stop, *self._out_at)
         met = bound_met_by_count(n, above, self.pct)
         if met is None:
             met = bool(np.percentile(self._out[2], self.pct) <= self.bound_s)

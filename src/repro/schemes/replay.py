@@ -95,9 +95,17 @@ def bound_met_by_count(n: int, above: int, pct: float) -> Optional[bool]:
     k = int((n - 1) * pct / 100.0)
     if above <= n - 1 - min(k + 2, n - 1):
         return True  # sorted response min(floor(h) + 2, n - 1) in bound
-    if above >= n - max(k - 1, 0):
+    if above >= failing_count(n, pct):
         return False  # sorted response max(floor(h) - 1, 0) above it
     return None
+
+
+def failing_count(n: int, pct: float) -> int:
+    """The fewest of ``n`` responses over a bound for which
+    :func:`bound_met_by_count` answers False: from then on the
+    sorted response ``max(floor(h) - 1, 0)`` lies above the bound, so a
+    replay can stop counting there."""
+    return n - max(int((n - 1) * pct / 100.0) - 1, 0)
 
 
 def meets_bound(response: np.ndarray, bound_s: float, pct: float) -> bool:

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core._native import build
 from repro.core._native.kernel import RKState, oracle_library
-from repro.core._native.session import NativeTailRows
+from repro.core._native.session import NativeTailRows, _dptr
 from repro.core.histogram import Histogram, _normal_quantile
 from repro.core.tail_tables import TailTable, TargetTailTables
 
@@ -127,17 +127,33 @@ class NativeFill:
     """Builds a table's rows as the span loop's decide does: C fills the
     explicit cells it can certify (``rk_grow_row``), and
     ``NativeTailRows.serve`` has the table build the rest, counting the
-    explicit cells C handed to Python."""
+    explicit cells C handed to Python.
+
+    C binds a pair from a demand snapshot (``rk_bind``): here both
+    windows' pmfs are the table's base, and the row bounds C computes
+    for them (``rk_row_bounds``) must be the table's own."""
 
     def __init__(self, table: TailTable) -> None:
         self.table = table
         self.lib = oracle_library()
         self.st = RKState()
         self.ref = ctypes.byref(self.st)
-        self.rows = NativeTailRows(self.st)
-        # C binds a pair: the table under test fills slot 0, and a table
-        # on a copy of its base (no caches shared) stands in for slot 1.
         base = table.base
+        size = base.pmf.size
+        self.pmf = np.stack([base.pmf, base.pmf])
+        self.st.prof_buckets = size
+        self.st.prof_pmf = _dptr(self.pmf)
+        for k in range(2):
+            self.st.prof_valid[k] = 1
+            self.st.prof_width[k] = base.bucket_width
+        self.rows = NativeTailRows(self.st, self.lib, table.num_rows, size,
+                                   table.max_explicit, table.quantile)
+        for bounds in self.rows._snap:
+            self.lib.rk_row_bounds(_dptr(base.pmf), size, base.bucket_width,
+                                   table.num_rows, _dptr(bounds))
+        assert self.rows.snapshot_bounds() == [table._row_bounds_list] * 2
+        # The table under test fills slot 0, and a table on a copy of its
+        # base (no caches shared) stands in for slot 1.
         other = TailTable(
             Histogram._from_normalized(base.bucket_width, base.pmf.copy()),
             table.quantile, table.num_rows, table.max_explicit)

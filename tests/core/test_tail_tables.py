@@ -28,6 +28,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TailTable(lognormal_hist(), num_rows=0)
 
+    def test_given_row_bounds_build_the_same_table(self):
+        """A caller that already has the bounds the constructor would
+        compute (the native span loop) gets the same table: the list is
+        kept, the array built on first read, every cell equal."""
+        h = lognormal_hist()
+        own = TailTable(h)
+        bounds = list(own._row_bounds_list)
+        given = TailTable(h, row_bounds=bounds)
+        assert given._row_bounds_list is bounds
+        assert given.row_bounds.tolist() == own.row_bounds.tolist()
+        np.testing.assert_array_equal(given.table, own.table)
+        with pytest.raises(ValueError, match="num_rows=8"):
+            TailTable(h, row_bounds=bounds[:-1])
+
 
 class TestTailValues:
     def test_column_zero_is_request_tail(self):

@@ -161,6 +161,21 @@ class TestRealSources:
                 "rubik_native.c": real["rubik_native.c"]})
             assert found and all(field in f.message for f in found)
 
+    def test_refresh_fields_are_checked(self, real):
+        """The fields a table refresh binds from are mirrored too: the
+        snapshot's row bounds and the point-mass widths."""
+        for old, new, field in (
+                ('("snap_bounds", _DP)', '("snap_bounds", _IP)',
+                 "snap_bounds"),
+                ('("prof_point_width", ctypes.c_double * 2)',
+                 '("prof_point_width", ctypes.c_double * 1)',
+                 "prof_point_width")):
+            assert old in real["kernel.py"], "fixture rot: " + field
+            found = abi_findings({
+                "kernel.py": real["kernel.py"].replace(old, new, 1),
+                "rubik_native.c": real["rubik_native.c"]})
+            assert found and all(field in f.message for f in found)
+
     def test_type_mutation_in_c_copy_fires(self, real):
         m = re.search(r"^(\s*)double (\w+);", real["rubik_native.c"],
                       re.MULTILINE)
@@ -260,7 +275,7 @@ class TestPrototypes:
         fns = parse_functions(real["rubik_native.c"])
         assert fns["rk_lindley"].params == (
             "i64", "double*", "double*", "double*", "u8*", "double",
-            "double*", "double*", "double*")
+            "i64", "double*", "double*", "double*")
         assert fns["rk_lindley"].restype == "i64"
         assert fns["rk_span"].params == ("rk_state*",)
         assert "rk_bisect_left" not in fns  # static: not exported
@@ -290,6 +305,34 @@ class TestPrototypes:
         found = self._mutate(real, "rk_grow_row", as_double)
         assert len(found) == 1
         assert "#2 (C declares 'i64'" in found[0].message
+
+    def test_parses_the_refresh_entry_points(self, real):
+        """``rk_row_bounds`` is the pure row-bounds function (a pmf, its
+        length and bucket width, the row count, the output), and
+        ``rk_bind`` binds the surfaced snapshot; both return nothing."""
+        from repro.lint.c_abi import parse_functions
+
+        fns = parse_functions(real["rubik_native.c"])
+        assert fns["rk_row_bounds"].params == (
+            "double*", "i64", "double", "i64", "double*")
+        assert fns["rk_bind"].params == ("rk_state*",)
+        assert fns["rk_row_bounds"].restype == fns["rk_bind"].restype \
+            == "void"
+        assert not self._mutate(real, "rk_row_bounds", lambda args: None)
+
+        def swap(args):
+            # the pmf's length and its bucket width: i64, double
+            args[1], args[2] = args[2], args[1]
+
+        found = self._mutate(real, "rk_row_bounds", swap)
+        assert len(found) == 1
+        assert "#1 (C declares 'i64'" in found[0].message
+        mutated = real["kernel.py"].replace(
+            "lib.rk_bind.restype = None",
+            "lib.rk_bind.restype = ctypes.c_int64")
+        found = abi_findings({"kernel.py": mutated,
+                              "rubik_native.c": real["rubik_native.c"]})
+        assert len(found) == 1 and "return type drift" in found[0].message
 
     def test_parses_the_chip_entry_point(self, real):
         """The chip loop takes its state as plain arguments (no second

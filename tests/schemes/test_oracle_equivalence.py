@@ -35,7 +35,14 @@ from repro.schemes.adrenaline import (
 )
 from repro.schemes.base import SchemeContext
 from repro.schemes.dynamic_oracle import dynamic_oracle_schedule
-from repro.schemes.replay import lindley_finish_times, meets_bound, replay
+from repro.schemes.replay import (
+    bound_met_by_count,
+    failing_count,
+    lindley_finish_times,
+    meets_bound,
+    replay,
+    service_times,
+)
 from repro.schemes.static_oracle import find_static_frequency
 from repro.sim.trace import Trace
 from repro.workloads.apps import APPS
@@ -375,6 +382,55 @@ def test_each_path_runs_its_own_loops(path):
     assert bool(calls) == (path == "native")
     if calls:
         assert set(calls) == {"_NativeCandidateReplays", "_NativeWalks"}
+
+
+def native_lindley(trace, boosted, hi, lo, bound, stop):
+    """``rk_lindley`` on one two-level candidate: its count, and its
+    service, finish and response buffers (NaN where left unwritten)."""
+    out = np.full((3, len(trace)), np.nan)
+    count = kernel.oracle_library().rk_lindley(
+        len(trace), trace.arrivals.ctypes.data, hi.ctypes.data,
+        lo.ctypes.data, boosted.ctypes.data, bound, stop,
+        *(row.ctypes.data for row in out))
+    return count, out
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 200])
+@pytest.mark.parametrize("pct", [50.0, 95.0, 99.0])
+def test_failing_count_is_where_the_count_answers_false(n, pct):
+    stop = failing_count(n, pct)
+    assert bound_met_by_count(n, stop, pct) is False
+    assert bound_met_by_count(n, stop - 1, pct) is not False
+
+
+@pytest.mark.native
+@pytest.mark.skipif(not build.available(),
+                    reason="native library unavailable")
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("pct", [50.0, 95.0])
+def test_lindley_stops_at_the_failing_count(seed, pct):
+    """With every response over the bound, C returns exactly at
+    ``failing_count`` violations (one fewer would leave a percentile
+    to take), having written every response up to the one it stopped
+    at as the full replay does, and none after it. With one violation
+    fewer than that count, it replays the whole trace."""
+    trace = Trace.generate_at_load(APPS["xapian"], 0.9, 120, seed)
+    boosted = _classify(trace, float(np.median(trace.predicted_cycles)))
+    hi, lo = service_times(trace, GRID[-1]), service_times(trace, GRID[0])
+    svc = np.where(boosted, hi, lo)
+    finish = lindley_finish_times(trace.arrivals, svc)
+    response = finish - trace.arrivals
+    stop = failing_count(len(trace), pct)
+    for bound, above in ((0.5 * float(response.min()), len(trace)),
+                         (float(np.sort(response)[-stop]), stop - 1)):
+        assert int(np.count_nonzero(response > bound)) == above
+        count, out = native_lindley(trace, boosted, hi, lo, bound, stop)
+        assert count == min(above, stop)
+        end = (int(np.flatnonzero(response > bound)[stop - 1]) + 1
+               if above >= stop else len(trace))
+        assert np.array_equal(out[:, :end],
+                              [svc[:end], finish[:end], response[:end]])
+        assert np.isnan(out[:, end:]).all()
 
 
 # -- float32 input traces ----------------------------------------------
