@@ -10,10 +10,11 @@ exposes the same build as an optional install-time step.
 
 Dispatch is gated by the ``REPRO_NATIVE`` environment variable:
 
-* ``"1"`` — require the native kernel (build/load failures still fall
-  back to the Python kernel, with the warn-once notice).
 * ``"0"`` — never use it (the pure-Python fallback, exercised in CI).
 * ``"auto"`` / unset — use it when it builds and loads (the default).
+* ``"1"`` — the same as unset: it requires nothing, and a build or load
+  failure falls back to the Python kernel with the warn-once notice.
+  It stays a valid value so a script that sets it gets no warning.
 
 Anything else warns once per distinct value (mirroring the
 ``REPRO_MAX_WORKERS`` idiom in :mod:`repro.resilience.execution`) and is

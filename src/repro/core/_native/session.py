@@ -10,12 +10,12 @@ pop, clock advance, arrival/completion fold, the scheme's frequency
 requests, DVFS state machine, segment accounting and completion
 scheduling. Each core runs under one LC frequency policy:
 
-* ``LC_EQ2`` — a :class:`~repro.core.controller.Rubik` with
-  ``path="auto"``: the Eq. 2 decision and the listener work Rubik does
-  per completion. C keeps the demand profiler's window and bucket
-  counts, the PI trimmer (its rolling window, percentile and target)
-  and the energy meter's sums, so between table refreshes no Python
-  code runs per completion or per segment;
+* ``LC_EQ2`` — a :class:`~repro.core.controller.Rubik`: the Eq. 2
+  decision and the listener work Rubik does per completion. C keeps
+  the demand profiler's window and bucket counts, the PI trimmer (its
+  rolling window, percentile and target) and the energy meter's sums,
+  so between table refreshes no Python code runs per completion or per
+  segment;
 * ``LC_FIXED`` — a :class:`~repro.coloc.schemes.StaticColocScheme`:
   its LC frequency on each arrival and on each completion that leaves
   a request in service;

@@ -13,9 +13,10 @@ requested, and the maximum frequency when the required one exceeds the
 grid. A term with ``L - t_i - m_i <= 0`` (a request that has already
 lost its tail budget) is dropped from the max instead, and any such term
 floors the request at the nominal frequency so the backlog still drains
-(see ``_update_frequency_scalar``); every decision path, the native C
-one included, does the same. What paper Sec. 4 prescribes for such
-terms is ROADMAP item 1's open question.
+(see :class:`~repro.core.decision_kernel.DecisionKernel`, and the
+per-request reference loop in ``tests/core/test_decision_kernel.py``);
+the native C span loop does the same. What paper Sec. 4 prescribes for
+such terms is ROADMAP item 1's open question.
 
 Table refreshes are periodic (paper: every 100 ms, costing ~0.2 ms of idle
 time, which we treat as free) and piggyback on event processing; the PI
@@ -54,14 +55,12 @@ from repro.sim.request import Request
 #: Paper Sec. 4.2: the runtime refreshes the tables every 100 ms.
 DEFAULT_UPDATE_PERIOD_S = 0.1
 
-#: The decision paths ``Rubik(path=...)`` accepts.
-PATHS = ("auto", "kernel", "scalar")
-
-#: The methods the native span loop stands in for, or whose result it
-#: binds as a pure function of its snapshot: a subclass that overrides
-#: any of them keeps the Python event loop.
-_SPAN_HOOKS = ("on_arrival", "on_completion", "_maybe_refresh_tables",
-               "_refresh_tables")
+#: The methods the native span loop stands in for (``setup`` binds the
+#: Python evaluator it replaces), or whose result it binds as a pure
+#: function of its snapshot: a subclass that overrides any of them keeps
+#: the Python event loop.
+_SPAN_HOOKS = ("setup", "on_arrival", "on_completion",
+               "_maybe_refresh_tables", "_refresh_tables")
 
 
 class Rubik(Scheme):
@@ -75,7 +74,6 @@ class Rubik(Scheme):
         min_samples: int = 16,
         num_rows: int = DEFAULT_NUM_ROWS,
         max_explicit: int = DEFAULT_MAX_EXPLICIT,
-        path: str = "auto",
     ) -> None:
         """Args:
             update_period_s: target-tail-table refresh period.
@@ -89,31 +87,20 @@ class Rubik(Scheme):
                 CLT approximation takes over. The four sizes above must
                 be whole numbers >= 1 (a ``ValueError`` names the one
                 that is not).
-            path: how Eq. 2 is evaluated, one of :data:`PATHS`, fixed
-                for the controller's lifetime:
 
-                * ``"auto"`` (default) — the native C span loop
-                  (:mod:`repro.core._native.session`) runs the whole
-                  run when its library builds and loads and the run is
-                  eligible (see :meth:`native_session`); any other run
-                  uses the Python kernel (never an error: a machine
-                  without ``cc`` still runs everything).
-                * ``"kernel"`` — the incremental Python kernel
-                  (:mod:`repro.core.decision_kernel`).
-                * ``"scalar"`` — the per-request reference loop.
-
-                The three are decision-equivalent, pinned bitwise to
-                the scalar oracle by ``tests/core/test_decision_kernel.py``.
-                The ``REPRO_NATIVE`` environment variable
-                (``1``/``0``/``auto``) gates the native build
-                process-wide.
+        Eq. 2 has two evaluators, decision-equivalent and pinned bitwise
+        to a per-request reference loop by
+        ``tests/core/test_decision_kernel.py``: the native C span loop
+        (:mod:`repro.core._native.session`) runs a whole run when its
+        library builds and loads and the run is eligible (see
+        :meth:`native_session`), and the incremental Python kernel
+        (:mod:`repro.core.decision_kernel`) runs any other — never an
+        error: a machine without ``cc`` still runs everything.
+        ``REPRO_NATIVE=0`` keeps every run on the Python kernel.
         """
         if not update_period_s > 0:  # also rejects NaN
             raise ValueError(
                 f"update period must be positive (got {update_period_s!r})")
-        if path not in PATHS:
-            raise ValueError(f"path must be one of {PATHS} (got {path!r})")
-        self._path = path
         self.update_period_s = update_period_s
         self.feedback_enabled = feedback
         self.profiler = DemandProfiler(profiler_window, min_samples)
@@ -121,14 +108,14 @@ class Rubik(Scheme):
         self.max_explicit = check_size("max_explicit", max_explicit)
         #: The Python evaluator of Eq. 2, bound by setup(). The hooks run
         #: twice per simulated event, so it is the kernel's own
-        #: ``decide`` (or the scalar loop).
+        #: ``decide``.
         self._decide: Optional[Callable[[Core], None]] = None
         #: What served the current (or last) run: ``"native"`` when the
-        #: C span loop ran it, else the Python evaluator setup() bound,
-        #: ``"kernel"`` or ``"scalar"``. None before the first setup.
+        #: C span loop ran it, else ``"kernel"``. None before the first
+        #: setup.
         self.decision_path: Optional[str] = None
         #: The current (or last) run's decision-path counters; None
-        #: before the first setup and on the scalar path.
+        #: before the first setup.
         self.kernel_stats: Optional[KernelStats] = None
         self.tables: Optional[TargetTailTables] = None
         self.trimmer: Optional[LatencyTargetTrimmer] = None
@@ -144,11 +131,6 @@ class Rubik(Scheme):
     @property
     def name(self) -> str:  # type: ignore[override]
         return "Rubik" if self.feedback_enabled else "Rubik (No Feedback)"
-
-    @property
-    def path(self) -> str:
-        """The configured decision path, one of :data:`PATHS`."""
-        return self._path
 
     # ------------------------------------------------------------------
     def setup(self, sim: Simulator, core: Core, context: SchemeContext) -> None:
@@ -170,15 +152,10 @@ class Rubik(Scheme):
                 tail_percentile=context.tail_percentile,
             )
         # The kernel caches the context's DVFS grid: one per run.
-        if self._path == "scalar":
-            self._decide = self._update_frequency_scalar
-            self.kernel_stats = None
-            self.decision_path = "scalar"
-        else:
-            kernel = DecisionKernel(self)
-            self._decide = kernel.decide
-            self.kernel_stats = kernel.stats
-            self.decision_path = "kernel"
+        kernel = DecisionKernel(self)
+        self._decide = kernel.decide
+        self.kernel_stats = kernel.stats
+        self.decision_path = "kernel"
 
     def initial_frequency(self) -> float:
         """Start at max: safe before the demand model has data."""
@@ -263,14 +240,14 @@ class Rubik(Scheme):
     def native_session(self, sim: Simulator, core: Core, trace):
         """Whole-run native event loop (see ``Scheme.native_session``).
 
-        Engages for ``path="auto"`` on ``Rubik`` or a subclass that
-        overrides none of ``_SPAN_HOOKS`` (``RubikColocScheme`` only
-        renames itself), when the native library loads and the
-        core/simulator pair is eligible — otherwise None, and the
-        Python evaluator setup() bound serves the run. The controller
-        keeps the session's ``KernelStats``, never the session.
+        Engages for ``Rubik`` or a subclass that overrides none of
+        ``_SPAN_HOOKS`` (``RubikColocScheme`` only renames itself), when
+        the native library loads and the core/simulator pair is
+        eligible — otherwise None, and the Python kernel setup() bound
+        serves the run. The controller keeps the session's
+        ``KernelStats``, never the session.
         """
-        if self._path != "auto" or overrides(self, Rubik, _SPAN_HOOKS):
+        if overrides(self, Rubik, _SPAN_HOOKS):
             return None
         # Imported on first use: processes that never run Rubik skip it.
         from repro.core._native.session import NativeRunSession
@@ -280,46 +257,3 @@ class Rubik(Scheme):
             self.decision_path = "native"
             self.kernel_stats = session.stats
         return session
-
-    def _update_frequency_scalar(self, core: Core) -> None:
-        requests = core.pending_requests()
-        dvfs = self.context.dvfs
-        if not requests:
-            # Empty system: nothing constrains frequency; park at the
-            # bottom of the grid (idle power is handled by sleep states).
-            core.request_frequency(dvfs.min_hz)
-            return
-        if self.tables is None:
-            core.request_frequency(dvfs.max_hz)
-            return
-
-        now = self.sim.now
-        target = self.internal_target_s
-        elapsed_c, elapsed_m = core.current_request_elapsed()
-
-        required_hz = 0.0
-        any_hopeless = False
-        for i, req in enumerate(requests):
-            c_i, m_i = self.tables.constraint(i, elapsed_c, elapsed_m)
-            slack = target - (now - req.arrival_time) - m_i
-            if slack <= 0.0:
-                # Constraint unsatisfiable at any frequency (Eq. 2's
-                # denominator is non-positive): the request has already
-                # lost its tail budget, so burning max frequency cannot
-                # save it and it imposes no *latency* constraint of its
-                # own. It does impose a *stability* constraint: the
-                # backlog it represents must drain at least at the
-                # nominal rate, or future arrivals inherit an ever-
-                # growing queue (with no floor, a fully-hopeless queue
-                # would leave Eq. 2 unconstrained and park the core at
-                # minimum frequency — a death spiral under overload).
-                any_hopeless = True
-                continue
-            required_hz = max(required_hz, c_i / slack)
-
-        if any_hopeless:
-            required_hz = max(required_hz, dvfs.nominal_hz)
-        if required_hz >= dvfs.max_hz:
-            core.request_frequency(dvfs.max_hz)
-        else:
-            core.request_frequency(dvfs.quantize_up(required_hz))

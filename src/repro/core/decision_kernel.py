@@ -9,9 +9,10 @@ DVFS grid. Between table refreshes the constraint is a pure function of
 (tables, internal target, queue composition, head-request elapsed
 bucket): the per-position tail pairs ``(c_i, m_i)`` come from one row of
 each tail table, and the arrival times ``a_i`` are already maintained
-incrementally by the core. The scalar path nevertheless recomputes
-every term per event — O(queue) subtract/divide/compare work even when
-a single request arrived into an otherwise unchanged queue.
+incrementally by the core. Recomputing every term per event, as the
+per-request reference loop in ``tests/core/test_decision_kernel.py``
+does, is O(queue) subtract/divide/compare work even when a single
+request arrived into an otherwise unchanged queue.
 
 The kernel exploits two structural facts:
 
@@ -22,10 +23,10 @@ The kernel exploits two structural facts:
   (exact float comparison, one multiplication) already proves
   ``quantize_up(c_i / slack_i)`` cannot exceed the running step ``f``.
   Only terms that *raise* the step divide — and they replicate the
-  scalar oracle's arithmetic verbatim (same division, same
+  reference loop's arithmetic verbatim (same division, same
   ``bisect_left(grid, ratio - 1e-9)``), so the emitted
-  ``request_frequency`` value is always bit-identical to the scalar
-  path's. This *lean fold* is the workhorse at shallow queue depths,
+  ``request_frequency`` value is always bit-identical to the
+  reference's. This *lean fold* is the workhorse at shallow queue depths,
   where per-event certificates cannot amortize.
 * **Deep queues move slowly.** At depths >= ``CERT_MIN_QUEUE`` the fold
   additionally maintains conservative expiry clocks — ``tau``, before
@@ -334,7 +335,8 @@ class DecisionKernel:
                 if tau < self._tau_abs:
                     self._tau_abs = tau
             else:
-                # The new term binds: its exact step, scalar arithmetic.
+                # The new term binds: its exact step, the reference's
+                # arithmetic.
                 idx = bisect_left(grid, c_i / slack - 1e-9)
                 fidx = idx if idx < last else last
                 witness = n_idx
@@ -426,7 +428,7 @@ class DecisionKernel:
         tau/sigma clocks that unlock the O(1) paths.
 
         Non-binding terms are filtered with one multiplication; binding
-        terms replicate the scalar division + quantization verbatim.
+        terms replicate the reference's division + quantization verbatim.
         Only called at depths >= ``CERT_MIN_QUEUE`` (shallower queues
         take the inline lean fold in :meth:`decide`).
         """

@@ -3,7 +3,7 @@ docs/performance.md).
 
 The paper's runtime rebuilds its target tail tables every 100 ms
 (Sec. 4.2). In steady state the demand window barely moves between
-refreshes, and across experiment variants (ablations, scalar-vs-vector
+refreshes, and across experiment variants (ablations, native-vs-kernel
 A/B runs, `compare_schemes` seeds) *identical* demand windows recur
 constantly — yet every refresh used to rebuild
 :class:`~repro.core.tail_tables.TargetTailTables` from scratch,

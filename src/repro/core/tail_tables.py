@@ -35,7 +35,6 @@ approximation (Eq. 2).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -229,18 +228,14 @@ class TailTable:
         m = self.max_explicit
         return sum(min(len(t), m) for t in self._row_lists.values())
 
-    def _row_index(self, elapsed: float) -> int:
-        """``row_for_elapsed`` without validation or ndarray dispatch —
-        the controller calls this twice per simulated event."""
-        return bisect.bisect_right(self._row_bounds_list, elapsed) - 1
-
     def row_tails_list(self, row: int, count: int) -> List[float]:
         """The row's tails as python floats, at least ``count`` long
         (``count`` must not exceed ``max_explicit``).
 
         The returned list is the row's own append-only cache: it may be
         longer than ``count`` and grows in place when the row is later
-        read deeper, so per-event scalar loops can keep a reference.
+        read deeper, so a per-event reader (the decision kernel) can keep
+        a reference.
         """
         tails = self._row_lists.get(row)
         if tails is None or len(tails) < count:
@@ -281,8 +276,9 @@ class TailTable:
         """Row whose elapsed-work band contains ``elapsed``."""
         if elapsed < 0:
             raise ValueError("elapsed must be non-negative")
-        # ndarray method, not np.searchsorted: this runs twice per
-        # simulated event and the dispatch wrapper is measurable there.
+        # ndarray method, not np.searchsorted: the decision-oracle
+        # suite's reference loop calls this twice per simulated event,
+        # and the dispatch wrapper is measurable there.
         return int(self.row_bounds.searchsorted(elapsed, side="right")) - 1
 
     def tail(self, position: int, elapsed: float = 0.0) -> float:
@@ -298,9 +294,9 @@ class TailTable:
         if position < self.max_explicit:
             return self.row_tails_list(row, position + 1)[position]
         # CLT extension (paper: i >= 16): Gaussian with accumulated
-        # moments. math.sqrt, not np.sqrt: this runs per event past
-        # max_explicit and ndarray scalar boxing is measurable there
-        # (same bits — see Histogram.gaussian_tail).
+        # moments. math.sqrt, not np.sqrt: the reference loop reads this
+        # per event past max_explicit, and ndarray scalar boxing is
+        # measurable there (same bits — see Histogram.gaussian_tail).
         row_mean, row_var = self._row_moments(row)
         mean = row_mean + position * self.base_mean
         var = row_var + position * self.base_var
@@ -327,11 +323,3 @@ class TargetTailTables:
                                 cycle_bounds)
         self.memory = TailTable(memory, quantile, num_rows, max_explicit,
                                 memory_bounds)
-
-    def constraint(self, position: int, elapsed_cycles: float,
-                   elapsed_memory_s: float) -> tuple:
-        """(c_i, m_i): tail compute cycles and tail memory seconds until
-        completion of the request at ``position``."""
-        c_i = self.cycles.tail(position, elapsed_cycles)
-        m_i = self.memory.tail(position, elapsed_memory_s)
-        return c_i, m_i

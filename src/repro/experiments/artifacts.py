@@ -125,7 +125,7 @@ def _function_ref(fn: Callable) -> str:
 def default_kernel_tag() -> str:
     """The decision path a default ``Rubik()`` dispatches to.
 
-    All three decision paths are pinned bitwise-identical, so this knob
+    Both decision paths are pinned bitwise-identical, so this knob
     can never change a cell's *value* — but it is a code-relevant input
     (the code that actually ran), so it joins the fingerprint: a store
     filled under one kernel path never silently vouches for another.

@@ -316,10 +316,10 @@ class AdrenalineOracle(Scheme):
     def _retarget(self, core: Core) -> None:
         """Run at the boost frequency iff any pending request is long.
 
-        Walks the in-service request and the queue directly (no
-        ``pending_requests()`` list build — this runs on every arrival
-        and completion) and stops at the first long request: with only
-        two levels, one boosted request decides the outcome.
+        Walks the in-service request and the queue directly (no list
+        build — this runs on every arrival and completion) and stops at
+        the first long request: with only two levels, one boosted
+        request decides the outcome.
 
         Mid-run meter reads are not needed here, but any subclass that
         adds energy feedback must honour the flush-hook contract:

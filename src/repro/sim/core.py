@@ -191,14 +191,6 @@ class Core:
                 self.completed)
         return cols
 
-    def pending_requests(self) -> List[Request]:
-        """Requests currently in the system, oldest (in service) first."""
-        reqs: List[Request] = []
-        if self.current is not None:
-            reqs.append(self.current)
-        reqs.extend(self.queue)
-        return reqs
-
     def add_listener(self, listener: CoreListener) -> None:
         self.listeners.append(listener)
 

@@ -1,12 +1,14 @@
 """Decision-oracle suite for the incremental Eq. 2 kernel.
 
-Every decision path must be *decision-equivalent* to the scalar oracle:
-each ``Core.request_frequency`` call — including redundant ones — must
-carry the identical float, event by event, and end-of-run meter totals
-must match bitwise. The randomized sweep below drives the scalar,
-Python-kernel and (when the library builds) native C paths through
-seeded random event sequences covering bursts, profiler-window
-evictions, overload, empty-queue churn, ``n == 1``, and queues past
+Both decision paths must be *decision-equivalent* to the reference
+loop, :class:`ScalarRubik` (Eq. 2 recomputed term by term on every
+event, kept here as test code): each ``Core.request_frequency`` call —
+including redundant ones — must carry the identical float, event by
+event, and end-of-run meter totals must match bitwise. The randomized
+sweep below drives three legs, the reference, the Python kernel and
+(when the library builds) the native C span loop, through seeded
+random event sequences covering bursts, profiler-window evictions,
+overload, empty-queue churn, ``n == 1``, and queues past
 ``max_explicit``; dedicated regressions pin the hopeless/overload
 nominal floor and mid-run trimmer-target shrink.
 
@@ -15,7 +17,7 @@ the only way Rubik runs in C: it serves a whole run on an unpatched
 core, so its leg records no ``request_frequency`` calls and is compared
 through the decision log C keeps (one double per decision). It joins
 the sweep automatically when its shared library is available; on boxes
-without a C compiler the sweep degrades to the two Python paths and the
+without a C compiler the sweep degrades to the two Python legs and the
 ``native``-marked canaries report the gap as skips. Cases a span cannot
 run — hand-set tables, or a nominal frequency off the grid — keep their
 two Python legs.
@@ -34,7 +36,7 @@ from repro.core.decision_kernel import (
     KernelStats,
 )
 from repro.core.histogram import Histogram
-from repro.core.tail_tables import TargetTailTables
+from repro.core.tail_tables import DEFAULT_MAX_EXPLICIT, TargetTailTables
 from repro.experiments.common import make_context
 from repro.power.model import DEFAULT_CORE_POWER
 from repro.schemes.base import SchemeContext
@@ -50,17 +52,87 @@ _NATIVE = native_available()
 skip_without_native = pytest.mark.skipif(
     not _NATIVE, reason="native Rubik kernel library unavailable")
 
-#: ``Rubik(path=...)`` per decision path. The native C path is appended
-#: only when its library loads, so the sweep keeps pinning the two
-#: Python paths on compiler-less boxes.
+
+class ScalarRubik(Rubik):
+    """The reference evaluator of Eq. 2: every term of the queue
+    recomputed on every event from the tables' public ``tail`` reads.
+
+    Its ``setup`` binds :meth:`decide` in place of the kernel, and a
+    subclass that overrides ``setup`` never runs on the span loop, so
+    the reference always runs in Python.
+    """
+
+    def setup(self, sim, core, context):
+        super().setup(sim, core, context)
+        self._decide = self.decide
+        self.kernel_stats = None
+        self.decision_path = "scalar"
+
+    def decide(self, core):
+        requests = [] if core.current is None else [core.current]
+        requests.extend(core.queue)
+        dvfs = self.context.dvfs
+        if not requests:
+            # Empty system: nothing constrains frequency; park at the
+            # bottom of the grid (idle power is handled by sleep states).
+            core.request_frequency(dvfs.min_hz)
+            return
+        tables = self.tables
+        if tables is None:
+            core.request_frequency(dvfs.max_hz)
+            return
+
+        now = self.sim.now
+        target = self.internal_target_s
+        elapsed_c, elapsed_m = core.current_request_elapsed()
+
+        required_hz = 0.0
+        any_hopeless = False
+        for i, req in enumerate(requests):
+            c_i = tables.cycles.tail(i, elapsed_c)
+            m_i = tables.memory.tail(i, elapsed_m)
+            slack = target - (now - req.arrival_time) - m_i
+            if slack <= 0.0:
+                # Constraint unsatisfiable at any frequency (Eq. 2's
+                # denominator is non-positive): the request has already
+                # lost its tail budget, so burning max frequency cannot
+                # save it and it imposes no *latency* constraint of its
+                # own. It does impose a *stability* constraint: the
+                # backlog it represents must drain at least at the
+                # nominal rate, or future arrivals inherit an ever-
+                # growing queue (with no floor, a fully-hopeless queue
+                # would leave Eq. 2 unconstrained and park the core at
+                # minimum frequency — a death spiral under overload).
+                any_hopeless = True
+                continue
+            required_hz = max(required_hz, c_i / slack)
+
+        if any_hopeless:
+            required_hz = max(required_hz, dvfs.nominal_hz)
+        if required_hz >= dvfs.max_hz:
+            core.request_frequency(dvfs.max_hz)
+        else:
+            core.request_frequency(dvfs.quantize_up(required_hz))
+
+
+class KernelRubik(Rubik):
+    """Rubik held on the Python kernel where the library loads too."""
+
+    def native_session(self, sim, core, trace):
+        return None
+
+
+#: The controller class of each decision-oracle leg. The native C leg
+#: is added only when its library loads, so the sweep keeps pinning the
+#: two Python legs on compiler-less boxes.
 PATHS = {
-    "scalar": dict(path="scalar"),
-    "kernel": dict(path="kernel"),
+    "scalar": ScalarRubik,
+    "kernel": KernelRubik,
 }
 if _NATIVE:
-    PATHS["native"] = dict(path="auto")
+    PATHS["native"] = Rubik
 
-#: The paths that evaluate Eq. 2 per event in Python: the only ones for
+#: The legs that evaluate Eq. 2 per event in Python: the only ones for
 #: runs driven by hand, which the span loop cannot serve.
 PYTHON_PATHS = ("scalar", "kernel")
 
@@ -68,9 +140,10 @@ PYTHON_PATHS = ("scalar", "kernel")
 @pytest.mark.native
 @skip_without_native
 def test_native_path_joins_the_sweep():
-    """Canary: with the library available, every sweep below is 3-path.
+    """Canary: with the library available, every sweep below has three
+    legs.
 
-    Without it this skips — making the 2-path degradation visible in
+    Without it this skips — making the two-leg degradation visible in
     the test report instead of silently shrinking coverage.
     """
     assert "native" in PATHS
@@ -85,7 +158,7 @@ def run_decisions(trace, rubik, context):
 
     Returns (calls, core, rubik): ``calls`` is the exact sequence of
     floats the controller's decisions request, redundant requests
-    included. A run the span loop serves (``path="auto"`` with the
+    included. A run the span loop serves (a plain ``Rubik`` with the
     library loaded) runs on an unpatched core, and its calls are the
     session's decision log; any other run records the floats passed to
     ``Core.request_frequency``.
@@ -122,11 +195,11 @@ def meter_totals(core):
 
 
 def assert_paths_equivalent(trace, context, **rubik_kwargs):
-    """Every path in PATHS: identical request sequences + meter totals."""
+    """Every leg in PATHS: identical request sequences + meter totals."""
     results = {}
-    for name, flags in PATHS.items():
+    for name, make in PATHS.items():
         calls, core, rubik = run_decisions(
-            trace, Rubik(**flags, **rubik_kwargs), context)
+            trace, make(**rubik_kwargs), context)
         assert rubik.decision_path == name  # the named path served it
         results[name] = (calls, meter_totals(core), rubik)
     scalar_calls, scalar_meter, _ = results["scalar"]
@@ -136,7 +209,7 @@ def assert_paths_equivalent(trace, context, **rubik_kwargs):
             continue
         calls, meter, _ = results[name]
         assert calls == scalar_calls, \
-            f"{name} diverged from the scalar oracle"
+            f"{name} diverged from the reference"
         assert meter == scalar_meter  # bitwise: exact float tuple/dict
     if "native" in results:
         # The native kernel mirrors the Python kernel's branch counters
@@ -146,6 +219,28 @@ def assert_paths_equivalent(trace, context, **rubik_kwargs):
         assert n_stats is not None and k_stats is not None
         assert n_stats.as_dict() == k_stats.as_dict()
     return results
+
+
+def assert_run_results_equivalent(trace, context, rubik_kwargs=None,
+                                  **run_kwargs):
+    """Every leg in PATHS through ``run_trace``: the applied-transition
+    history, transition count, energy and response times equal the
+    reference's bit for bit."""
+    runs = {}
+    for name, make in PATHS.items():
+        rubik = make(**(rubik_kwargs or {}))
+        runs[name] = run_trace(trace, rubik, context,
+                               record_freq_history=True, **run_kwargs)
+        assert rubik.decision_path == name
+    scalar = runs["scalar"]
+    assert scalar.freq_history  # opt-in must actually record
+    for name, run in runs.items():
+        assert run.freq_history == scalar.freq_history, name
+        assert run.dvfs_transitions == scalar.dvfs_transitions, name
+        assert run.energy_j == scalar.energy_j, name
+        assert list(run.response_times(include_warmup=True)) == \
+            list(scalar.response_times(include_warmup=True)), name
+    return runs
 
 
 class TestRandomizedDecisionOracle:
@@ -234,16 +329,26 @@ class TestRandomizedDecisionOracle:
         ctx = make_context(MASSTREE, seed, 700)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 700, seed)
         dvfs = dataclasses.replace(ctx.dvfs, transition_latency_s=latency_s)
-        runs = {name: run_trace(trace, Rubik(**flags), ctx,
-                                dvfs_config=dvfs, record_freq_history=True)
-                for name, flags in PATHS.items()}
-        scalar = runs["scalar"]
-        assert scalar.dvfs_transitions > 0
-        for name, run in runs.items():
-            assert run.freq_history == scalar.freq_history, name
-            assert run.energy_j == scalar.energy_j, name
-            assert list(run.response_times(include_warmup=True)) == \
-                list(scalar.response_times(include_warmup=True)), name
+        runs = assert_run_results_equivalent(trace, ctx, dvfs_config=dvfs)
+        assert runs["scalar"].dvfs_transitions > 0
+
+    @pytest.mark.parametrize("app,seed,n,load,max_explicit", [
+        (MASSTREE, 3, 2500, 0.5, DEFAULT_MAX_EXPLICIT),
+        (MASSTREE, 11, 2500, 0.8, DEFAULT_MAX_EXPLICIT),
+        (SPECJBB, 7, 2500, 0.4, DEFAULT_MAX_EXPLICIT),
+        # Queue depths past max_explicit: CLT-extended rows and the
+        # kernel's certificate folds.
+        (MASSTREE, 13, 2000, 1.4, 4),
+    ], ids=["masstree-0.5", "masstree-0.8", "specjbb-0.4",
+            "masstree-deep"])
+    def test_long_traces(self, app, seed, n, load, max_explicit):
+        """Longer traces, each leg's decisions and its ``run_trace``
+        result (transition history, latencies, energy)."""
+        ctx = make_context(app, seed, n)
+        trace = Trace.generate_at_load(app, load, n, seed)
+        assert_paths_equivalent(trace, ctx, max_explicit=max_explicit)
+        assert_run_results_equivalent(
+            trace, ctx, rubik_kwargs=dict(max_explicit=max_explicit))
 
 
 class TestHopelessOverloadFloor:
@@ -264,7 +369,7 @@ class TestHopelessOverloadFloor:
         calls = []
         orig = core.request_frequency
         core.request_frequency = lambda f: (calls.append(f), orig(f))[1]
-        rubik = Rubik(**PATHS[path], feedback=False)
+        rubik = PATHS[path](feedback=False)
         rubik.setup(sim, core, ctx)
         rubik.tables = self._hopeless_tables()  # profiler stays not-ready
         for k in range(5):
@@ -291,7 +396,7 @@ class TestHopelessOverloadFloor:
             orig = core.request_frequency
             core.request_frequency = lambda f, _c=calls, _o=orig: (
                 _c.append(f), _o(f))[1]
-            rubik = Rubik(**PATHS[path], feedback=False)
+            rubik = PATHS[path](feedback=False)
             rubik.setup(sim, core, ctx)
             rubik.tables = self._hopeless_tables()
             for k in range(8):
@@ -338,43 +443,49 @@ class TestHopelessOverloadFloor:
 
 
 class TestPathBinding:
-    """``Rubik(path=...)`` is fixed at construction; setup() binds a
-    Python evaluator and only ``native_session`` serves a run in C."""
+    """setup() binds the Python kernel, and only ``native_session``
+    serves a run in C; no argument selects the path."""
 
     def test_property_rebinding(self):
         r = Rubik()
-        assert r.path == "auto"
         # Nothing has run yet, so nothing reports a path.
         assert r.decision_path is None and r.kernel_stats is None
         assert r._decide is None
-        with pytest.raises(AttributeError):
-            r.path = "scalar"  # fixed for the controller's lifetime
         ctx = SchemeContext(latency_bound_s=1e-3)
         sim = Simulator()
         r.setup(sim, Core(sim, ctx.dvfs, DEFAULT_CORE_POWER), ctx)
         assert r.decision_path == "kernel"  # until a session serves it
         assert type(r._decide.__self__) is DecisionKernel
         assert r.kernel_stats is r._decide.__self__.stats
-        scalar = Rubik(path="scalar")
-        scalar.setup(sim, Core(sim, ctx.dvfs, DEFAULT_CORE_POWER), ctx)
-        assert scalar.decision_path == "scalar"
-        assert scalar._decide.__func__ is Rubik._update_frequency_scalar
 
-    def test_kernel_mode_validation(self):
-        for bad in ("native", "vectorized", "", None, True, False, 1):
-            with pytest.raises(ValueError):
-                Rubik(path=bad)
-        with pytest.raises(TypeError):
-            Rubik(kernel=True)  # only `path` selects the decision path
-        with pytest.raises(TypeError):
-            Rubik(vectorized=False)
+    def test_no_argument_selects_the_path(self):
+        for kwargs in (dict(path="kernel"), dict(path="auto"),
+                       dict(kernel=True), dict(vectorized=False)):
+            with pytest.raises(TypeError):
+                Rubik(**kwargs)
+
+    def test_a_subclass_setup_binds_the_evaluator_that_runs(self):
+        """``setup`` is a span hook: a subclass that binds its own
+        evaluator there runs it, where the library loads too."""
+        class MaxRubik(Rubik):
+            def setup(self, sim, core, context):
+                super().setup(sim, core, context)
+                self._decide = lambda core: core.request_frequency(
+                    context.dvfs.max_hz)
+
+        ctx = make_context(MASSTREE, 3, 300)
+        trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
+        rubik = MaxRubik()
+        res = run_trace(trace, rubik, ctx)
+        assert rubik.decision_path == "kernel"
+        assert res.busy_freq_hist == {ctx.dvfs.max_hz: 1.0}
 
     def test_first_kernel_decide_rebinds_to_kernel(self):
         """setup() binds ``_decide`` straight to the kernel's own
         ``decide`` (no per-event dispatch hop)."""
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
-        _, _, rubik = run_decisions(trace, Rubik(path="kernel"), ctx)
+        _, _, rubik = run_decisions(trace, KernelRubik(), ctx)
         kernel = rubik._decide.__self__
         assert type(kernel) is DecisionKernel
         assert rubik._decide == kernel.decide
@@ -413,12 +524,6 @@ class TestKernelInternals:
         # counter would make the total come up short).
         assert d["decisions"] == stats.decisions == 800
 
-    def test_kernel_stats_none_when_kernel_off(self):
-        ctx = make_context(MASSTREE, 3, 200)
-        trace = Trace.generate_at_load(MASSTREE, 0.5, 200, 3)
-        _, _, rubik = run_decisions(trace, Rubik(path="scalar"), ctx)
-        assert rubik.kernel_stats is None
-
     def test_steady_state_refresh_carries_kernel_state(self):
         """Constant demand: every post-warmup refresh re-resolves to the
         same table pair, so the kernel is never invalidated by one."""
@@ -447,11 +552,11 @@ class TestKernelInternals:
     def test_kernel_rebuilt_per_setup(self):
         """setup() must drop the previous run's kernel (stale DVFS grid
         and stale epochs would otherwise leak across runs); the oracle
-        is a reused scalar controller."""
+        is a reused reference controller."""
         ctx = make_context(MASSTREE, 3, 300)
         trace = Trace.generate_at_load(MASSTREE, 0.5, 300, 3)
-        kern = Rubik(path="kernel")
-        scal = Rubik(path="scalar")
+        kern = KernelRubik()
+        scal = ScalarRubik()
         run_decisions(trace, kern, ctx)
         run_decisions(trace, scal, ctx)
         first = kern._decide.__self__
@@ -475,7 +580,7 @@ class TestKernelInternals:
             orig = core.request_frequency
             core.request_frequency = lambda f, _c=calls, _o=orig: (
                 _c.append(f), _o(f))[1]
-            rubik = Rubik(**PATHS[path], feedback=False)
+            rubik = PATHS[path](feedback=False)
             rubik.setup(sim, core, ctx)
             rubik.tables = TargetTailTables(
                 Histogram.point_mass(1e6, bucket_width=1e4),

@@ -1,17 +1,11 @@
-"""Equivalence guards for the PR 1 fast paths.
+"""Equivalence guards for the PR 1 tail-table fast paths.
 
 The perf overhaul (cached histogram CDFs/FFTs, shared-convolution lazy
-tail-table builds, the fast-path Rubik controller, the tuple event heap)
-must be *behaviorally invisible*: every scheme decision and figure
-output must match what the original scalar implementations produce.
-These tests pin that:
-
-* a reference (seed-algorithm) tail-table build, kept here in test code,
-  must match the shared-convolution build cell-for-cell;
-* seeded traces through the scalar ``_update_frequency`` loop and the
-  Python decision kernel must produce identical frequency-request
-  sequences, p95/p99 latencies, and energy (rel tol 1e-9 — observed:
-  bitwise).
+tail-table builds) must be *behaviorally invisible*: a reference
+(seed-algorithm) tail-table build, kept here in test code, must match
+the shared-convolution build cell-for-cell. The controller's decisions
+are pinned against the per-request reference loop by the
+decision-oracle suite (``test_decision_kernel.py``).
 """
 
 import math
@@ -19,13 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.controller import Rubik
 from repro.core.histogram import Histogram
 from repro.core.tail_tables import TailTable
-from repro.experiments.common import make_context
-from repro.sim.server import run_trace
-from repro.sim.trace import Trace
-from repro.workloads.apps import MASSTREE, SPECJBB
 
 
 def lognormal_hist(seed=0, mean=1e6, cv=0.3, n=20000):
@@ -91,13 +80,6 @@ class TestSharedConvolutionTables:
             assert lazy.tail(pos) == eager.tail(pos)
         np.testing.assert_array_equal(lazy.materialize(), eager.table)
 
-    def test_row_index_fast_path_matches_public(self):
-        h = lognormal_hist(8)
-        t = TailTable(h)
-        for e in [0.0, h.quantile(0.1), h.quantile(0.5), h.quantile(0.99),
-                  float(t.row_bounds[3])]:
-            assert t._row_index(e) == t.row_for_elapsed(e)
-
     def test_row_bounds_is_ndarray(self):
         """Satellite fix: row_bounds used to be a Python list."""
         t = TailTable(lognormal_hist())
@@ -136,43 +118,3 @@ class TestSharedConvolutionTables:
         assert t.row_tails_list(0, 16) is row0
         np.testing.assert_array_equal(row0, t.table[0, :16])
 
-
-class TestControllerEquivalence:
-    @pytest.mark.parametrize("app,seed,n,load", [
-        (MASSTREE, 3, 2500, 0.5),
-        (MASSTREE, 11, 2500, 0.8),
-        (SPECJBB, 7, 2500, 0.4),
-    ])
-    def test_vectorized_matches_scalar(self, app, seed, n, load):
-        """The compiler-free fast path (``path="kernel"``) against the
-        scalar loop through ``run_trace``."""
-        ctx = make_context(app, seed, n)
-        trace = Trace.generate_at_load(app, load, n, seed)
-        scalar, kernel = [
-            run_trace(trace, Rubik(path=path), ctx, record_freq_history=True)
-            for path in ("scalar", "kernel")]
-        assert scalar.freq_history  # opt-in must actually record
-
-        # Identical frequency *request* outcomes: the applied-transition
-        # history must match event for event.
-        assert kernel.freq_history == scalar.freq_history
-        assert kernel.dvfs_transitions == scalar.dvfs_transitions
-
-        s_lat = scalar.response_times()
-        k_lat = kernel.response_times()
-        for pct in (95, 99):
-            assert float(np.percentile(k_lat, pct)) == pytest.approx(
-                float(np.percentile(s_lat, pct)), rel=1e-9)
-        assert kernel.energy_j == pytest.approx(scalar.energy_j, rel=1e-9)
-
-    def test_deep_queue_path_matches_scalar(self):
-        """Force queue depths past max_explicit so the kernel's deep
-        path (CLT-extended rows, certificate folds) is exercised."""
-        ctx = make_context(MASSTREE, 13, 2000)
-        trace = Trace.generate_at_load(MASSTREE, 1.4, 2000, 13)
-        runs = [run_trace(trace, Rubik(path=path, max_explicit=4),
-                          ctx, record_freq_history=True)
-                for path in ("scalar", "kernel")]
-        assert runs[0].freq_history  # opt-in must actually record
-        assert runs[0].freq_history == runs[1].freq_history
-        assert runs[0].energy_j == pytest.approx(runs[1].energy_j, rel=1e-9)

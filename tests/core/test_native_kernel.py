@@ -1,6 +1,6 @@
 """Native-kernel build gate, fallback, and whole-run span tests.
 
-Three contracts beyond the 3-path decision-oracle sweep in
+Three contracts beyond the three-leg decision-oracle sweep in
 ``test_decision_kernel.py``:
 
 * the ``REPRO_NATIVE`` environment gate validates like
@@ -9,8 +9,8 @@ Three contracts beyond the 3-path decision-oracle sweep in
   library;
 * a box where the library cannot load (simulated by a broken
   ``ctypes.CDLL``) warns once, then silently dispatches the Python
-  kernel — and ``decision_path`` / ``kernel_stats`` report what served
-  the run, never the wish;
+  kernel, with ``REPRO_NATIVE`` unset or ``1`` alike — and
+  ``decision_path`` / ``kernel_stats`` report what served the run;
 * the whole-run C span loop (``run_trace`` handing the event loop to
   ``NativeRunSession``) is bitwise-identical to the Python event loop,
   and a pure-Python run under ``REPRO_NATIVE=0`` reproduces experiment
@@ -18,6 +18,7 @@ Three contracts beyond the 3-path decision-oracle sweep in
 """
 
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -48,6 +49,12 @@ def fresh_build_state():
     build._reset_for_tests()
     yield
     build._reset_for_tests()
+
+
+def python_kernel():
+    """Hide the native library, so a plain ``Rubik`` runs on the Python
+    kernel."""
+    return mock.patch.object(build, "load_library", lambda: None)
 
 
 def _small_run(rubik, seed=3, n=200, load=0.5):
@@ -122,11 +129,16 @@ class TestEnvGate:
 
 
 class TestFallback:
+    @pytest.mark.parametrize("env", [None, "1"], ids=["unset", "1"])
     def test_broken_cdll_warns_once_then_python_kernel(
-            self, monkeypatch, fresh_build_state):
+            self, monkeypatch, fresh_build_state, env):
         """No loadable library: one RuntimeWarning, then every probe and
-        every run silently uses the Python kernel."""
-        monkeypatch.delenv(build.NATIVE_ENV, raising=False)
+        every run silently uses the Python kernel. ``REPRO_NATIVE=1``
+        reads like unset: it requires nothing."""
+        if env is None:
+            monkeypatch.delenv(build.NATIVE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(build.NATIVE_ENV, env)
 
         def broken_cdll(path):
             raise OSError("simulated dlopen failure")
@@ -148,8 +160,7 @@ class TestFallback:
         # decision_path / kernel_stats report what served the run.
         r = Rubik()
         res = _small_run(r)
-        assert r.path == "auto"  # the configured wish...
-        assert r.decision_path == "kernel"  # ...vs the actual path
+        assert r.decision_path == "kernel"
         assert len(res.requests) == 200
         assert type(r._decide.__self__) is DecisionKernel
         assert r.kernel_stats is not None
@@ -207,8 +218,12 @@ class TestNativeSpan:
         n = 500
         ctx = make_context(MASSTREE, seed, n)
         trace = Trace.generate_at_load(MASSTREE, load, n, seed)
-        res_py = run_trace(trace, Rubik(path="kernel"), ctx)
-        res_nat = run_trace(trace, Rubik(path="auto"), ctx)
+        r_py, r_nat = Rubik(), Rubik()
+        with python_kernel():
+            res_py = run_trace(trace, r_py, ctx)
+        res_nat = run_trace(trace, r_nat, ctx)
+        assert (r_py.decision_path, r_nat.decision_path) == ("kernel",
+                                                             "native")
         assert _fingerprint(res_nat) == _fingerprint(res_py)
 
     def test_span_with_instrumented_core(self):
@@ -217,8 +232,9 @@ class TestNativeSpan:
         ctx = make_context(MASSTREE, 11, n)
         trace = Trace.generate_at_load(MASSTREE, 0.8, n, 11)
         kwargs = dict(log_segments=True, record_freq_history=True)
-        res_py = run_trace(trace, Rubik(path="kernel"), ctx, **kwargs)
-        res_nat = run_trace(trace, Rubik(path="auto"), ctx, **kwargs)
+        with python_kernel():
+            res_py = run_trace(trace, Rubik(), ctx, **kwargs)
+        res_nat = run_trace(trace, Rubik(), ctx, **kwargs)
         assert res_nat.segment_log  # instrumentation actually ran
         assert res_nat.freq_history
         assert _fingerprint(res_nat) == _fingerprint(res_py)
@@ -247,9 +263,10 @@ class TestNativeSpan:
         n = 500
         ctx = make_context(MASSTREE, 5, n)
         trace = Trace.generate_at_load(MASSTREE, 0.7, n, 5)
-        r_py = Rubik(path="kernel")
-        r_nat = Rubik(path="auto")
-        run_trace(trace, r_py, ctx)
+        r_py = Rubik()
+        r_nat = Rubik()
+        with python_kernel():
+            run_trace(trace, r_py, ctx)
         run_trace(trace, r_nat, ctx)
         assert r_nat.kernel_stats.as_dict() == r_py.kernel_stats.as_dict()
 

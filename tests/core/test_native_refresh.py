@@ -143,28 +143,31 @@ def test_native_run_resolves_the_kernels_tables(name, app, trace,
     bounds and row lists on the span loop as on the Python kernel."""
     real_refresh = Rubik._refresh_tables
     context = make_context(app, 4, len(trace))
-    resolved = {}
+    runs = []
 
     def recording_refresh(self, *args):
         real_refresh(self, *args)
-        resolved[self.path].append(self.tables)
+        runs[-1].append(self.tables)
 
     monkeypatch.setattr(Rubik, "_refresh_tables", recording_refresh)
-    for path in ("auto", "kernel"):
+    for path in ("native", "kernel"):
         TABLE_CACHE.clear()
-        resolved[path] = []
-        rubik = Rubik(path=path)
-        run_trace(trace, rubik, context)
-        assert rubik.decision_path == ("native" if path == "auto"
-                                       else "kernel")
+        runs.append([])
+        rubik = Rubik()
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "kernel":  # hide the library: the Python kernel
+                mp.setattr(build, "load_library", lambda: None)
+            run_trace(trace, rubik, context)
+        assert rubik.decision_path == path
+    native, kernel = runs
 
     def state(pairs):
         return [[(t._row_bounds_list, t.row_bounds.tolist(),
                   type(t.row_bounds), dict(t._row_lists))
                  for t in (pair.cycles, pair.memory)] for pair in pairs]
 
-    assert len(resolved["auto"]) > 1
-    assert state(resolved["auto"]) == state(resolved["kernel"])
+    assert len(native) > 1
+    assert state(native) == state(kernel)
 
 
 def test_bind_hands_c_the_pairs_bases_bounds_and_rows(monkeypatch):
@@ -205,13 +208,14 @@ def test_bind_hands_c_the_pairs_bases_bounds_and_rows(monkeypatch):
 # -- what C cannot bind stays on the Python loop ------------------------
 
 
-@pytest.mark.parametrize("hook", ["on_arrival", "on_completion",
+@pytest.mark.parametrize("hook", ["setup", "on_arrival", "on_completion",
                                   "_maybe_refresh_tables",
                                   "_refresh_tables"])
 def test_a_subclass_replacing_a_span_hook_keeps_the_python_loop(hook):
     """C binds each refresh's pair as Rubik's own resolution of the
     snapshot: a subclass that replaces ``_refresh_tables`` (or any hook
-    the span loop stands in for) runs on the Python kernel."""
+    the span loop stands in for, ``setup`` included, which binds the
+    Python evaluator) runs on the Python kernel."""
     def passthrough(self, *args):
         return getattr(Rubik, hook)(self, *args)
 

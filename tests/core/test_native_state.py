@@ -120,12 +120,20 @@ def _colocated_run(trace, rubik, context, mix):
             meter_state(core))
 
 
+def on_path(path, mp):
+    """Serve Rubik on ``path``: ``"native"`` leaves the library loaded,
+    ``"kernel"`` hides it, so every run takes the Python kernel."""
+    if path == "kernel":
+        mp.setattr(build, "load_library", lambda: None)
+
+
 def _runs(path, app, loads, seed, n, feedback, colocated, mix):
     """Serve one trace per load with one controller (reused across
-    them); each run's fields and the controller state after it."""
+    them) on ``path``; each run's fields and the controller state after
+    it."""
     context = make_context(app, seed, n)
     cls = RubikColocScheme if colocated else Rubik
-    rubik = cls(feedback=feedback, path=path)
+    rubik = cls(feedback=feedback)
     sessions = []
     real_run = NativeRunSession.run
 
@@ -136,6 +144,7 @@ def _runs(path, app, loads, seed, n, feedback, colocated, mix):
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NativeRunSession, "run", counting_run)
+        on_path(path, mp)
         for i, load in enumerate(loads):
             TABLE_CACHE.clear()
             trace = Trace.generate_at_load(app, load, n, seed + i)
@@ -157,7 +166,7 @@ def test_native_state_matches_python(app, loads, seed, n, feedback,
                                      colocated, mix):
     """Two loads means one controller serves two traces in a row."""
     args = (APPS[app], loads, seed, n, feedback, colocated, mix)
-    native, sessions = _runs("auto", *args)
+    native, sessions = _runs("native", *args)
     python, none = _runs("kernel", *args)
     assert sessions == len(loads) and none == 0
     for got, want in zip(native, python):
@@ -176,13 +185,16 @@ def test_cache_hits_count_the_cells_c_built():
     context = make_context(app, 21, 800)
     trace = Trace.generate_at_load(app, 0.5, 800, 21)
     stats = {}
-    for path in ("auto", "kernel"):
+    for path in ("native", "kernel"):
         TABLE_CACHE.clear()
-        rubik = Rubik(path=path)
-        run_trace(trace, rubik, context)
+        rubik = Rubik()
+        with pytest.MonkeyPatch.context() as mp:
+            on_path(path, mp)
+            run_trace(trace, rubik, context)
+        assert rubik.decision_path == path
         stats[path] = rubik.refresh_stats.as_dict()
-    assert stats["auto"]["columns_carried"] > 0
-    assert stats["auto"] == stats["kernel"]
+    assert stats["native"]["columns_carried"] > 0
+    assert stats["native"] == stats["kernel"]
 
 
 # -- the percentile -----------------------------------------------------
@@ -235,12 +247,13 @@ def test_negative_demand_still_raises():
         run_trace(trace, Rubik(), make_context(MASSTREE, 2, 100))
 
 
-def test_python_loop_columns_follow_its_list():
+def test_python_loop_columns_follow_its_list(monkeypatch):
     """On the Python loop the columns are built from the Request list,
     once, and the list is the one RunResult.requests returns."""
     context = make_context(MASSTREE, 5, 200)
     trace = Trace.generate_at_load(MASSTREE, 0.6, 200, 5)
-    res = run_trace(trace, Rubik(path="kernel"), context)
+    on_path("kernel", monkeypatch)
+    res = run_trace(trace, Rubik(), context)
     cols = res.completions
     assert len(cols) == 200
     assert res.requests is cols.requests()
@@ -258,14 +271,17 @@ def test_eviction_keeps_a_sample_exactly_one_window_old():
     trace = Trace(np.arange(n) / 16.0, np.zeros(n), np.full(n, 2.0**-10))
     context = make_context(MASSTREE, 3, 200)
     states = {}
-    for path in ("auto", "kernel"):
+    for path in ("native", "kernel"):
         TABLE_CACHE.clear()
-        rubik = Rubik(path=path)
-        run_trace(trace, rubik, context)
+        rubik = Rubik()
+        with pytest.MonkeyPatch.context() as mp:
+            on_path(path, mp)
+            run_trace(trace, rubik, context)
+        assert rubik.decision_path == path
         states[path] = controller_state(rubik)
-    samples = states["auto"][2][3]
+    samples = states["native"][2][3]
     assert samples[0][0] == samples[-1][0] - 1.0  # the boundary case
-    assert states["auto"] == states["kernel"]
+    assert states["native"] == states["kernel"]
 
 
 def test_residency_maps_keep_first_seen_order():
@@ -274,12 +290,14 @@ def test_residency_maps_keep_first_seen_order():
     context = make_context(MASSTREE, 5, 300)
     trace = Trace.generate_at_load(MASSTREE, 0.6, 300, 5)
     maps = {}
-    for path in ("auto", "kernel"):
+    for path in ("native", "kernel"):
         sim = Simulator()
         core = Core(sim, context.dvfs, DEFAULT_CORE_POWER)
-        serve(sim, core, Rubik(path=path), context, trace)
+        with pytest.MonkeyPatch.context() as mp:
+            on_path(path, mp)
+            serve(sim, core, Rubik(), context, trace)
         core.finalize(settle_dvfs=True)
         maps[path] = meter_state(core)[-2:]
-    assert maps["auto"] == maps["kernel"]
-    keys = [freq for freq, _ in maps["auto"][0]]
+    assert maps["native"] == maps["kernel"]
+    keys = [freq for freq, _ in maps["native"][0]]
     assert keys != sorted(keys)

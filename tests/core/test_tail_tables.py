@@ -142,7 +142,7 @@ class TestTargetTailTables:
         cycles = lognormal_hist(0, mean=1e6)
         memory = lognormal_hist(1, mean=1e-4)
         tables = TargetTailTables(cycles, memory)
-        c, m = tables.constraint(0, 0.0, 0.0)
+        c, m = tables.cycles.tail(0, 0.0), tables.memory.tail(0, 0.0)
         assert c == pytest.approx(cycles.quantile(0.95))
         assert m == pytest.approx(memory.quantile(0.95))
 
@@ -150,7 +150,7 @@ class TestTargetTailTables:
         cycles = lognormal_hist()
         memory = Histogram.point_mass(0.0, bucket_width=1e-9)
         tables = TargetTailTables(cycles, memory)
-        _, m = tables.constraint(3, 0.0, 0.0)
+        m = tables.memory.tail(3, 0.0)
         assert m <= 1e-8
 
     def test_paper_fig4_scenario(self):
@@ -163,7 +163,8 @@ class TestTargetTailTables:
         times_in_system = [1.5e-3, 0.8e-3, 0.1e-3]
         freqs = []
         for i, t_i in enumerate(times_in_system):
-            c_i, m_i = tables.constraint(i, 0.3e6, 0.0)
+            c_i = tables.cycles.tail(i, 0.3e6)
+            m_i = tables.memory.tail(i, 0.0)
             slack = bound - t_i - m_i
             assert slack > 0
             freqs.append(c_i / slack)

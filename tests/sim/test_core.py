@@ -49,7 +49,7 @@ class TestBasicService:
         sim.schedule(0.0, lambda: core.enqueue(req(2)))
         sim.run(max_events=3)
         assert core.queue_length == 3
-        assert len(core.pending_requests()) == 3
+        assert core.current is not None and len(core.queue) == 2
 
     def test_memory_time_included(self):
         sim, core = make_core()
@@ -158,7 +158,7 @@ class TestListeners:
 
         class L:
             def on_arrival(self, c, r):
-                seen.append([p.rid for p in c.pending_requests()])
+                seen.append([c.current.rid] + [p.rid for p in c.queue])
 
             def on_completion(self, c, r):
                 pass
